@@ -6,7 +6,9 @@ subcommand, parameters, seed, build id, timestamps, and output files.  The
 table body is a pure function of the arguments, so reruns are byte-identical;
 wall-clock data lives only in the manifest.
 
-Exit codes: 0 success, 1 usage or runtime error, 2 invariant-suite failure.
+Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
+over its guard, eigensolver non-convergence, an unwritable output), 2
+invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from datetime import datetime, timezone
 
 from . import __version__
@@ -27,7 +28,7 @@ from .dyck import (
     max_level_tail,
     stay_above_full_window_expectation,
 )
-from .ensemble import RNG_ALGORITHM, DistributionError, parse_distribution
+from .ensemble import RNG_ALGORITHM, parse_distribution
 from .gluing import (
     catalan_convolution_ratio,
     cycle_refined_insertion_sum,
@@ -48,12 +49,11 @@ from .paths import (
     odd_path_contribution,
 )
 from .spectral import (
+    EigensolverError,
     concentration_experiment,
     edge_exceedance_experiment,
-    largest_eigenvalue,
     mc_expected_trace,
-    sample_symmetric_matrix,
-    spectral_norm,
+    trial_values,
     wigner_trace_prediction,
     wigner_trace_prediction_refined,
 )
@@ -149,10 +149,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 # ---------- subcommand handlers: return (header, rows, exit_code) ----------
 
 
@@ -202,12 +198,9 @@ def _cmd_trace_exact(args):
 
 def _cmd_spectrum(args):
     dist = parse_distribution(args.dist)
+    values = trial_values(dist, args.n, args.trials, args.seed, "spectrum")
     header = ["trial", "seed", "lambda_max", "spectral_norm"]
-    rows = []
-    for i in range(args.trials):
-        sample = sample_symmetric_matrix(dist, args.n, args.seed + i)
-        a = sample.normalized_view
-        rows.append([i, args.seed + i, largest_eigenvalue(a), spectral_norm(a)])
+    rows = [[i, args.seed + i, lam, norm] for i, (lam, norm) in enumerate(values.tolist())]
     return header, rows, 0
 
 
@@ -350,6 +343,14 @@ def _cmd_dyck_stats(args):
 # ---------- argument wiring ----------
 
 
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="trial threads on the n >= 64 Lanczos route; BLAS threads already "
+        "parallelize each solve, and the batched n < 64 route ignores this",
+    )
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output base name (default: the subcommand name)")
     p.add_argument("--output-dir", help="output directory (default: $TML_OUTPUT_DIR or .)")
@@ -368,7 +369,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["eig", "power"], default="eig")
     p.add_argument("--raw", action="store_true", help="trace of the unnormalized matrix")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=_cmd_trace_mc)
 
@@ -394,7 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=_cmd_edge_exceed)
 
@@ -404,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--t-values", default="1,2,3,4,5,6,7,8")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=_cmd_concentration)
 
@@ -460,12 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     started = _now()
     try:
         header, rows, code = args.func(args)
-    except (DistributionError, ValueError) as exc:
+        outputs = _write_table(args, header, rows)
+        _write_manifest(args, outputs, started, _now())
+    except (EigensolverError, OSError, ValueError) as exc:  # DistributionError is a ValueError
         print(f"tml {args.subcommand}: {exc}", file=sys.stderr)
         return 1
-    outputs = _write_table(args, header, rows)
-    finished = _now()
-    _write_manifest(args, outputs, started, finished)
     return code
 
 

@@ -152,6 +152,29 @@ def parse_distribution(token: str) -> EntryDistribution:
     return make_distribution(xs, ps)
 
 
+def upper_uniforms(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The n(n+1)/2 uniforms behind the upper triangle (diagonal included,
+    row-major) of the size-n matrix seeded with ``seed``: the first draws of
+    a PCG64 stream, the same as ``np.random.default_rng(seed).random``.
+    Written into ``out`` when given."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if out is None:
+        return rng.random(n * (n + 1) // 2)
+    return rng.random(out=out)
+
+
+def support_index(dist: EntryDistribution, u: np.ndarray) -> np.ndarray:
+    """Index into ``dist.support`` of each uniform draw in ``u`` (any shape):
+    the k with cum[k-1] <= u < cum[k] over the cumulative probabilities.
+
+    With ``upper_uniforms`` this is the one definition of the sampling
+    stream; every symmetric-matrix sampler in the package goes through both.
+    """
+    cum = np.cumsum(np.asarray(dist.probabilities))
+    cum[-1] = 1.0  # guard the top bin against rounding
+    return np.searchsorted(cum, u, side="right")
+
+
 def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
     """Draw one symmetric n x n matrix with i.i.d. upper-triangle entries.
 
@@ -160,12 +183,7 @@ def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> Matri
     """
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n * (n + 1) // 2)
-    cum = np.cumsum(np.asarray(dist.probabilities))
-    cum[-1] = 1.0  # guard the top bin against rounding
-    idx = np.searchsorted(cum, u, side="right")
-    vals = np.asarray(dist.support)[idx]
+    vals = np.asarray(dist.support)[support_index(dist, upper_uniforms(n, seed))]
     a = np.zeros((n, n))
     iu = np.triu_indices(n)
     a[iu] = vals

@@ -3,6 +3,26 @@ traces, Monte Carlo trace estimation, semicircle-budget predictions, Markov
 tail bounds, and the two spectrum experiments (edge exceedance and
 concentration of the top eigenvalue).
 
+Every Monte Carlo routine here, and the CLI's spectrum table, runs through
+one trial kernel, ``trial_values``.  It samples trial i from seed + i,
+scales by 1/sqrt(n) (unless raw), and reduces each matrix to its statistic.
+The route follows the matrix size:
+
+* n < DENSE_EIG_CUTOFF: trials are drawn in chunks of at most BATCH_BYTES
+  of matrix data, gathered into one (T, n, n) stack, and solved by one
+  batched ``eigvalsh`` (or one stacked ``matrix_power``).  The thread count
+  is ignored: a chunk is a single numpy call.
+* n >= DENSE_EIG_CUTOFF: each trial fills one normalized matrix row by row
+  and goes straight to Lanczos (ARPACK, imported on first use); trials run
+  on a pool of ``threads`` workers.
+
+Matrices built by the kernel are symmetric by construction, so the symmetry
+check runs only at the public boundary (``largest_eigenvalue``,
+``spectral_norm``, ``trace_power``).  The public route
+``sample_symmetric_matrix`` -> ``normalized_view`` -> ``largest_eigenvalue``
+/ ``trace_power`` stays as the kernel's test oracle; the two agree bit for
+bit.
+
 Determinism contract: every randomized routine takes one integer seed and
 derives the trial-i stream as seed + i, so runs are reproducible and
 independent of thread count and scheduling.
@@ -11,17 +31,18 @@ independent of thread count and scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .dyck import catalan
-from .ensemble import EntryDistribution, sample_symmetric_matrix
+from .ensemble import EntryDistribution, support_index, upper_uniforms
 
 DENSE_EIG_CUTOFF = 64
 DEFAULT_TOLERANCE = 1e-10
+BATCH_BYTES = 1 << 23  # matrix data per batched solve on the small-n route
 
 
 class EigensolverError(RuntimeError):
@@ -41,21 +62,16 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def largest_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
-    """Top eigenvalue of a symmetric matrix.
+def _lanczos(a: np.ndarray, k: int, which: str, tol: float) -> np.ndarray:
+    """k eigenvalues of symmetric a by ARPACK Lanczos, from a fixed all-ones
+    starting vector so the result is bit-reproducible."""
+    # scipy.sparse.linalg takes about 0.35 s to import; only this route needs it
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    Small matrices go through the full dense solver; larger ones use the
-    iterative Lanczos solver with a fixed all-ones starting vector so the
-    result is bit-reproducible.  Non-convergence raises EigensolverError
-    with the residual of the best available pair.
-    """
-    a = _check_symmetric(a)
     n = a.shape[0]
-    if n < DENSE_EIG_CUTOFF:
-        return float(np.linalg.eigvalsh(a)[-1])
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
-        vals = eigsh(a, k=1, which="LA", v0=v0, tol=tol, return_eigenvectors=False)
+        return eigsh(a, k=k, which=which, v0=v0, tol=tol, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         residual = math.nan
         if len(exc.eigenvalues) and exc.eigenvectors.size:
@@ -65,13 +81,38 @@ def largest_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
         raise EigensolverError(
             f"Lanczos iteration did not converge at tol={tol}", residual=residual
         ) from exc
-    return float(vals[-1])
+
+
+def _top(a: np.ndarray, tol: float) -> float:
+    if a.shape[0] < DENSE_EIG_CUTOFF:
+        return float(np.linalg.eigvalsh(a)[-1])
+    return float(_lanczos(a, 1, "LA", tol)[-1])
+
+
+def _norm(a: np.ndarray, tol: float) -> float:
+    if a.shape[0] < DENSE_EIG_CUTOFF:
+        ends = np.linalg.eigvalsh(a)[[0, -1]]
+    else:
+        ends = _lanczos(a, 2, "BE", tol)
+    return float(np.max(np.abs(ends)))
+
+
+def largest_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
+    """Top eigenvalue of a symmetric matrix.
+
+    Small matrices go through the full dense solver; larger ones use the
+    iterative Lanczos solver with a fixed all-ones starting vector so the
+    result is bit-reproducible.  Non-convergence raises EigensolverError
+    with the residual of the best available pair.
+    """
+    return _top(_check_symmetric(a), tol)
 
 
 def spectral_norm(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
-    """Operator norm of a symmetric matrix as max of the top eigenvalues of
-    the matrix and its negation."""
-    return max(largest_eigenvalue(a, tol), largest_eigenvalue(-np.asarray(a, dtype=float), tol))
+    """Operator norm of a symmetric matrix: max |lambda| over both ends of
+    the spectrum, from one solve (dense below DENSE_EIG_CUTOFF, one
+    two-ended Lanczos run above it)."""
+    return _norm(_check_symmetric(a), tol)
 
 
 def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
@@ -89,6 +130,112 @@ def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
     raise ValueError(f"unknown trace method {method!r}")
 
 
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_matrix_memory(n: int) -> None:
+    """Refuse, before anything is allocated, a size whose n x n float64
+    matrix alone would not fit in physical memory."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
+    need = 8 * n * n
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ValueError(
+            f"n={n} needs {need} bytes for one n x n float64 matrix, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
+def _stack_values(stack: np.ndarray, statistic: str, s: int, method: str) -> np.ndarray:
+    """The statistic of every matrix in a (T, n, n) stack, in one call."""
+    if statistic == "trace" and method == "power":
+        return np.trace(np.linalg.matrix_power(stack, 2 * s), axis1=1, axis2=2)
+    vals = np.linalg.eigvalsh(stack)
+    if statistic == "trace":
+        return np.sum(vals ** (2 * s), axis=1)
+    if statistic == "lambda_max":
+        return vals[:, -1]
+    return np.stack([vals[:, -1], np.max(np.abs(vals[:, [0, -1]]), axis=1)], axis=1)
+
+
+def trial_values(
+    dist: EntryDistribution,
+    n: int,
+    trials: int,
+    seed: int,
+    statistic: str,
+    *,
+    s: int = 1,
+    method: str = "eig",
+    normalized: bool = True,
+    threads: int = 1,
+    tol: float = DEFAULT_TOLERANCE,
+) -> np.ndarray:
+    """The statistic of each of ``trials`` sampled matrices, trial i drawn
+    from seed + i, as an array in trial order.
+
+    ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s) by
+    ``method``, "eig" or "power") or "spectrum" (one row of top eigenvalue
+    and spectral norm per trial).  A is the 1/sqrt(n)-normalized matrix, or
+    the raw one when normalized=False.  Values equal those of the public
+    per-matrix functions on ``sample_symmetric_matrix(dist, n, seed + i)``.
+    ``threads`` is used on the n >= DENSE_EIG_CUTOFF route only.
+    """
+    if statistic not in ("lambda_max", "trace", "spectrum"):
+        raise ValueError(f"unknown trial statistic {statistic!r}")
+    if statistic == "trace":
+        if s < 1:
+            raise ValueError("s must be at least 1")
+        if method not in ("eig", "power"):
+            raise ValueError(f"unknown trace method {method!r}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    check_matrix_memory(n)
+    support = np.asarray(dist.support)
+    if normalized:
+        support = support / np.sqrt(n)
+    m = n * (n + 1) // 2
+
+    if n < DENSE_EIG_CUTOFF:
+        # mirror[r, c] is the upper-triangle position of entry (r, c)
+        rows, cols = np.triu_indices(n)
+        mirror = np.empty((n, n), dtype=np.intp)
+        mirror[rows, cols] = mirror[cols, rows] = np.arange(m)
+        chunk = max(1, BATCH_BYTES // (8 * n * n))
+        parts = []
+        for first in range(0, trials, chunk):
+            u = np.empty((min(chunk, trials - first), m))
+            for j, row in enumerate(u):
+                upper_uniforms(n, seed + first + j, out=row)
+            stack = support[support_index(dist, u)][:, mirror]
+            parts.append(_stack_values(stack, statistic, s, method))
+        return np.concatenate(parts)
+
+    def worker(i: int):
+        vals = support[support_index(dist, upper_uniforms(n, seed + i))]
+        a = np.empty((n, n))
+        start = 0
+        for r in range(n):
+            a[r, r:] = a[r:, r] = vals[start:start + n - r]
+            start += n - r
+        if statistic == "trace":
+            return _stack_values(a[None], statistic, s, method)[0]
+        if statistic == "lambda_max":
+            return _top(a, tol)
+        return _top(a, tol), _norm(a, tol)
+
+    # per-trial seeds make the values independent of execution order
+    if threads <= 1:
+        return np.array([worker(i) for i in range(trials)])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(worker, range(trials))))
+
+
 @dataclass(frozen=True)
 class TraceEstimate:
     """Monte Carlo estimate of E[Tr A^(2s)] with its standard error."""
@@ -98,18 +245,6 @@ class TraceEstimate:
     trials: int
     n: int
     s: int
-
-
-def _run_trials(worker, trials: int, threads: int) -> list:
-    """Evaluate worker(i) for i in range(trials), in trial order.
-
-    The per-trial seeds make results independent of the execution order, so
-    a thread pool changes wall time only.
-    """
-    if threads <= 1:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
 
 
 def mc_expected_trace(
@@ -124,15 +259,10 @@ def mc_expected_trace(
 ) -> TraceEstimate:
     """Estimate E[Tr A^(2s)] (A the 1/sqrt(n)-normalized matrix, or the raw
     matrix when normalized=False) over independent samples."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-
-    def worker(i: int) -> float:
-        sample = sample_symmetric_matrix(dist, n, seed + i)
-        a = sample.normalized_view if normalized else sample.entries
-        return trace_power(a, s, method=method)
-
-    values = np.array(_run_trials(worker, trials, threads))
+    values = trial_values(
+        dist, n, trials, seed, "trace",
+        s=s, method=method, normalized=normalized, threads=threads,
+    )
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return TraceEstimate(mean=mean, stderr=stderr, trials=trials, n=n, s=s)
@@ -187,15 +317,8 @@ def edge_exceedance_experiment(
 ) -> EdgeExceedanceResult:
     """Sample matrices and count how often the top eigenvalue of the
     normalized matrix exceeds 2*sigma + n^(-6/11 + epsilon)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     threshold = 2.0 * dist.sigma + float(n) ** (EDGE_EXPONENT + epsilon)
-
-    def worker(i: int) -> float:
-        sample = sample_symmetric_matrix(dist, n, seed + i)
-        return largest_eigenvalue(sample.normalized_view, tol=tol)
-
-    values = _run_trials(worker, trials, threads)
+    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads, tol=tol).tolist()
     count = sum(1 for v in values if v > threshold)
     return EdgeExceedanceResult(
         n=n,
@@ -244,12 +367,7 @@ def concentration_experiment(
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-
-    def worker(i: int) -> float:
-        sample = sample_symmetric_matrix(dist, n, seed + i)
-        return largest_eigenvalue(sample.normalized_view, tol=tol)
-
-    values = np.array(_run_trials(worker, trials, threads))
+    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads, tol=tol)
     center = float(values.mean())
     scale = dist.bound_K / math.sqrt(n)
     rows = []

@@ -6,7 +6,9 @@ import os
 import pytest
 
 import tml.cli as cli
+import tml.spectral as spectral
 from tml.gluing import InvariantReport
+from tml.spectral import EigensolverError
 
 
 def run(tmp_path, *argv, base=None):
@@ -236,3 +238,57 @@ def test_csv_float_format_round_trips(tmp_path):
     assert code == 0
     # %.17g keeps doubles exactly
     assert float(rows[0]["value"]) == 102.44444444444444
+
+
+def test_trial_loops_default_to_one_thread():
+    parser = cli.build_parser()
+    for case in (
+        ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2"],
+        ["edge-exceed", "--dist", "skew12", "--n", "9", "--trials", "2", "--epsilon", "0.1"],
+        ["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"],
+    ):
+        assert parser.parse_args(case).threads == 1
+
+
+def test_eigensolver_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise EigensolverError("Lanczos iteration did not converge at tol=1e-10")
+
+    monkeypatch.setattr(cli, "edge_exceedance_experiment", no_convergence)
+    code, rows, _ = run(
+        tmp_path, "edge-exceed", "--dist", "rademacher", "--n", "80",
+        "--trials", "2", "--epsilon", "0.05",
+    )
+    assert code == 1 and rows is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "did not converge" in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code = cli.main(["dyck-stats", "--s", "2", "--output-dir", str(blocker)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize("case", [
+    ["spectrum", "--dist", "rademacher", "--n", "100000000"],
+    ["edge-exceed", "--dist", "rademacher", "--n", "100000000", "--trials", "2",
+     "--epsilon", "0.05"],
+    ["concentration", "--dist", "rademacher", "--n", "100000000", "--trials", "2"],
+])
+def test_matrix_size_guard_exits_1(tmp_path, capsys, case):
+    # one 10^8 x 10^8 float64 matrix is 8e16 bytes; the guard refuses it up front
+    assert cli.main([*case, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs 80000000000000000 bytes" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_matrix_size_guard_uses_physical_memory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1000)
+    code, _, _ = run(tmp_path, "spectrum", "--dist", "rademacher", "--n", "12")
+    assert code == 1
+    assert "needs 1152 bytes" in capsys.readouterr().err

@@ -14,6 +14,8 @@ from tml.ensemble import (
     rademacher,
     sample_symmetric_matrix,
     skew12,
+    support_index,
+    upper_uniforms,
 )
 
 
@@ -125,3 +127,18 @@ def test_two_point_law_variance_matches_sigma(dist):
     var = sum(p * x * x for p, x in zip(dist.probabilities, dist.support))
     assert dist.sigma == pytest.approx(math.sqrt(var), rel=1e-12)
     assert moment(dist, 1) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_sampling_stream_definition():
+    # trial seeds index PCG64 streams exactly as np.random.default_rng does
+    n, seed = 7, 123
+    u = upper_uniforms(n, seed)
+    assert np.array_equal(u, np.random.default_rng(seed).random(n * (n + 1) // 2))
+    out = np.empty_like(u)
+    assert upper_uniforms(n, seed, out=out) is out and np.array_equal(out, u)
+    d = make_distribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+    idx = support_index(d, np.array([[0.0, 0.2499], [0.25, 0.7499], [0.75, 0.9999]]))
+    assert idx.tolist() == [[0, 0], [1, 1], [2, 2]]
+    sample = sample_symmetric_matrix(d, n, seed)
+    upper = sample.entries[np.triu_indices(n)]
+    assert np.array_equal(upper, np.asarray(d.support)[support_index(d, u)])

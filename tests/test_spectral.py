@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tml
+import tml.spectral as spectral
 from tml.dyck import catalan
 from tml.ensemble import rademacher, sample_symmetric_matrix, skew12
 from tml.spectral import (
     EDGE_EXPONENT,
+    check_matrix_memory,
     concentration_bound,
     concentration_experiment,
     edge_exceedance_experiment,
@@ -15,6 +21,7 @@ from tml.spectral import (
     mc_expected_trace,
     spectral_norm,
     trace_power,
+    trial_values,
     wigner_trace_prediction,
     wigner_trace_prediction_refined,
 )
@@ -57,6 +64,17 @@ def test_spectral_norm():
     assert spectral_norm(a) == pytest.approx(5.0)
     b = random_symmetric(30, seed=3)
     assert spectral_norm(b) == pytest.approx(np.linalg.norm(b, 2), rel=1e-10)
+    # above the cutoff both ends come from one two-ended Lanczos run
+    c = random_symmetric(120, seed=6)
+    assert spectral_norm(c) == pytest.approx(np.linalg.norm(c, 2), rel=1e-10)
+    assert spectral_norm(-c) == pytest.approx(np.linalg.norm(c, 2), rel=1e-10)
+
+
+def test_public_routines_reject_asymmetric():
+    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
+    for fn in (largest_eigenvalue, spectral_norm, lambda a: trace_power(a, 1)):
+        with pytest.raises(ValueError):
+            fn(bad)
 
 
 def test_trace_power_two_routes_agree():
@@ -188,3 +206,92 @@ def test_concentration_experiment():
         assert r.bound == pytest.approx(concentration_bound(r.t))
     with pytest.raises(ValueError):
         concentration_experiment(d, 50, trials=1, t_values=[1.0], seed=0)
+
+
+# ---------- the trial kernel against the public per-matrix route ----------
+
+
+def public_route(dist, n, trials, seed, statistic, s=2, method="eig", normalized=True):
+    out = []
+    for i in range(trials):
+        sample = sample_symmetric_matrix(dist, n, seed + i)
+        a = sample.normalized_view if normalized else sample.entries
+        if statistic == "trace":
+            out.append(trace_power(a, s, method=method))
+        elif statistic == "lambda_max":
+            out.append(largest_eigenvalue(a))
+        else:
+            out.append((largest_eigenvalue(a), spectral_norm(a)))
+    return np.array(out)
+
+
+SIZES = [1, 3, 63, 64, 100]  # both sides of DENSE_EIG_CUTOFF = 64
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("method", ["eig", "power"])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_trace_kernel_matches_public_route(n, method, normalized, monkeypatch):
+    # three matrices per batch, so seven trials cross two chunk boundaries
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
+    d = skew12()
+    expected = public_route(d, n, 7, 5, "trace", method=method, normalized=normalized)
+    for threads in (1, 3):
+        got = trial_values(
+            d, n, 7, 5, "trace", s=2, method=method, normalized=normalized, threads=threads
+        )
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("statistic", ["lambda_max", "spectrum"])
+def test_eigenvalue_kernel_matches_public_route(n, statistic, monkeypatch):
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 2 * 8 * n * n)
+    d = rademacher()
+    expected = public_route(d, n, 5, 31, statistic)
+    for threads in (1, 3):
+        assert np.array_equal(trial_values(d, n, 5, 31, statistic, threads=threads), expected)
+
+
+def test_kernel_chunking_does_not_change_values(monkeypatch):
+    d = skew12()
+    whole = trial_values(d, 10, 50, 3, "trace", s=3)
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 1)  # one matrix per batch
+    assert np.array_equal(trial_values(d, 10, 50, 3, "trace", s=3), whole)
+
+
+def test_kernel_rejects_bad_arguments():
+    d = rademacher()
+    with pytest.raises(ValueError):
+        trial_values(d, 4, 2, 0, "determinant")
+    with pytest.raises(ValueError):
+        trial_values(d, 4, 2, 0, "trace", method="det")
+    with pytest.raises(ValueError):
+        trial_values(d, 4, 2, 0, "trace", s=0)
+    with pytest.raises(ValueError):
+        trial_values(d, 4, 0, 0, "lambda_max")
+    with pytest.raises(ValueError):
+        trial_values(d, 0, 2, 0, "lambda_max")
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    check_matrix_memory(100)
+    with pytest.raises(ValueError, match="needs 80000000000000000 bytes"):
+        check_matrix_memory(10**8)  # 8e16 bytes, beyond any machine
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1000)
+    with pytest.raises(ValueError, match="needs 1152 bytes"):
+        trial_values(rademacher(), 12, 1, 0, "lambda_max")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.sparse.linalg costs about 0.35 s; only the Lanczos route imports it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tml.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, tml.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
