@@ -7,96 +7,9 @@ combinatorial core decomposes closed vertex walks by their odd-multiplicity
 edges, reassembles the even remainder, bounds the number of ways the odd part
 can be reinserted, and evaluates window functionals of nonnegative lattice
 bridges that those bounds reduce to.
-"""
 
-from .dyck import (
-    DyckPath,
-    DyckSizeError,
-    beta_sum,
-    catalan,
-    descent_window,
-    enumerate_dyck,
-    exact_k_functional_total,
-    exact_stay_above_total,
-    expected_k_functional,
-    k_functional,
-    k_functional_tensor,
-    max_level_tail,
-    sample_dyck,
-    stay_above_full_window_expectation,
-)
-from .ensemble import (
-    DistributionError,
-    EntryDistribution,
-    MatrixSample,
-    make_distribution,
-    moment,
-    parse_distribution,
-    rademacher,
-    sample_symmetric_matrix,
-    skew12,
-)
-from .gluing import (
-    CycleDecomposition,
-    EvenWalkError,
-    GluedDecomposition,
-    GluingError,
-    InvariantReport,
-    OddRun,
-    OddStructure,
-    WalkStatistics,
-    catalan_convolution_ratio,
-    count_gluings,
-    cycle_decomposition,
-    cycle_refined_insertion_bound,
-    cycle_refined_insertion_sum,
-    distance_two_tail_log,
-    enumerate_insertions,
-    glue,
-    merge_odd_walks,
-    mixed_parity_reduction_bound,
-    multi_walk_contribution_bound,
-    odd_interval_decomposition,
-    path_statistics,
-    power_sum_ratio,
-    run_invariant_suite,
-    single_walk_contribution_bound,
-    single_walk_insertion_bound,
-    trace_excess_ratio,
-    typed_vertex_contribution_log,
-    verify_catalan_convolution,
-)
-from .paths import (
-    ClosedPath,
-    PathSizeError,
-    edge_key,
-    edge_multiplicities,
-    even_path_contribution,
-    exact_expected_trace,
-    exact_expected_trace_patterns,
-    fk_lift,
-    is_even_path,
-    marked_instants,
-    nonreturned_edges,
-    odd_path_contribution,
-    path_weight,
-    random_closed_path,
-)
-from .spectral import (
-    ConcentrationRow,
-    EdgeExceedanceResult,
-    EigensolverError,
-    TraceEstimate,
-    concentration_bound,
-    concentration_experiment,
-    edge_exceedance_experiment,
-    largest_eigenvalue,
-    markov_tail_bound,
-    mc_expected_trace,
-    spectral_norm,
-    trace_power,
-    wigner_trace_prediction,
-    wigner_trace_prediction_refined,
-)
+Import from the submodules: ``tml.ensemble``, ``tml.paths``, ``tml.gluing``,
+``tml.dyck``, ``tml.spectral`` and ``tml.cli``.
+"""
 
 __version__ = "0.1.0"

@@ -42,12 +42,7 @@ from .gluing import (
     typed_vertex_contribution_log,
     verify_catalan_convolution,
 )
-from .paths import (
-    even_path_contribution,
-    exact_expected_trace,
-    exact_expected_trace_patterns,
-    odd_path_contribution,
-)
+from .paths import exact_trace_sums, exact_trace_sums_patterns, walk_count_exceeds
 from .spectral import (
     EigensolverError,
     concentration_experiment,
@@ -184,13 +179,9 @@ def _cmd_trace_exact(args):
     dist = parse_distribution(args.dist)
     route = args.route
     if route == "auto":
-        route = "full" if args.n ** (2 * args.s) <= 10**7 else "patterns"
-    if route == "patterns":
-        value = exact_expected_trace_patterns(dist, args.n, args.s)
-        even = exact_expected_trace_patterns(dist, args.n, args.s, even_only=True)
-    else:
-        value = exact_expected_trace(dist, args.n, args.s)
-        even = even_path_contribution(dist, args.n, args.s)
+        route = "patterns" if walk_count_exceeds(args.n, args.s, 10**7) else "full"
+    sums = exact_trace_sums_patterns if route == "patterns" else exact_trace_sums
+    value, even = sums(dist, args.n, args.s)
     header = ["n", "s", "route", "value", "even_part", "odd_part"]
     rows = [[args.n, args.s, route, value, even, value - even]]
     return header, rows, 0

@@ -32,7 +32,8 @@ class DistributionError(ValueError):
 class EntryDistribution:
     """A centered finite discrete law with cached moments.
 
-    ``moment_cache[k]`` holds E[x^k] for k = 0..MOMENT_CACHE_DEPTH.
+    ``moment_cache[k]`` holds E[x^k] for k = 0..MOMENT_CACHE_DEPTH, or up to
+    the last order whose powers fit a float for laws with large support.
     ``bound_K`` is max |x| over the support, so |E[x^k]| <= bound_K**k.
     """
 
@@ -68,7 +69,8 @@ def make_distribution(
 
     Rejects mismatched lengths, probabilities outside (0, 1], probability
     mass not summing to 1 (tolerance 1e-12), a nonzero mean (tolerance
-    1e-12), and zero variance.
+    1e-12 times the largest |support point|, so the check is scale-free),
+    and zero variance.
     """
     xs = tuple(float(x) for x in support)
     ps = tuple(float(p) for p in probabilities)
@@ -83,21 +85,24 @@ def make_distribution(
             raise DistributionError(f"probability {p!r} outside (0, 1]")
     if abs(sum(ps) - 1.0) > _SUM_TOL:
         raise DistributionError(f"probabilities sum to {sum(ps)!r}, not 1")
+    bound = max(abs(x) for x in xs)
     mean = sum(p * x for p, x in zip(ps, xs))
-    if abs(mean) > _MEAN_TOL:
+    if abs(mean) > _MEAN_TOL * bound:
         raise DistributionError(f"law has mean {mean!r}, must be centered")
     var = sum(p * x * x for p, x in zip(ps, xs))
     if var <= 0.0:
         raise DistributionError("law has zero variance")
-    cache = tuple(
-        sum(p * x**k for p, x in zip(ps, xs)) for k in range(MOMENT_CACHE_DEPTH + 1)
-    )
+    cache = []
+    for k in range(MOMENT_CACHE_DEPTH + 1):
+        try:
+            cache.append(sum(p * x**k for p, x in zip(ps, xs)))
+        except OverflowError:  # |x|^k beyond the float range
+            break
     mu3 = sum(p * x**3 for p, x in zip(ps, xs))
-    bound = max(abs(x) for x in xs)
     return EntryDistribution(
         support=xs,
         probabilities=ps,
-        moment_cache=cache,
+        moment_cache=tuple(cache),
         sigma=float(np.sqrt(var)),
         mu3=mu3,
         bound_K=bound,
@@ -106,12 +111,18 @@ def make_distribution(
 
 
 def moment(dist: EntryDistribution, k: int) -> float:
-    """E[x^k].  Cached up to order MOMENT_CACHE_DEPTH, exact beyond it."""
+    """E[x^k].  Cached up to order MOMENT_CACHE_DEPTH, exact beyond it.
+
+    Raises DistributionError when a power x^k leaves the float range.
+    """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if k <= MOMENT_CACHE_DEPTH:
+    if k < len(dist.moment_cache):
         return dist.moment_cache[k]
-    return sum(p * x**k for p, x in zip(dist.probabilities, dist.support))
+    try:
+        return sum(p * x**k for p, x in zip(dist.probabilities, dist.support))
+    except OverflowError:
+        raise DistributionError(f"moment of order {k} overflows a float") from None
 
 
 def rademacher() -> EntryDistribution:

@@ -30,6 +30,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dyck import catalan
 from .paths import (
     ClosedPath,
@@ -275,7 +277,10 @@ def count_gluings(p: ClosedPath) -> tuple[int, dict[int, int]]:
     pairing the ends at one vertex can be done (2A-1)!! ways and vertices are
     independent.  Returns (count, {i: number of vertices with A = i}).
     """
-    structure = odd_interval_decomposition(p)
+    return _pairing_count(odd_interval_decomposition(p))
+
+
+def _pairing_count(structure: OddStructure) -> tuple[int, dict[int, int]]:
     ends = Counter()
     for run in structure.runs:
         ends[run.depart_vertex] += 1
@@ -339,7 +344,10 @@ def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
     arc; pairings and arcs alternate around disjoint loops, and the loops
     containing at least one run are the cycles.  Even walks give no cycles.
     """
-    decomp, trace = _glue_traced(p)
+    return _cycles(p, _glue_traced(p)[1])
+
+
+def _cycles(p: ClosedPath, trace: _GlueTrace) -> CycleDecomposition:
     if trace.structure is None:
         return CycleDecomposition(cycles=(), sizes={})
     runs = trace.structure.runs
@@ -653,16 +661,6 @@ def log_trace_excess_ratio(bound: BoundBreakdown, s: int, n: int, sigma: float) 
     return bound.log_total - (math.log(n) + _log_catalan(s) + 2 * s * math.log(sigma))
 
 
-def trace_excess_ratio(bound: BoundBreakdown, s: int, n: int, sigma: float) -> float:
-    """bound.total divided by the even-walk budget n * catalan(s) * sigma^(2s),
-    evaluated in log space."""
-    diff = log_trace_excess_ratio(bound, s, n, sigma)
-    try:
-        return math.exp(diff)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class MixedParityBound:
     """Preimage ceilings for reconstructing walk collections that needed
@@ -930,13 +928,12 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
     if any(d % 2 for d in degrees.values()):
         bad("odd-graph-degree")
 
-    decomp = glue(p)
+    decomp, trace = _glue_traced(p)
     l = decomp.odd_pairs
     run_count = 0
-    cyc = cycle_decomposition(p)
+    cyc = _cycles(p, trace)
     if l > 0:
-        structure = odd_interval_decomposition(p)
-        run_count = structure.run_count
+        run_count = trace.structure.run_count
         if not (1 <= run_count <= 2 * l):
             bad("run-count-range")
         if not (1 <= cyc.cycle_count <= run_count):
@@ -945,7 +942,7 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
             bad("cycle-partition")
         if Counter(e for c in cyc.cycles for e in c) != Counter(odd_edges):
             bad("cycle-partition")
-        count, hist = count_gluings(p)
+        count, hist = _pairing_count(trace.structure)
         floor = math.prod(math.factorial(i) ** k for i, k in hist.items())
         if count < floor:
             bad("pairing-count-floor")
@@ -1007,8 +1004,6 @@ def run_invariant_suite(
     """Check every structural invariant of the surgery over all n^(2s)
     closed vertex sequences (exhaustive=True) and/or random_walks uniformly
     random closed walks of length 2s on n vertices."""
-    import numpy as np
-
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0

@@ -82,11 +82,32 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 def edge_multiplicities(p: ClosedPath) -> Counter:
     """Non-oriented edge -> number of traversals."""
+    return _edge_counts(p.vertices)
+
+
+def _edge_counts(vs: tuple[int, ...]) -> Counter:
     c: Counter = Counter()
-    vs = p.vertices
     for j in range(1, len(vs)):
         c[edge_key(vs[j - 1], vs[j])] += 1
     return c
+
+
+def _moment_product(dist: EntryDistribution, multiplicities) -> tuple[float, bool]:
+    """(product of the entry moments at the given edge multiplicities,
+    whether every multiplicity is even).
+
+    Stops at the first zero product; the flag is then meaningless because
+    the walk contributes nothing.
+    """
+    w = 1.0
+    all_even = True
+    for k in multiplicities:
+        w *= moment(dist, k)
+        if w == 0.0:
+            return w, False
+        if k % 2 == 1:
+            all_even = False
+    return w, all_even
 
 
 def is_even_path(p: ClosedPath) -> bool:
@@ -101,11 +122,7 @@ def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True)
     that edge's multiplicity.  With ``normalized`` each of the 2s factors
     carries 1/sqrt(n), i.e. the product is divided by n**s.
     """
-    w = 1.0
-    for k in edge_multiplicities(p).values():
-        w *= moment(dist, k)
-        if w == 0.0:
-            break
+    w = _moment_product(dist, edge_multiplicities(p).values())[0]
     if normalized:
         if p.length % 2 != 0:
             raise ValueError("normalized weights are defined for even lengths only")
@@ -162,10 +179,11 @@ def _closed_sequences(n: int, length: int):
         yield head + (head[0],)
 
 
-def exact_expected_trace(
+def exact_trace_sums(
     dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """E[Tr M^(2s)] (or the normalized E[Tr A^(2s)]) by brute enumeration.
+) -> tuple[float, float]:
+    """(E[Tr A^(2s)], its even-path share Z_e) by brute enumeration, in one
+    pass; raw E[Tr M^(2s)] sums with ``normalized=False``.
 
     Walks all n^(2s) closed sequences in odometer order.  Guarded so the
     enumeration stays below 1e8 sequences; use the relabeling-class variant
@@ -173,53 +191,9 @@ def exact_expected_trace(
     """
     _check_enumeration_size(n, s)
     total = 0.0
-    for vs in _closed_sequences(n, 2 * s):
-        c: Counter = Counter()
-        for j in range(1, len(vs)):
-            c[edge_key(vs[j - 1], vs[j])] += 1
-        w = 1.0
-        for k in c.values():
-            w *= moment(dist, k)
-            if w == 0.0:
-                break
-        total += w
-    if normalized:
-        total /= float(n) ** s
-    return total
-
-
-def even_path_contribution(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """Share of the exact expected trace carried by even paths (Z_e)."""
-    return _trace_sums(dist, n, s, normalized)[1]
-
-
-def odd_path_contribution(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """Share of the exact expected trace carried by odd paths (Z_o)."""
-    total, even = _trace_sums(dist, n, s, normalized)
-    return total - even
-
-
-def _trace_sums(
-    dist: EntryDistribution, n: int, s: int, normalized: bool
-) -> tuple[float, float]:
-    """(total, even-path share) in one enumeration pass."""
-    _check_enumeration_size(n, s)
-    total = 0.0
     even = 0.0
     for vs in _closed_sequences(n, 2 * s):
-        c: Counter = Counter()
-        for j in range(1, len(vs)):
-            c[edge_key(vs[j - 1], vs[j])] += 1
-        w = 1.0
-        all_even = True
-        for k in c.values():
-            w *= moment(dist, k)
-            if k % 2 == 1:
-                all_even = False
+        w, all_even = _moment_product(dist, _edge_counts(vs).values())
         if w != 0.0:
             total += w
             if all_even:
@@ -230,25 +204,56 @@ def _trace_sums(
     return total, even
 
 
+def exact_expected_trace(
+    dist: EntryDistribution, n: int, s: int, normalized: bool = True
+) -> float:
+    """E[Tr A^(2s)] (or the raw E[Tr M^(2s)]) by brute enumeration."""
+    return exact_trace_sums(dist, n, s, normalized)[0]
+
+
+def even_path_contribution(
+    dist: EntryDistribution, n: int, s: int, normalized: bool = True
+) -> float:
+    """Share of the exact expected trace carried by even paths (Z_e)."""
+    return exact_trace_sums(dist, n, s, normalized)[1]
+
+
+def odd_path_contribution(
+    dist: EntryDistribution, n: int, s: int, normalized: bool = True
+) -> float:
+    """Share of the exact expected trace carried by odd paths (Z_o)."""
+    total, even = exact_trace_sums(dist, n, s, normalized)
+    return total - even
+
+
+def walk_count_exceeds(n: int, s: int, limit: int) -> bool:
+    """True when n**(2s), the number of closed sequences, exceeds the
+    positive ``limit``; False for n < 2 or s < 1.
+
+    Decided without building a huge power: for n >= 2 the count exceeds
+    ``limit`` as soon as 2s reaches its bit length.
+    """
+    if n < 2 or s < 1:
+        return False
+    return 2 * s >= limit.bit_length() or n ** (2 * s) > limit
+
+
 def _check_enumeration_size(n: int, s: int) -> None:
     if s < 1:
         raise ValueError("s must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n ** (2 * s) > ENUMERATION_GUARD:
+    if walk_count_exceeds(n, s, ENUMERATION_GUARD):
         raise PathSizeError(
             f"n**(2s) = {n}**{2 * s} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
 
 
-def exact_expected_trace_patterns(
-    dist: EntryDistribution,
-    n: int,
-    s: int,
-    normalized: bool = True,
-    even_only: bool = False,
-) -> float:
-    """Exact expected trace via first-occurrence relabeling classes.
+def exact_trace_sums_patterns(
+    dist: EntryDistribution, n: int, s: int, normalized: bool = True
+) -> tuple[float, float]:
+    """(E[Tr A^(2s)], its even-path share Z_e) via first-occurrence
+    relabeling classes, in one pass.
 
     Two closed sequences that differ only by a vertex relabeling have the
     same weight, and a class with v distinct vertices has
@@ -258,31 +263,32 @@ def exact_expected_trace_patterns(
     """
     if s < 1:
         raise ValueError("s must be at least 1")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if 2 * s > PATTERN_LENGTH_GUARD:
         raise PathSizeError(
             f"pattern enumeration supports 2s <= {PATTERN_LENGTH_GUARD}"
         )
     length = 2 * s
     total = 0.0
+    even = 0.0
 
     def rec(seq: list[int], vmax: int, counts: Counter):
-        nonlocal total
+        nonlocal total, even
         pos = len(seq)
         if pos == length:
             # close the walk back to vertex 1
             c = counts.copy()
             c[edge_key(seq[-1], 1)] += 1
-            if even_only and any(k % 2 == 1 for k in c.values()):
+            w, all_even = _moment_product(dist, c.values())
+            if w == 0.0:
                 return
-            w = 1.0
-            for k in c.values():
-                w *= moment(dist, k)
-                if w == 0.0:
-                    return
             ways = 1.0
             for i in range(vmax):
                 ways *= n - i
             total += w * ways
+            if all_even:
+                even += w * ways
             return
         top = min(vmax + 1, n)
         for nxt in range(1, top + 1):
@@ -297,8 +303,16 @@ def exact_expected_trace_patterns(
 
     rec([1], 1, Counter())
     if normalized:
-        total /= float(n) ** s
-    return total
+        scale = float(n) ** s
+        return total / scale, even / scale
+    return total, even
+
+
+def exact_expected_trace_patterns(
+    dist: EntryDistribution, n: int, s: int, normalized: bool = True
+) -> float:
+    """E[Tr A^(2s)] (or the raw E[Tr M^(2s)]) by relabeling classes."""
+    return exact_trace_sums_patterns(dist, n, s, normalized)[0]
 
 
 def random_closed_path(n: int, s: int, rng: np.random.Generator) -> ClosedPath:

@@ -2,11 +2,14 @@ import csv
 import json
 import math
 import os
+import time
 
 import pytest
 
 import tml.cli as cli
+import tml.paths as paths
 import tml.spectral as spectral
+from tml.ensemble import skew12
 from tml.gluing import InvariantReport
 from tml.spectral import EigensolverError
 
@@ -52,6 +55,69 @@ def test_trace_exact_patterns_route(tmp_path):
     assert code == 0
     assert rows[0]["route"] == "patterns"
     assert float(rows[0]["value"]) == pytest.approx(1598.0, rel=1e-12)
+
+
+def _pattern_count(length: int, n: int) -> int:
+    """Closed first-occurrence patterns of the given length on at most n
+    vertices: sum of Stirling numbers S(length, k) over k <= n."""
+    row = [1]  # S(0, k)
+    for m in range(1, length + 1):
+        row = [0] + [
+            k * (row[k] if k < len(row) else 0) + row[k - 1] for k in range(1, m + 1)
+        ]
+    return sum(row[1 : n + 1])
+
+
+@pytest.mark.parametrize(
+    "route,n,s,leaves",
+    [
+        ("full", 2, 3, 2**6),
+        ("patterns", 3, 3, _pattern_count(6, 3)),
+        ("patterns", 7, 4, _pattern_count(8, 7)),
+    ],
+)
+def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves):
+    calls = []
+    product = paths._moment_product
+
+    def counted(dist, multiplicities):
+        calls.append(1)
+        return product(dist, multiplicities)
+
+    monkeypatch.setattr(paths, "_moment_product", counted)
+    code, rows, _ = run(
+        tmp_path, "trace-exact", "--dist", "skew12", "--n", str(n), "--s", str(s),
+        "--route", route,
+    )
+    assert code == 0
+    assert len(calls) == leaves  # one moment product per walk or pattern
+    d = skew12()
+    if route == "full":
+        value = paths.exact_expected_trace(d, n, s)
+        even = paths.even_path_contribution(d, n, s)
+    else:
+        value = paths.exact_expected_trace_patterns(d, n, s)
+        even = paths.exact_trace_sums_patterns(d, n, s)[1]
+    assert float(rows[0]["value"]) == value
+    assert float(rows[0]["even_part"]) == even
+
+
+@pytest.mark.parametrize(
+    "route,message",
+    [
+        ("auto", "pattern enumeration supports 2s <= 12"),
+        ("full", "exceeds the enumeration guard"),
+    ],
+)
+def test_trace_exact_size_guard_is_prompt(tmp_path, capsys, route, message):
+    start = time.perf_counter()
+    code = cli.main([
+        "trace-exact", "--dist", "skew12", "--n", "3", "--s", "100000000",
+        "--route", route, "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_trace_mc(tmp_path):

@@ -69,6 +69,32 @@ def test_make_distribution_rejects(support, probs):
         make_distribution(support, probs)
 
 
+@given(
+    a=st.integers(min_value=1, max_value=100),
+    b=st.integers(min_value=1, max_value=100),
+    exponent=st.integers(min_value=-9, max_value=9),
+)
+def test_scaled_centered_laws_are_accepted(a, b, exponent):
+    # support {-a, b} * 10^exponent with the probabilities that center it
+    scale = 10.0**exponent
+    d = make_distribution([-a * scale, b * scale], [b / (a + b), a / (a + b)])
+    assert d.bound_K == max(a, b) * scale
+
+
+def test_scaled_laws_keep_the_mean_check():
+    d = parse_distribution(
+        "support=-1000000,2000000;probs=0.6666666666666666,0.3333333333333334"
+    )
+    assert d.bound_K == 2e6
+    assert moment(d, 2) == pytest.approx(2e12, rel=1e-12)
+    with pytest.raises(DistributionError):
+        moment(d, 60)  # 2e6^60 overflows a float
+    with pytest.raises(DistributionError):
+        make_distribution([-1e6, 2e6], [0.6, 0.4])  # mean 2e5
+    with pytest.raises(DistributionError):
+        make_distribution([-1e-6, 2e-6], [0.6, 0.4])  # mean 2e-7
+
+
 def test_parse_distribution_presets_and_inline():
     assert parse_distribution("rademacher").name == "rademacher"
     assert parse_distribution(" skew12 ").name == "skew12"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tml.gluing as gluing
 from tml.dyck import catalan
 from tml.gluing import (
     BoundBreakdown,
@@ -31,7 +32,6 @@ from tml.gluing import (
     run_invariant_suite,
     single_walk_contribution_bound,
     single_walk_insertion_bound,
-    trace_excess_ratio,
     typed_vertex_contribution_log,
     verify_catalan_convolution,
 )
@@ -468,9 +468,6 @@ def test_trace_excess_ratio_consistency():
     s, n, sigma = 8, 10**4, math.sqrt(2.0)
     bd = single_walk_contribution_bound(s, n, sigma, 2.0)
     budget = n * catalan(s) * sigma ** (2 * s)
-    assert trace_excess_ratio(bd, s, n, sigma) == pytest.approx(
-        bd.total / budget, rel=1e-10
-    )
     assert log_trace_excess_ratio(bd, s, n, sigma) == pytest.approx(
         math.log(bd.total / budget), rel=1e-10
     )
@@ -626,6 +623,25 @@ def test_invariant_suite_random_only():
     assert report.walks_checked == 300
     outcomes = {key[4] for key in report.histogram}
     assert "single-even" in outcomes or "multi-even" in outcomes
+
+
+def test_invariant_suite_reassembles_each_walk_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(gluing, name)
+
+        def wrapper(p):
+            calls[name] += 1
+            return original(p)
+
+        monkeypatch.setattr(gluing, name, wrapper)
+
+    counted("_glue_traced")
+    counted("odd_interval_decomposition")
+    report = run_invariant_suite(2, 3)
+    assert report.walks_checked == 64
+    assert calls == {"_glue_traced": 64, "odd_interval_decomposition": 64}
 
 
 def test_invariant_suite_histogram_frozen():

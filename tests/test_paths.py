@@ -1,12 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tml.ensemble import rademacher, skew12
+from tml.ensemble import make_distribution, rademacher, skew12
 from tml.paths import (
     ClosedPath,
     PathSizeError,
@@ -15,6 +16,8 @@ from tml.paths import (
     even_path_contribution,
     exact_expected_trace,
     exact_expected_trace_patterns,
+    exact_trace_sums,
+    exact_trace_sums_patterns,
     fk_lift,
     is_even_path,
     marked_instants,
@@ -22,6 +25,7 @@ from tml.paths import (
     odd_path_contribution,
     path_weight,
     random_closed_path,
+    walk_count_exceeds,
 )
 
 
@@ -195,7 +199,7 @@ def test_patterns_route_matches_full():
             pat = exact_expected_trace_patterns(d, n, s)
             assert pat == pytest.approx(full, rel=1e-12)
             even_full = even_path_contribution(d, n, s)
-            even_pat = exact_expected_trace_patterns(d, n, s, even_only=True)
+            even_pat = exact_trace_sums_patterns(d, n, s)[1]
             assert even_pat == pytest.approx(even_full, rel=1e-12)
 
 
@@ -217,6 +221,71 @@ def test_enumeration_guards():
         exact_expected_trace_patterns(rademacher(), 3, 7)  # 2s = 14 > 12
     with pytest.raises(ValueError):
         exact_expected_trace(rademacher(), 2, 0)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            exact_expected_trace_patterns(rademacher(), n, 2)
+
+
+def test_enumeration_guard_builds_no_huge_power():
+    # n**(2s) at s = 10**8 would take minutes to build
+    start = time.perf_counter()
+    with pytest.raises(PathSizeError):
+        exact_expected_trace(rademacher(), 3, 10**8)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_walk_count_exceeds_matches_the_power():
+    for limit in (1, 2**26 - 1, 2**26, 10**7, 10**8):
+        for n in range(1, 40):
+            for s in range(1, 30):
+                assert walk_count_exceeds(n, s, limit) == (n ** (2 * s) > limit)
+        for n, s in [(0, 3), (-5, 3), (3, 0), (3, -2)]:
+            assert not walk_count_exceeds(n, s, limit)
+
+
+def _three_point():
+    # mean 0, third moment 2.4
+    return make_distribution([-1.0, 0.0, 3.0], [0.3, 0.6, 0.1])
+
+
+LAWS = (skew12, rademacher, _three_point)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("normalized", [True, False])
+def test_pair_functions_match_their_views(law, normalized):
+    d = law()
+    for n, s in [(1, 3), (2, 4), (3, 5), (7, 4)]:
+        total = exact_trace_sums_patterns(d, n, s, normalized)[0]
+        assert exact_expected_trace_patterns(d, n, s, normalized) == total
+    for n, s in [(1, 3), (2, 4), (3, 4)]:
+        total, even = exact_trace_sums(d, n, s, normalized)
+        assert exact_expected_trace(d, n, s, normalized) == total
+        assert even_path_contribution(d, n, s, normalized) == even
+        assert odd_path_contribution(d, n, s, normalized) == total - even
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_full_pair_is_the_literal_weight_sum(law):
+    # raw sums in odometer order: the same additions as the enumeration
+    d = law()
+    for n, s in [(2, 4), (3, 3)]:
+        total = even = 0.0
+        for head in itertools.product(range(1, n + 1), repeat=2 * s):
+            p = ClosedPath(vertices=head + (head[0],), n=n)
+            w = path_weight(p, d, normalized=False)
+            if w != 0.0:
+                total += w
+                if is_even_path(p):
+                    even += w
+        assert exact_trace_sums(d, n, s, normalized=False) == (total, even)
+
+
+def test_patterns_pair_frozen_at_n100_s5():
+    assert exact_trace_sums_patterns(skew12(), 100, 5) == (
+        134271.44788608,
+        134271.37668528,
+    )
 
 
 def test_trace_as_weight_sum():
