@@ -18,10 +18,18 @@ The half-open convention for w is what makes the s = 1 path +- score
 K = 3 (2 window lengths fit at t1 = 0, one at t1 = 1, none at t1 = 2);
 r1 keeps the closed-range reading, and w(t1) = min(r1(t1) + 1, 2s - t1)
 links the two, which doubles as an independent route for testing.
+
+Both statistics read one stack sweep, next_below[t] = the first instant
+after t whose level drops below x(t) (2s + 1 if none): w(t) =
+min(next_below[t] - t, 2s - t), and x stays at or above x(t1) on the closed
+window [t1, t1 + s] iff next_below[t1] > t1 + s (the stay-above count).
+Means sum the integer statistic exactly over ``enumerate_dyck`` or over
+``_sampled_paths`` (trial t uses seed + t) and divide once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,10 +66,7 @@ class DyckPath:
 
     def levels(self) -> list[int]:
         """x(0..2s) including both endpoints."""
-        out = [0]
-        for st in self.steps:
-            out.append(out[-1] + st)
-        return out
+        return [0, *itertools.accumulate(self.steps)]
 
 
 def catalan(s: int) -> int:
@@ -71,14 +76,18 @@ def catalan(s: int) -> int:
     return math.comb(2 * s, s) // (s + 1)
 
 
-def _enumerate_steps(s: int):
-    """All balanced nonnegative step tuples of length 2s, lexicographic
+def enumerate_dyck(s: int):
+    """Generate every Dyck path of half-length s exactly once, lexicographic
     with +1 ordered before -1."""
+    if s < 0:
+        raise ValueError("negative order")
+    if s > ENUMERATION_LIMIT:
+        raise DyckSizeError(f"enumeration supports s <= {ENUMERATION_LIMIT}")
     steps: list[int] = []
 
     def rec(level: int, remaining: int):
         if remaining == 0:
-            yield tuple(steps)
+            yield DyckPath(steps=tuple(steps))
             return
         if remaining > level:  # room to go up
             steps.append(1)
@@ -90,16 +99,6 @@ def _enumerate_steps(s: int):
             steps.pop()
 
     yield from rec(0, 2 * s)
-
-
-def enumerate_dyck(s: int):
-    """Generate every Dyck path of half-length s exactly once."""
-    if s < 0:
-        raise ValueError("negative order")
-    if s > ENUMERATION_LIMIT:
-        raise DyckSizeError(f"enumeration supports s <= {ENUMERATION_LIMIT}")
-    for steps in _enumerate_steps(s):
-        yield DyckPath(steps=steps)
 
 
 def sample_dyck(s: int, seed: int) -> DyckPath:
@@ -140,24 +139,22 @@ def descent_window(x: DyckPath, t1: int) -> int:
     return r
 
 
-def _window_counts(levels: list[int]) -> list[int]:
-    """w(t1) = min(r1(t1) + 1, 2s - t1) for every t1, via one stack sweep.
-
-    next_below[t] is the first instant after t whose level drops below
-    levels[t]; r1 follows from it.
-    """
-    top = len(levels) - 1
-    next_below = [top + 1] * (top + 1)
+def _next_below(levels: list[int]) -> list[int]:
+    """For every t, the first instant after t whose level drops below
+    levels[t], or len(levels) when there is none; one stack sweep."""
+    out = [len(levels)] * len(levels)
     stack: list[int] = []
-    for t in range(top + 1):
-        while stack and levels[t] < levels[stack[-1]]:
-            next_below[stack.pop()] = t
+    for t, level in enumerate(levels):
+        while stack and level < levels[stack[-1]]:
+            out[stack.pop()] = t
         stack.append(t)
-    out = []
-    for t in range(top + 1):
-        r1 = min(next_below[t] - t - 1, top - t)
-        out.append(min(r1 + 1, top - t))
     return out
+
+
+def _window_counts(levels: list[int]) -> list[int]:
+    """w(t) = min(next_below[t] - t, 2s - t) for every t."""
+    top = len(levels) - 1
+    return [min(nb - t, top - t) for t, nb in enumerate(_next_below(levels))]
 
 
 def k_functional(x: DyckPath) -> int:
@@ -188,42 +185,55 @@ def k_functional_tensor(x: DyckPath, I: int) -> int:
     return e[I]
 
 
-def _stay_above_count(levels: list[int], s: int) -> int:
-    """Number of t1 in [0, s] with x(t) >= x(t1) on the closed [t1, t1+s]."""
-    count = 0
-    for t1 in range(s + 1):
-        base = levels[t1]
-        if min(levels[t1 : t1 + s + 1]) >= base:
-            count += 1
-    return count
+def _stay_above_count(x: DyckPath) -> int:
+    """Number of t1 in [0, s] with x(t) >= x(t1) on the closed [t1, t1+s],
+    i.e. with next_below[t1] > t1 + s."""
+    s = x.half_length
+    next_below = _next_below(x.levels())
+    return sum(next_below[t1] > t1 + s for t1 in range(s + 1))
 
 
 # ---------- expectations under the uniform measure ----------
 
 
+def _k_statistic(I: int):
+    """The per-path statistic whose mean is E[K] (I = 1) or E[K tensor I]."""
+    return k_functional if I == 1 else lambda x: k_functional_tensor(x, I)
+
+
+def _all_paths(s: int):
+    """Every path of half-length s, for the exact totals (s <= 12)."""
+    if s > EXACT_EXPECTATION_LIMIT:
+        raise DyckSizeError(f"exact totals support s <= {EXACT_EXPECTATION_LIMIT}")
+    return enumerate_dyck(s)
+
+
+def _sampled_paths(s: int, trials: int, seed: int):
+    """``trials`` uniform paths of half-length s; trial t uses seed + t."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return (sample_dyck(s, seed + t) for t in range(trials))
+
+
 def exact_k_functional_total(s: int, I: int = 1) -> int:
     """Exact integer sum of the K functional (I = 1) or its ordered-tuple
     tensor variant (I >= 2) over every Dyck path of half-length s."""
-    if s > EXACT_EXPECTATION_LIMIT:
-        raise DyckSizeError(f"exact totals support s <= {EXACT_EXPECTATION_LIMIT}")
-    total = 0
-    for steps in _enumerate_steps(s):
-        p = DyckPath(steps=steps)
-        total += k_functional(p) if I == 1 else k_functional_tensor(p, I)
-    return total
+    return sum(map(_k_statistic(I), _all_paths(s)))
 
 
 def exact_stay_above_total(s: int) -> int:
     """Exact integer sum of the full-window stay-above count over all paths."""
-    if s > EXACT_EXPECTATION_LIMIT:
-        raise DyckSizeError(f"exact totals support s <= {EXACT_EXPECTATION_LIMIT}")
-    total = 0
-    for steps in _enumerate_steps(s):
-        levels = [0]
-        for st in steps:
-            levels.append(levels[-1] + st)
-        total += _stay_above_count(levels, s)
-    return total
+    return sum(map(_stay_above_count, _all_paths(s)))
+
+
+def _mean(statistic, s: int, mode: str, trials: int, seed: int) -> float:
+    """Mean of an integer path statistic: over every path (mode "exact") or
+    over ``trials`` sampled paths (mode "mc"), summed exactly."""
+    if mode == "exact":
+        return sum(map(statistic, _all_paths(s))) / catalan(s)
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    return sum(map(statistic, _sampled_paths(s, trials, seed))) / trials
 
 
 def expected_k_functional(
@@ -238,17 +248,7 @@ def expected_k_functional(
     mode "exact" enumerates every path (s <= 12); mode "mc" averages over
     ``trials`` sampled paths with derived seeds seed + t.
     """
-    if mode == "exact":
-        return exact_k_functional_total(s, I) / catalan(s)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    acc = 0.0
-    for t in range(trials):
-        p = sample_dyck(s, seed + t)
-        acc += k_functional(p) if I == 1 else k_functional_tensor(p, I)
-    return acc / trials
+    return _mean(_k_statistic(I), s, mode, trials, seed)
 
 
 def stay_above_full_window_expectation(
@@ -262,17 +262,7 @@ def stay_above_full_window_expectation(
 
     Grows like 2 sqrt(s / pi) for large s.
     """
-    if mode == "exact":
-        return exact_stay_above_total(s) / catalan(s)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    acc = 0
-    for t in range(trials):
-        levels = sample_dyck(s, seed + t).levels()
-        acc += _stay_above_count(levels, s)
-    return acc / trials
+    return _mean(_stay_above_count, s, mode, trials, seed)
 
 
 # ---------- auxiliary asymptotic quantities ----------
@@ -312,12 +302,8 @@ def max_level_tail(s: int, trials: int, seed: int) -> MaxLevelTable:
     Rows cover every k in [1, s].  The fit runs over rows with at least 10
     observations; it is diagnostic only.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    counts = np.zeros(s + 1, dtype=np.int64)
-    for t in range(trials):
-        levels = sample_dyck(s, seed + t).levels()
-        counts[max(levels)] += 1
+    maxima = [max(x.levels()) for x in _sampled_paths(s, trials, seed)]
+    counts = np.bincount(maxima, minlength=s + 1)
     rows = tuple((k, counts[k] / trials) for k in range(1, s + 1))
     ks = [k for k, _ in rows if counts[k] >= 10]
     c1 = c2 = None

@@ -35,6 +35,7 @@ import numpy as np
 from .dyck import catalan
 from .paths import (
     ClosedPath,
+    _check_enumeration_size,
     edge_key,
     edge_multiplicities,
     is_even_path,
@@ -1003,7 +1004,10 @@ def run_invariant_suite(
 ) -> InvariantReport:
     """Check every structural invariant of the surgery over all n^(2s)
     closed vertex sequences (exhaustive=True) and/or random_walks uniformly
-    random closed walks of length 2s on n vertices."""
+    random closed walks of length 2s on n vertices.  The exhaustive sweep
+    is refused beforehand past the enumeration guard, or for n < 1 or s < 1."""
+    if exhaustive:
+        _check_enumeration_size(n, s)
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0

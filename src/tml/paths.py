@@ -243,9 +243,11 @@ def _check_enumeration_size(n: int, s: int) -> None:
         raise ValueError("s must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if walk_count_exceeds(n, s, ENUMERATION_GUARD):
+    # n = 1 has one walk, but it is 2s steps long: count it as 2**(2s)
+    if walk_count_exceeds(max(n, 2), s, ENUMERATION_GUARD):
         raise PathSizeError(
-            f"n**(2s) = {n}**{2 * s} exceeds the enumeration guard {ENUMERATION_GUARD}"
+            f"max(n, 2)**(2s) = {max(n, 2)}**{2 * s} exceeds the enumeration guard"
+            f" {ENUMERATION_GUARD}"
         )
 
 

@@ -120,6 +120,18 @@ def test_trace_exact_size_guard_is_prompt(tmp_path, capsys, route, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["auto", "full"])
+def test_trace_exact_one_vertex_guard_is_prompt(tmp_path, capsys, route):
+    start = time.perf_counter()
+    code = cli.main([
+        "trace-exact", "--dist", "rademacher", "--n", "1", "--s", "100000000",
+        "--route", route, "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the enumeration guard" in capsys.readouterr().err
+
+
 def test_trace_mc(tmp_path):
     code, rows, manifest = run(
         tmp_path,
@@ -184,6 +196,28 @@ def test_verify_gluing(tmp_path, capsys):
     assert set(rows[0]) == {
         "odd_pairs", "run_count", "walk_count", "cycle_count", "outcome", "count"
     }
+
+
+@pytest.mark.parametrize(
+    "n,s,message",
+    [("3", "12", "exceeds the enumeration guard"), ("0", "2", "n must be at least 1")],
+)
+def test_verify_gluing_size_guard_exits_1(tmp_path, capsys, n, s, message):
+    start = time.perf_counter()
+    code, rows, _ = run(tmp_path, "verify-gluing", "--n", n, "--s", s)
+    assert code == 1 and rows is None
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_verify_gluing_skip_exhaustive_skips_the_guard(tmp_path, capsys):
+    code, rows, _ = run(
+        tmp_path, "verify-gluing", "--n", "3", "--s", "12", "--skip-exhaustive",
+        "--random", "5",
+    )
+    assert code == 0
+    assert "checked 5 walks, 0 violations" in capsys.readouterr().out
+    assert sum(int(r["count"]) for r in rows) == 5
 
 
 def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tml import dyck
 from tml.dyck import (
     DyckPath,
     DyckSizeError,
@@ -169,6 +170,26 @@ def test_k_functional_floor(p):
 # ---------- stay-above statistics ----------
 
 
+def literal_stay_above(x: DyckPath) -> int:
+    """The definition: count t1 in [0, s] with x staying at or above x(t1)
+    on the closed window [t1, t1 + s]."""
+    levels = x.levels()
+    s = x.half_length
+    return sum(min(levels[t1 : t1 + s + 1]) >= levels[t1] for t1 in range(s + 1))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_stay_above_sweep_matches_literal(s):
+    # next-below sweep route vs the literal slice-and-min definition
+    for p in enumerate_dyck(s):
+        assert dyck._stay_above_count(p) == literal_stay_above(p)
+
+
+@given(sampled_paths)
+def test_stay_above_sweep_matches_literal_sampled(p):
+    assert dyck._stay_above_count(p) == literal_stay_above(p)
+
+
 def test_stay_above_totals_frozen_and_closed_form():
     for s, total in enumerate(STAY_TOTALS, start=1):
         assert exact_stay_above_total(s) == total
@@ -193,6 +214,20 @@ def test_mc_modes_deterministic_and_consistent():
         expected_k_functional(4, mode="bogus")
     with pytest.raises(ValueError):
         expected_k_functional(4, mode="mc", trials=0)
+
+
+# Monte Carlo values pinned bit for bit: a change to the seed stream (trial t
+# uses seed + t) or to the exact integer summation shows here.
+MAX_LEVEL_COUNTS_20 = (0, 0, 16, 188, 369, 476, 434, 258, 157, 61, 29, 9, 2, 1, 0, 0, 0, 0, 0, 0)
+
+
+def test_mc_values_pinned():
+    assert expected_k_functional(64, mode="mc", trials=600, seed=1064) == 1714.4633333333334
+    assert expected_k_functional(16, I=2, mode="mc", trials=600, seed=1064) == 14238.345
+    assert stay_above_full_window_expectation(256, mode="mc", trials=200, seed=77) == 17.91
+    table = max_level_tail(20, 2000, 7)
+    assert table.rows == tuple((k, c / 2000) for k, c in enumerate(MAX_LEVEL_COUNTS_20, start=1))
+    assert (table.fit_c1, table.fit_c2) == (0.10999375050374353, 0.17151583945520543)
 
 
 def test_exact_guards():

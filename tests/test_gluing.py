@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -37,6 +38,7 @@ from tml.gluing import (
 )
 from tml.paths import (
     ClosedPath,
+    PathSizeError,
     edge_multiplicities,
     is_even_path,
     marked_instants,
@@ -615,6 +617,19 @@ def test_invariant_suite_small_exhaustive():
     assert report.ok
     assert report.walks_checked == 16
     assert sum(report.histogram.values()) == 16
+
+
+def test_invariant_suite_guards_the_exhaustive_sweep():
+    # 3**24 walks would run for years; refused before the first walk
+    start = time.perf_counter()
+    with pytest.raises(PathSizeError, match="exceeds the enumeration guard"):
+        run_invariant_suite(3, 12)
+    assert time.perf_counter() - start < 1.0
+    for n, s in [(0, 2), (2, 0), (-1, 3)]:
+        with pytest.raises(ValueError):
+            run_invariant_suite(n, s)
+    report = run_invariant_suite(3, 12, exhaustive=False, random_walks=5, seed=1)
+    assert report.walks_checked == 5
 
 
 def test_invariant_suite_random_only():

@@ -234,6 +234,17 @@ def test_enumeration_guard_builds_no_huge_power():
     assert time.perf_counter() - start < 1.0
 
 
+def test_enumeration_guard_counts_one_vertex_as_two():
+    # n = 1 has one walk, 2s steps long: it runs up to 2**(2s) <= 1e8 (s = 13)
+    assert exact_trace_sums(rademacher(), 1, 6) == exact_trace_sums_patterns(rademacher(), 1, 6)
+    assert exact_trace_sums(rademacher(), 1, 13) == (1.0, 1.0)
+    for s in (14, 10**6, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(PathSizeError, match="exceeds the enumeration guard"):
+            exact_trace_sums(rademacher(), 1, s)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_walk_count_exceeds_matches_the_power():
     for limit in (1, 2**26 - 1, 2**26, 10**7, 10**8):
         for n in range(1, 40):
