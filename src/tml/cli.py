@@ -320,12 +320,12 @@ def _cmd_dyck_stats(args):
     elif args.functional == "beta":
         rows.append([args.s, "beta", "exact", args.tensor_order, 0, args.seed, "", beta_sum(args.tensor_order)])
     elif args.functional == "maxlevel":
-        table = max_level_tail(args.s, args.trials, args.seed)
+        table = max_level_tail(args.s, args.trials, args.seed, mode=args.mode)
         for k, p in table.rows:
-            rows.append([args.s, "maxlevel", "mc", 1, args.trials, args.seed, k, p])
+            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, k, p])
         if table.fit_c1 is not None:
-            rows.append([args.s, "maxlevel", "mc", 1, args.trials, args.seed, "fit_c1", table.fit_c1])
-            rows.append([args.s, "maxlevel", "mc", 1, args.trials, args.seed, "fit_c2", table.fit_c2])
+            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, "fit_c1", table.fit_c1])
+            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, "fit_c2", table.fit_c2])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown functional {args.functional!r}")
     return header, rows, 0

@@ -19,16 +19,31 @@ K = 3 (2 window lengths fit at t1 = 0, one at t1 = 1, none at t1 = 2);
 r1 keeps the closed-range reading, and w(t1) = min(r1(t1) + 1, 2s - t1)
 links the two, which doubles as an independent route for testing.
 
-Both statistics read one stack sweep, next_below[t] = the first instant
-after t whose level drops below x(t) (2s + 1 if none): w(t) =
-min(next_below[t] - t, 2s - t), and x stays at or above x(t1) on the closed
-window [t1, t1 + s] iff next_below[t1] > t1 + s (the stay-above count).
-Means sum the integer statistic exactly over ``enumerate_dyck`` or over
-``_sampled_paths`` (trial t uses seed + t) and divide once.
+Both statistics read next_below[t], the first instant after t whose level
+drops below x(t) (2s + 1 if none): w(t) = min(next_below[t] - t, 2s - t),
+and x stays at or above x(t1) on the closed window [t1, t1 + s] iff
+next_below[t1] > t1 + s (the stay-above count).  Because steps are +-1, the
+first instant below x(t) is the first later visit to level x(t) - 1, and it
+comes one step after the first visit to x(t), at or after t, that is
+followed by a down-step.  Per path, ``_next_below`` finds it with one stack
+sweep; that is the oracle and the exact route.
+
+Monte Carlo means run on a batched kernel instead.  Trials go through in
+chunks of ``_chunk_rows(s)`` paths, sized so that a chunk's arrays stay under
+``_BATCH_BYTES``.  ``_sample_steps`` shuffles row j exactly as ``sample_dyck``
+does with seed + j (int8 steps) and rotates the whole chunk at once
+(cumsum, argmin, take_along_axis).  ``_batch_next_below`` then does one
+stable sort of every row by level, which lists each level's visits in time
+order; a reverse running minimum over the visits followed by a down-step
+gives next_below for every path of the chunk, with no per-instant loop.
+An s whose one sampled path would not fit in physical memory is refused
+before anything is allocated.  Means sum the integer statistic exactly,
+over ``enumerate_dyck`` or over the chunks, and divide once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,10 +52,13 @@ import numpy as np
 
 ENUMERATION_LIMIT = 14
 EXACT_EXPECTATION_LIMIT = 12
+_BATCH_BYTES = 1 << 18  # working set of one chunk of sampled paths
+_INSTANT_BYTES = 64  # working bytes per instant of one sampled path, temporaries included
+_MAX_SAMPLED_S = 2**30 - 1  # keeps 2s + 1 and flat chunk positions in int32
 
 
 class DyckSizeError(ValueError):
-    """Raised when an exhaustive Dyck computation would be too large."""
+    """Raised when an exhaustive or sampled Dyck computation is too large."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,24 @@ def enumerate_dyck(s: int):
     yield from rec(0, 2 * s)
 
 
+def _check_sample_size(s: int) -> None:
+    """Refuse, before anything is allocated, an s whose one sampled path
+    would not fit in physical memory."""
+    from .spectral import _physical_memory_bytes  # spectral imports this module
+
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    if s > _MAX_SAMPLED_S:
+        raise DyckSizeError(f"sampling supports s <= {_MAX_SAMPLED_S}")
+    need = _INSTANT_BYTES * (2 * s + 1)
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise DyckSizeError(
+            f"s={s} needs {need} bytes for one sampled path, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def sample_dyck(s: int, seed: int) -> DyckPath:
     """Uniform Dyck path by the rotation trick.
 
@@ -109,8 +145,7 @@ def sample_dyck(s: int, seed: int) -> DyckPath:
     right after the first position where the prefix sum attains its
     minimum; dropping the final down-step leaves a uniform Dyck path.
     """
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    _check_sample_size(s)
     rng = np.random.default_rng(seed)
     steps = np.concatenate([np.ones(s, dtype=np.int64), -np.ones(s + 1, dtype=np.int64)])
     rng.shuffle(steps)
@@ -118,6 +153,49 @@ def sample_dyck(s: int, seed: int) -> DyckPath:
     m = int(np.argmin(prefix))  # first index attaining the minimum
     rotated = np.concatenate([steps[m + 1 :], steps[: m + 1]])
     return DyckPath(steps=tuple(int(v) for v in rotated[:-1]))
+
+
+def _level_dtype(s: int):
+    """int16 levels (radix-sorted) while they fit, int32 past that."""
+    return np.int16 if s < 2**15 else np.int32
+
+
+def _chunk_rows(s: int) -> int:
+    """Paths per chunk: as many as fit in ``_BATCH_BYTES``, at least one."""
+    return max(1, _BATCH_BYTES // (_INSTANT_BYTES * (2 * s + 1)))
+
+
+def _sample_steps(s: int, seed: int, rows: int) -> np.ndarray:
+    """(rows, 2s) int8 steps; row j is ``sample_dyck(s, seed + j).steps``."""
+    raw = np.empty((rows, 2 * s + 1), dtype=np.int8)
+    raw[:, :s] = 1
+    raw[:, s:] = -1
+    for j, row in enumerate(raw):
+        np.random.default_rng(seed + j).shuffle(row)
+    first_min = np.argmin(np.cumsum(raw, axis=1, dtype=_level_dtype(s)), axis=1)
+    index = (first_min[:, None] + np.arange(1, 2 * s + 1)) % (2 * s + 1)
+    return np.take_along_axis(raw, index, axis=1)
+
+
+def _levels(steps: np.ndarray) -> np.ndarray:
+    """(rows, 2s + 1) levels x(0..2s) of a (rows, 2s) array of steps."""
+    rows, top = steps.shape
+    levels = np.zeros((rows, top + 1), dtype=_level_dtype(top // 2))
+    np.cumsum(steps, axis=1, dtype=levels.dtype, out=levels[:, 1:])
+    return levels
+
+
+def _sampled_levels(s: int, trials: int, seed: int):
+    """The levels of ``trials`` uniform paths of half-length s, one chunk
+    at a time; trial j uses seed + j."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    _check_sample_size(s)
+    rows = _chunk_rows(s)
+    return (
+        _levels(_sample_steps(s, seed + first, min(rows, trials - first)))
+        for first in range(0, trials, rows)
+    )
 
 
 # ---------- window statistics ----------
@@ -151,6 +229,36 @@ def _next_below(levels: list[int]) -> list[int]:
     return out
 
 
+def _batch_next_below(levels: np.ndarray) -> np.ndarray:
+    """``_next_below`` of every row of a (rows, 2s + 1) array of Dyck levels,
+    as int32.
+
+    A stable sort by level lists each row's visits to every level in time
+    order.  next_below[t] is one step after the first visit to x(t), at or
+    after t, that is followed by a down-step.  The last visit to a level is
+    always one (to level 0 it is t = 2s, which gives 2s + 1), so a reverse
+    running minimum over those visits' sorted positions never leaves the
+    level, nor the row.
+    """
+    rows, width = levels.shape
+    order = np.argsort(levels, axis=1, kind="stable").astype(np.int32)
+    down = np.empty(levels.shape, dtype=bool)
+    np.less(levels[:, 1:], levels[:, :-1], out=down[:, :-1])
+    down[:, -1] = True
+    sorted_down = np.take_along_axis(down, order, axis=1).ravel()
+    position = np.where(sorted_down, np.arange(rows * width, dtype=np.int32), rows * width)
+    first_down = np.minimum.accumulate(position[::-1])[::-1]
+    out = np.empty(levels.shape, dtype=np.int32)
+    np.put_along_axis(out, order, order.ravel()[first_down].reshape(rows, width) + 1, axis=1)
+    return out
+
+
+def _batch_window_counts(levels: np.ndarray) -> np.ndarray:
+    """w(t) = min(next_below[t] - t, 2s - t) for every row, as int32."""
+    t = np.arange(levels.shape[1], dtype=np.int32)
+    return np.minimum(_batch_next_below(levels) - t, t[::-1])
+
+
 def _window_counts(levels: list[int]) -> list[int]:
     """w(t) = min(next_below[t] - t, 2s - t) for every t."""
     top = len(levels) - 1
@@ -177,7 +285,11 @@ def k_functional_tensor(x: DyckPath, I: int) -> int:
     """
     if I < 1:
         raise ValueError("I must be at least 1")
-    values = _window_counts(x.levels())[1:-1]  # strict interior instants
+    return _elementary_symmetric(_window_counts(x.levels())[1:-1], I)
+
+
+def _elementary_symmetric(values: list[int], I: int) -> int:
+    """e_I(values) by the one-pass recurrence, in Python integers."""
     e = [1] + [0] * I
     for v in values:
         for j in range(min(I, len(values)), 0, -1):
@@ -201,18 +313,26 @@ def _k_statistic(I: int):
     return k_functional if I == 1 else lambda x: k_functional_tensor(x, I)
 
 
+def _batch_k_total(levels: np.ndarray, I: int) -> int:
+    """Chunk total of that statistic, from the batched window counts."""
+    counts = _batch_window_counts(levels)
+    if I == 1:
+        return int(counts.sum(dtype=np.int64))
+    return sum(_elementary_symmetric(row, I) for row in counts[:, 1:-1].tolist())
+
+
+def _batch_stay_above_total(levels: np.ndarray) -> int:
+    """Chunk total of the stay-above count: t1 <= s with next_below[t1] > t1 + s."""
+    s = levels.shape[1] // 2
+    head = _batch_next_below(levels)[:, : s + 1]
+    return int(np.count_nonzero(head > np.arange(s, 2 * s + 1, dtype=np.int32)))
+
+
 def _all_paths(s: int):
     """Every path of half-length s, for the exact totals (s <= 12)."""
     if s > EXACT_EXPECTATION_LIMIT:
         raise DyckSizeError(f"exact totals support s <= {EXACT_EXPECTATION_LIMIT}")
     return enumerate_dyck(s)
-
-
-def _sampled_paths(s: int, trials: int, seed: int):
-    """``trials`` uniform paths of half-length s; trial t uses seed + t."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    return (sample_dyck(s, seed + t) for t in range(trials))
 
 
 def exact_k_functional_total(s: int, I: int = 1) -> int:
@@ -226,14 +346,15 @@ def exact_stay_above_total(s: int) -> int:
     return sum(map(_stay_above_count, _all_paths(s)))
 
 
-def _mean(statistic, s: int, mode: str, trials: int, seed: int) -> float:
+def _mean(statistic, batch_total, s: int, mode: str, trials: int, seed: int) -> float:
     """Mean of an integer path statistic: over every path (mode "exact") or
-    over ``trials`` sampled paths (mode "mc"), summed exactly."""
+    over ``trials`` sampled paths (mode "mc", ``batch_total`` per chunk),
+    summed exactly."""
     if mode == "exact":
         return sum(map(statistic, _all_paths(s))) / catalan(s)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    return sum(map(statistic, _sampled_paths(s, trials, seed))) / trials
+    return sum(map(batch_total, _sampled_levels(s, trials, seed))) / trials
 
 
 def expected_k_functional(
@@ -248,7 +369,10 @@ def expected_k_functional(
     mode "exact" enumerates every path (s <= 12); mode "mc" averages over
     ``trials`` sampled paths with derived seeds seed + t.
     """
-    return _mean(_k_statistic(I), s, mode, trials, seed)
+    if I < 1:
+        raise ValueError("I must be at least 1")
+    batch_total = functools.partial(_batch_k_total, I=I)
+    return _mean(_k_statistic(I), batch_total, s, mode, trials, seed)
 
 
 def stay_above_full_window_expectation(
@@ -262,7 +386,7 @@ def stay_above_full_window_expectation(
 
     Grows like 2 sqrt(s / pi) for large s.
     """
-    return _mean(_stay_above_count, s, mode, trials, seed)
+    return _mean(_stay_above_count, _batch_stay_above_total, s, mode, trials, seed)
 
 
 # ---------- auxiliary asymptotic quantities ----------
@@ -296,14 +420,24 @@ class MaxLevelTable:
     fit_c2: float | None
 
 
-def max_level_tail(s: int, trials: int, seed: int) -> MaxLevelTable:
-    """Sample ``trials`` uniform paths and tabulate P(max level = k).
+def max_level_tail(s: int, trials: int, seed: int, mode: str = "mc") -> MaxLevelTable:
+    """Tabulate P(max level = k) over ``trials`` sampled paths (mode "mc")
+    or over every path, weighted 1 / catalan(s) (mode "exact", s <= 12).
 
-    Rows cover every k in [1, s].  The fit runs over rows with at least 10
-    observations; it is diagnostic only.
+    Rows cover every k in [1, s]; ``trials`` in the table is the number of
+    paths counted.  The fit runs over rows with at least 10 paths; it is
+    diagnostic only.
     """
-    maxima = [max(x.levels()) for x in _sampled_paths(s, trials, seed)]
-    counts = np.bincount(maxima, minlength=s + 1)
+    if mode == "exact":
+        counts = np.bincount([max(x.levels()) for x in _all_paths(s)], minlength=s + 1)
+        trials = catalan(s)
+    elif mode == "mc":
+        counts = sum(
+            np.bincount(levels.max(axis=1), minlength=s + 1)
+            for levels in _sampled_levels(s, trials, seed)
+        )
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     rows = tuple((k, counts[k] / trials) for k in range(1, s + 1))
     ks = [k for k, _ in rows if counts[k] >= 10]
     c1 = c2 = None

@@ -269,6 +269,49 @@ def test_dyck_stats_maxlevel(tmp_path):
     assert sum(float(r["value"]) for r in plain) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
+    # the mode column names the route that ran; exact weights every path by
+    # 1 / catalan(s) (heights 1, 7, 5, 1 among the 14 paths at s = 4)
+    code, rows, _ = run(
+        tmp_path, "dyck-stats", "--s", "4", "--functional", "maxlevel", "--mode", "exact",
+    )
+    assert code == 0
+    assert {r["mode"] for r in rows} == {"exact"}
+    assert [float(r["value"]) for r in rows] == [c / 14 for c in (1, 7, 5, 1)]
+    code, rows, _ = run(
+        tmp_path, "dyck-stats", "--s", "4", "--functional", "maxlevel", "--mode", "mc",
+        "--trials", "200",
+    )
+    assert code == 0
+    assert {r["mode"] for r in rows} == {"mc"}
+    capsys.readouterr()
+    code = cli.main([
+        "dyck-stats", "--s", "13", "--functional", "maxlevel", "--mode", "exact",
+        "--output-dir", str(tmp_path / "big"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exact totals support s <= 12" in err
+
+
+@pytest.mark.parametrize(
+    "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
+)
+def test_dyck_stats_sample_size_guard_exits_1(tmp_path, monkeypatch, capsys, functional):
+    # s = 10^9 needs 128 GB for one sampled path; refused before allocating
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 8 << 30)
+    start = time.perf_counter()
+    code = cli.main([
+        "dyck-stats", "--functional", *functional, "--mode", "mc", "--s", "1000000000",
+        "--trials", "1", "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "s=1000000000 needs 128000000064 bytes" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bounds_table(tmp_path):
     code, rows, _ = run(tmp_path, "bounds-table", "--s", "12", "--n", "100000")
     assert code == 0

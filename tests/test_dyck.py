@@ -1,9 +1,12 @@
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tml.spectral as spectral
 from tml import dyck
 from tml.dyck import (
     DyckPath,
@@ -228,6 +231,133 @@ def test_mc_values_pinned():
     table = max_level_tail(20, 2000, 7)
     assert table.rows == tuple((k, c / 2000) for k, c in enumerate(MAX_LEVEL_COUNTS_20, start=1))
     assert (table.fit_c1, table.fit_c2) == (0.10999375050374353, 0.17151583945520543)
+
+
+# ---------- the batched Monte Carlo kernel against the per-path oracle ----------
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 64, 256])
+def test_kernel_rows_match_sample_dyck(s):
+    steps = dyck._sample_steps(s, 300 + s, 5)
+    assert steps.dtype == np.int8 and steps.shape == (5, 2 * s)
+    levels = dyck._levels(steps)
+    for j in range(5):
+        path = sample_dyck(s, 300 + s + j)
+        assert tuple(steps[j].tolist()) == path.steps
+        assert levels[j].tolist() == path.levels()
+
+
+@pytest.mark.parametrize("s", [1, 2, 7, 64, 256, 2**15 - 1, 2**15])
+def test_batch_next_below_matches_stack_sweep(s):
+    # 2**15 - 1 is the last s with int16 levels; 2**15 takes the int32 route
+    levels = dyck._levels(dyck._sample_steps(s, 17 * s, 6))
+    next_below = dyck._batch_next_below(levels)
+    assert next_below.dtype == np.int32
+    for row, nb in zip(levels.tolist(), next_below.tolist()):
+        assert nb == dyck._next_below(row)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+def test_batch_next_below_on_every_path(s):
+    # one batch holding every path of half-length s
+    steps = np.array([p.steps for p in enumerate_dyck(s)], dtype=np.int8)
+    levels = dyck._levels(steps)
+    for row, nb in zip(levels.tolist(), dyck._batch_next_below(levels).tolist()):
+        assert nb == dyck._next_below(row)
+
+
+def per_path_means(s, trials, seed):
+    """Every Monte Carlo mean from the per-path route: sample_dyck one trial
+    at a time, scalar statistics, exact sums divided once."""
+    paths = [sample_dyck(s, seed + j) for j in range(trials)]
+    counts = np.bincount([max(p.levels()) for p in paths], minlength=s + 1)
+    return {
+        "windows": sum(map(k_functional, paths)) / trials,
+        "tensor2": sum(k_functional_tensor(p, 2) for p in paths) / trials,
+        "tensor3": sum(k_functional_tensor(p, 3) for p in paths) / trials,
+        "stay": sum(map(dyck._stay_above_count, paths)) / trials,
+        "maxlevel": tuple((k, counts[k] / trials) for k in range(1, s + 1)),
+    }
+
+
+def kernel_means(s, trials, seed):
+    return {
+        "windows": expected_k_functional(s, 1, mode="mc", trials=trials, seed=seed),
+        "tensor2": expected_k_functional(s, 2, mode="mc", trials=trials, seed=seed),
+        "tensor3": expected_k_functional(s, 3, mode="mc", trials=trials, seed=seed),
+        "stay": stay_above_full_window_expectation(s, mode="mc", trials=trials, seed=seed),
+        "maxlevel": max_level_tail(s, trials, seed).rows,
+    }
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+@pytest.mark.parametrize("s,budget", [(64, None), (7, 3000)])
+def test_kernel_means_match_per_path_across_chunks(monkeypatch, s, budget, offset):
+    # trial counts 1, rows - 1, rows and rows + 1 around the chunk size, at the
+    # shipped budget and at a budget small enough for several chunks
+    if budget is not None:
+        monkeypatch.setattr(dyck, "_BATCH_BYTES", budget)
+    rows = dyck._chunk_rows(s)
+    assert rows >= 3
+    trials = 1 if offset is None else rows + offset
+    assert kernel_means(s, trials, 41) == per_path_means(s, trials, 41)
+
+
+def test_kernel_tensor_order_8_is_exact():
+    # e_8 of the window counts at s = 256 is far past int64; the chunk total
+    # must equal the per-path Python-integer oracle exactly
+    s, trials, seed = 256, 6, 2024
+    oracle = [k_functional_tensor(sample_dyck(s, seed + j), 8) for j in range(trials)]
+    assert max(oracle) > 2**63
+    levels = dyck._levels(dyck._sample_steps(s, seed, trials))
+    assert dyck._batch_k_total(levels, 8) == sum(oracle)
+    assert expected_k_functional(s, 8, mode="mc", trials=trials, seed=seed) == sum(oracle) / trials
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: sample_dyck(s, 0),
+        lambda s: expected_k_functional(s, mode="mc", trials=1),
+        lambda s: expected_k_functional(s, 3, mode="mc", trials=1),
+        lambda s: stay_above_full_window_expectation(s, mode="mc", trials=1),
+        lambda s: max_level_tail(s, 1, 0),
+    ],
+)
+def test_sample_size_guard(monkeypatch, call):
+    # refused before anything is allocated: past the int32 range at once, and
+    # past physical memory by the working set of one path
+    start = time.perf_counter()
+    with pytest.raises(DyckSizeError, match="sampling supports s <= "):
+        call(2**40)
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 10**6)
+    with pytest.raises(DyckSizeError, match="s=100000 needs 12800064 bytes"):
+        call(10**5)
+    assert time.perf_counter() - start < 1.0
+    call(7000)  # 64 * 14001 bytes fit in 10^6
+    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: None)
+    call(10**4)  # unknown memory: only the int32 range is enforced
+
+
+def test_max_level_tail_exact():
+    # number of Dyck paths with height exactly k: s = 3 gives 1, 3, 1 and
+    # s = 4 gives 1, 7, 5, 1
+    for s, counts in ((3, (1, 3, 1)), (4, (1, 7, 5, 1))):
+        table = max_level_tail(s, 0, 0, mode="exact")
+        assert table.trials == catalan(s)
+        assert table.rows == tuple((k, c / catalan(s)) for k, c in enumerate(counts, start=1))
+    for s in range(1, 9):
+        counts = np.bincount([max(p.levels()) for p in enumerate_dyck(s)], minlength=s + 1)
+        assert max_level_tail(s, 5, 5, mode="exact").rows == tuple(
+            (k, counts[k] / catalan(s)) for k in range(1, s + 1)
+        )
+    table = max_level_tail(10, 1, 0, mode="exact")
+    assert sum(p for _, p in table.rows) == pytest.approx(1.0, abs=1e-12)
+    assert table.fit_c2 is not None and table.fit_c2 > 0.0
+    with pytest.raises(DyckSizeError):
+        max_level_tail(13, 1, 0, mode="exact")
+    with pytest.raises(ValueError):
+        max_level_tail(4, 1, 0, mode="bogus")
 
 
 def test_exact_guards():
