@@ -24,6 +24,7 @@ machinery both handle them), so the container only enforces closedness.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -262,6 +263,23 @@ def exact_trace_sums_patterns(
     n * (n-1) * ... * (n-v+1) labeled members.  Enumerating one canonical
     representative per class makes the sum affordable for any n at small s.
     Guarded to path length 2s <= 12.
+
+    Pruning.  When ``moment(dist, 1) == 0.0`` exactly, a class with an edge
+    traversed once weighs exactly 0.0.  The recursion then carries the
+    number of edges traversed exactly once so far (its singles) and skips a
+    prefix whose singles exceed the steps left, the closing step back to
+    vertex 1 included, since each step pairs off at most one single; a leaf
+    whose closing edge leaves a single gets no moment product.  Only
+    classes with every edge traversed twice or more are weighed (4900 of
+    the Bell(10) = 115975 classes at s = 5, n >= 10), and they span at most
+    s + 1 vertices.  A law whose float mean is a rounding residue, not exactly
+    0.0, visits every class.  The skipped classes are exactly those that
+    added nothing, and the rest are summed in the same order, so the pair
+    is the same bits with or without the prune.
+
+    Raises ValueError, before enumerating, when n(n-1)...(n-v+1) leaves the
+    float range for the largest vertex count v the sum can weigh, and when
+    the finished sum is not finite.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -272,41 +290,65 @@ def exact_trace_sums_patterns(
             f"pattern enumeration supports 2s <= {PATTERN_LENGTH_GUARD}"
         )
     length = 2 * s
+    prune = moment(dist, 1) == 0.0
+    # labelings[v] = n(n-1)...(n-v+1), multiplied left to right in floats
+    top = min(n, s + 1 if prune else length)
+    labelings = [1.0]
+    try:
+        for i in range(top):
+            labelings.append(labelings[-1] * (n - i))
+    except OverflowError:  # n - i itself is beyond the float range
+        labelings.append(math.inf)
+    if math.isinf(labelings[-1]):
+        raise ValueError(
+            f"n is too large for the float pattern sum at s={s}: the falling"
+            f" factorial n(n-1)... to {top} factors overflows a float"
+        )
+    counts: Counter = Counter()  # edge -> traversals so far, first-traversal order
     total = 0.0
     even = 0.0
 
-    def rec(seq: list[int], vmax: int, counts: Counter):
+    def rec(last: int, pos: int, vmax: int, singles: int):
+        # pos vertices placed: the walk's first pos - 1 steps, ending at last
         nonlocal total, even
-        pos = len(seq)
         if pos == length:
             # close the walk back to vertex 1
-            c = counts.copy()
-            c[edge_key(seq[-1], 1)] += 1
-            w, all_even = _moment_product(dist, c.values())
-            if w == 0.0:
+            e = edge_key(last, 1)
+            k = counts[e]
+            if prune and singles + (k == 0) - (k == 1):
                 return
-            ways = 1.0
-            for i in range(vmax):
-                ways *= n - i
-            total += w * ways
-            if all_even:
-                even += w * ways
+            counts[e] = k + 1
+            w, all_even = _moment_product(dist, counts.values())
+            if k:
+                counts[e] = k
+            else:
+                del counts[e]
+            if w != 0.0:
+                ways = labelings[vmax]
+                total += w * ways
+                if all_even:
+                    even += w * ways
             return
-        top = min(vmax + 1, n)
-        for nxt in range(1, top + 1):
-            e = edge_key(seq[-1], nxt)
-            counts[e] += 1
-            seq.append(nxt)
-            rec(seq, max(vmax, nxt), counts)
-            seq.pop()
-            counts[e] -= 1
-            if counts[e] == 0:
+        steps_left = length - pos  # after the next step, the closing one included
+        for nxt in range(1, min(vmax + 1, n) + 1):
+            e = edge_key(last, nxt)
+            k = counts[e]
+            child = singles + (k == 0) - (k == 1)
+            if prune and child > steps_left:
+                continue
+            counts[e] = k + 1
+            rec(nxt, pos + 1, max(vmax, nxt), child)
+            if k:
+                counts[e] = k
+            else:
                 del counts[e]
 
-    rec([1], 1, Counter())
+    rec(1, 1, 1, 0)
     if normalized:
         scale = float(n) ** s
-        return total / scale, even / scale
+        total, even = total / scale, even / scale
+    if not (math.isfinite(total) and math.isfinite(even)):
+        raise ValueError(f"the float pattern sum at s={s} overflows for this n and law")
     return total, even
 
 

@@ -3,13 +3,14 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import pytest
 
 import tml.cli as cli
 import tml.paths as paths
 import tml.spectral as spectral
-from tml.ensemble import skew12
+from tml.ensemble import parse_distribution
 from tml.gluing import InvariantReport
 from tml.spectral import EigensolverError
 
@@ -68,15 +69,34 @@ def _pattern_count(length: int, n: int) -> int:
     return sum(row[1 : n + 1])
 
 
-@pytest.mark.parametrize(
-    "route,n,s,leaves",
-    [
-        ("full", 2, 3, 2**6),
-        ("patterns", 3, 3, _pattern_count(6, 3)),
-        ("patterns", 7, 4, _pattern_count(8, 7)),
-    ],
-)
-def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves):
+def _paired_pattern_count(length: int, n: int) -> int:
+    """Closed first-occurrence patterns of the given length on at most n
+    vertices whose edges are each traversed at least twice: the
+    restricted-growth sequences (each entry at most one above the largest
+    before it) filtered by their closed walk's edge multiplicities."""
+
+    def grow(seq):
+        if len(seq) == length:
+            yield seq
+            return
+        for v in range(min(max(seq) + 1, n - 1) + 1):
+            yield from grow(seq + [v])
+
+    count = 0
+    for seq in grow([0]):
+        walk = seq + [0]
+        edges = Counter(tuple(sorted(step)) for step in zip(walk, walk[1:]))
+        count += min(edges.values()) >= 2
+    return count
+
+
+# a centered law whose float mean is a rounding residue (1.39e-17), not 0.0
+RESIDUE_LAW = "support=-0.3,0.1;probs=0.25,0.75"
+
+
+def _moment_products(tmp_path, monkeypatch, route, dist, n, s) -> int:
+    """Run trace-exact, check its row against the library pair and return
+    the number of `_moment_product` calls it made."""
     calls = []
     product = paths._moment_product
 
@@ -86,12 +106,12 @@ def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves)
 
     monkeypatch.setattr(paths, "_moment_product", counted)
     code, rows, _ = run(
-        tmp_path, "trace-exact", "--dist", "skew12", "--n", str(n), "--s", str(s),
+        tmp_path, "trace-exact", "--dist", dist, "--n", str(n), "--s", str(s),
         "--route", route,
     )
     assert code == 0
-    assert len(calls) == leaves  # one moment product per walk or pattern
-    d = skew12()
+    monkeypatch.setattr(paths, "_moment_product", product)
+    d = parse_distribution(dist)
     if route == "full":
         value = paths.exact_expected_trace(d, n, s)
         even = paths.even_path_contribution(d, n, s)
@@ -100,6 +120,38 @@ def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves)
         even = paths.exact_trace_sums_patterns(d, n, s)[1]
     assert float(rows[0]["value"]) == value
     assert float(rows[0]["even_part"]) == even
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "route,n,s,leaves",
+    [
+        ("full", 2, 3, 2**6),
+        # skew12 has mean exactly 0.0: only patterns with every edge paired
+        ("patterns", 3, 3, _paired_pattern_count(6, 3)),
+        ("patterns", 7, 4, _paired_pattern_count(8, 7)),
+    ],
+)
+def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves):
+    # one moment product per walk, or per pattern that can carry weight
+    assert _moment_products(tmp_path, monkeypatch, route, "skew12", n, s) == leaves
+
+
+def test_trace_exact_residue_mean_weighs_every_pattern(tmp_path, monkeypatch):
+    leaves = _moment_products(tmp_path, monkeypatch, "patterns", RESIDUE_LAW, 7, 4)
+    assert leaves == _pattern_count(8, 7)
+
+
+@pytest.mark.parametrize("n,s", [(10**200, 2), (10**177, 1)], ids=["1e200-2", "1e177-1"])
+def test_trace_exact_rejects_n_beyond_float_range(tmp_path, capsys, n, s):
+    # n(n-1) overflows a float at both; at 10**200, s = 2 so does n**s
+    code = cli.main([
+        "trace-exact", "--dist", "skew12", "--n", str(n), "--s", str(s),
+        "--route", "patterns", "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert "n is too large for the float pattern sum" in capsys.readouterr().err
+    assert not (tmp_path / "trace-exact.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,18 @@
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tml.ensemble import make_distribution, rademacher, skew12
+from tml.ensemble import make_distribution, parse_distribution, rademacher, skew12
 from tml.paths import (
     ClosedPath,
     PathSizeError,
+    _moment_product,
     edge_key,
     edge_multiplicities,
     even_path_contribution,
@@ -297,6 +299,85 @@ def test_patterns_pair_frozen_at_n100_s5():
         134271.44788608,
         134271.37668528,
     )
+
+
+def test_patterns_pair_frozen_at_n100_s6():
+    # frozen from the unpruned enumeration (Bell(12) = 4213597 patterns)
+    assert exact_trace_sums_patterns(skew12(), 100, 6) == (
+        848225.0992448353,
+        848223.9677541942,
+    )
+
+
+def _unpruned_pattern_sums(dist, n, s, normalized):
+    """The pattern recursion as it was before the prune: every
+    first-occurrence class weighed, in the same order."""
+    length = 2 * s
+    total = 0.0
+    even = 0.0
+
+    def rec(seq, vmax, counts):
+        nonlocal total, even
+        if len(seq) == length:
+            c = counts.copy()
+            c[edge_key(seq[-1], 1)] += 1
+            w, all_even = _moment_product(dist, c.values())
+            if w == 0.0:
+                return
+            ways = 1.0
+            for i in range(vmax):
+                ways *= n - i
+            total += w * ways
+            if all_even:
+                even += w * ways
+            return
+        for nxt in range(1, min(vmax + 1, n) + 1):
+            e = edge_key(seq[-1], nxt)
+            counts[e] += 1
+            seq.append(nxt)
+            rec(seq, max(vmax, nxt), counts)
+            seq.pop()
+            counts[e] -= 1
+            if counts[e] == 0:
+                del counts[e]
+
+    rec([1], 1, Counter())
+    if normalized:
+        scale = float(n) ** s
+        return total / scale, even / scale
+    return total, even
+
+
+# mean exactly 0.0 (pruned) for the first three; a 1.39e-17 residue for the last
+ORACLE_LAWS = (
+    "skew12",
+    "rademacher",
+    "support=-2,1,3;probs=0.5,0.25,0.25",
+    "support=-0.3,0.1;probs=0.25,0.75",
+)
+
+
+@pytest.mark.parametrize("token", ORACLE_LAWS)
+@pytest.mark.parametrize("normalized", [True, False])
+def test_pruned_patterns_equal_the_unpruned_recursion(token, normalized):
+    d = parse_distribution(token)
+    for n in (1, 2, 3, 7, 100):
+        for s in range(1, 5):
+            assert exact_trace_sums_patterns(d, n, s, normalized) == _unpruned_pattern_sums(
+                d, n, s, normalized
+            )
+
+
+def test_patterns_reject_n_beyond_float_range():
+    d = skew12()
+    assert all(math.isfinite(x) for x in exact_trace_sums_patterns(d, 10**153, 1))
+    assert all(math.isfinite(x) for x in exact_trace_sums_patterns(d, 10**50, 5))
+    # n(n-1) overflows at 10**155; the falling factorial stays finite at
+    # 10**51, s = 5, but the sum does not
+    for n, s in [(10**155, 1), (10**200, 2), (10**400, 1), (10**51, 5)]:
+        for normalized in (True, False):
+            with pytest.raises(ValueError, match="too large|overflows"):
+                exact_trace_sums_patterns(d, n, s, normalized)
 
 
 def test_trace_as_weight_sum():
