@@ -42,7 +42,8 @@ from .gluing import (
     typed_vertex_contribution_log,
     verify_catalan_convolution,
 )
-from .paths import exact_trace_sums, exact_trace_sums_patterns, walk_count_exceeds
+from .paths import ENUMERATION_GUARD, PATTERN_LENGTH_GUARD, walk_count_exceeds
+from .paths import exact_trace_sums, exact_trace_sums_patterns
 from .spectral import (
     EigensolverError,
     concentration_experiment,
@@ -179,7 +180,9 @@ def _cmd_trace_exact(args):
     dist = parse_distribution(args.dist)
     route = args.route
     if route == "auto":
-        route = "patterns" if walk_count_exceeds(args.n, args.s, 10**7) else "full"
+        # patterns covers every n at 2s <= 12; past that only a small full sweep fits
+        fits_full = not walk_count_exceeds(args.n, args.s, ENUMERATION_GUARD)
+        route = "full" if 2 * args.s > PATTERN_LENGTH_GUARD and fits_full else "patterns"
     sums = exact_trace_sums_patterns if route == "patterns" else exact_trace_sums
     value, even = sums(dist, args.n, args.s)
     header = ["n", "s", "route", "value", "even_part", "odd_part"]

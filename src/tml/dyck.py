@@ -26,19 +26,20 @@ next_below[t1] > t1 + s (the stay-above count).  Because steps are +-1, the
 first instant below x(t) is the first later visit to level x(t) - 1, and it
 comes one step after the first visit to x(t), at or after t, that is
 followed by a down-step.  Per path, ``_next_below`` finds it with one stack
-sweep; that is the oracle and the exact route.
+sweep; that is the test oracle, and the scalar functionals use it.
 
-Monte Carlo means run on a batched kernel instead.  Trials go through in
-chunks of ``_chunk_rows(s)`` paths, sized so that a chunk's arrays stay under
-``_BATCH_BYTES``.  ``_sample_steps`` shuffles row j exactly as ``sample_dyck``
-does with seed + j (int8 steps) and rotates the whole chunk at once
-(cumsum, argmin, take_along_axis).  ``_batch_next_below`` then does one
-stable sort of every row by level, which lists each level's visits in time
-order; a reverse running minimum over the visits followed by a down-step
-gives next_below for every path of the chunk, with no per-instant loop.
-An s whose one sampled path would not fit in physical memory is refused
-before anything is allocated.  Means sum the integer statistic exactly,
-over ``enumerate_dyck`` or over the chunks, and divide once.
+Every mean, exact or Monte Carlo, runs on one batched kernel instead.  Paths
+go through in chunks of ``_chunk_rows(s)`` rows, sized so that a chunk's
+arrays stay under ``_BATCH_BYTES``.  Exact mode slices ``_dyck_steps(s)``,
+every path as one int8 row (s <= 12).  Monte Carlo mode samples: row j of
+``_sample_steps`` is shuffled exactly as ``sample_dyck`` does with seed + j
+and the whole chunk is rotated at once (cumsum, argmin, take_along_axis).
+``_batch_next_below`` then does one stable sort of every row by level,
+which lists each level's visits in time order; a reverse running minimum
+over the visits followed by a down-step gives next_below for every path of
+the chunk, with no per-instant loop.  An s whose one sampled path would not
+fit in physical memory is refused before anything is allocated.  Means sum
+the integer statistic exactly over the chunks and divide once.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ENUMERATION_LIMIT = 14
-EXACT_EXPECTATION_LIMIT = 12
-_BATCH_BYTES = 1 << 18  # working set of one chunk of sampled paths
+ENUMERATION_LIMIT = 12  # a materialised s = 14 would take about 75 MB
+_BATCH_BYTES = 1 << 18  # working set of one chunk of paths
 _INSTANT_BYTES = 64  # working bytes per instant of one sampled path, temporaries included
 _MAX_SAMPLED_S = 2**30 - 1  # keeps 2s + 1 and flat chunk positions in int32
 
@@ -94,29 +94,34 @@ def catalan(s: int) -> int:
     return math.comb(2 * s, s) // (s + 1)
 
 
-def enumerate_dyck(s: int):
-    """Generate every Dyck path of half-length s exactly once, lexicographic
-    with +1 ordered before -1."""
+def _dyck_steps(s: int) -> np.ndarray:
+    """(catalan(s), 2s) int8 array of every Dyck path of half-length s, one
+    per row, lexicographic with +1 ordered before -1.
+
+    Breadth first: each prefix, in order, is extended by +1 while it can
+    still return to 0 and then by -1 while its level is above 0.
+    """
     if s < 0:
         raise ValueError("negative order")
     if s > ENUMERATION_LIMIT:
-        raise DyckSizeError(f"enumeration supports s <= {ENUMERATION_LIMIT}")
-    steps: list[int] = []
+        raise DyckSizeError(f"enumeration and exact totals support s <= {ENUMERATION_LIMIT}")
+    steps = np.zeros((1, 0), dtype=np.int8)
+    level = np.zeros(1, dtype=np.int8)
+    for remaining in range(2 * s, 0, -1):
+        up = level < remaining  # a step up can still come back to 0
+        parent = np.repeat(np.arange(len(level)), up.astype(np.intp) + (level > 0))
+        first_child = np.r_[True, parent[1:] != parent[:-1]]
+        step = np.where(first_child & up[parent], 1, -1).astype(np.int8)
+        steps = np.column_stack([steps[parent], step])
+        level = level[parent] + step
+    return steps
 
-    def rec(level: int, remaining: int):
-        if remaining == 0:
-            yield DyckPath(steps=tuple(steps))
-            return
-        if remaining > level:  # room to go up
-            steps.append(1)
-            yield from rec(level + 1, remaining - 1)
-            steps.pop()
-        if level > 0:
-            steps.append(-1)
-            yield from rec(level - 1, remaining - 1)
-            steps.pop()
 
-    yield from rec(0, 2 * s)
+def enumerate_dyck(s: int):
+    """Generate every Dyck path of half-length s exactly once, lexicographic
+    with +1 ordered before -1 (the rows of ``_dyck_steps``)."""
+    for row in _dyck_steps(s).tolist():
+        yield DyckPath(steps=tuple(row))
 
 
 def _check_sample_size(s: int) -> None:
@@ -185,17 +190,24 @@ def _levels(steps: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _sampled_levels(s: int, trials: int, seed: int):
-    """The levels of ``trials`` uniform paths of half-length s, one chunk
-    at a time; trial j uses seed + j."""
+def _level_chunks(s: int, mode: str = "exact", trials: int = 0, seed: int = 0):
+    """(level chunks, path count), ``_chunk_rows(s)`` paths per chunk: every
+    path of half-length s (mode "exact", s <= 12), or ``trials`` sampled
+    paths, trial j from seed + j (mode "mc")."""
+    if mode == "exact":
+        steps = _dyck_steps(s)
+        rows = _chunk_rows(s)
+        return (_levels(steps[i : i + rows]) for i in range(0, len(steps), rows)), len(steps)
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_sample_size(s)
     rows = _chunk_rows(s)
-    return (
-        _levels(_sample_steps(s, seed + first, min(rows, trials - first)))
-        for first in range(0, trials, rows)
+    chunks = (
+        _levels(_sample_steps(s, seed + i, min(rows, trials - i))) for i in range(0, trials, rows)
     )
+    return chunks, trials
 
 
 # ---------- window statistics ----------
@@ -253,12 +265,6 @@ def _batch_next_below(levels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_window_counts(levels: np.ndarray) -> np.ndarray:
-    """w(t) = min(next_below[t] - t, 2s - t) for every row, as int32."""
-    t = np.arange(levels.shape[1], dtype=np.int32)
-    return np.minimum(_batch_next_below(levels) - t, t[::-1])
-
-
 def _window_counts(levels: list[int]) -> list[int]:
     """w(t) = min(next_below[t] - t, 2s - t) for every t."""
     top = len(levels) - 1
@@ -308,17 +314,21 @@ def _stay_above_count(x: DyckPath) -> int:
 # ---------- expectations under the uniform measure ----------
 
 
-def _k_statistic(I: int):
-    """The per-path statistic whose mean is E[K] (I = 1) or E[K tensor I]."""
-    return k_functional if I == 1 else lambda x: k_functional_tensor(x, I)
-
-
 def _batch_k_total(levels: np.ndarray, I: int) -> int:
-    """Chunk total of that statistic, from the batched window counts."""
-    counts = _batch_window_counts(levels)
+    """Chunk total of K (I = 1) or K tensor I, from the batched window counts
+    w(t) = min(next_below[t] - t, 2s - t)."""
+    t = np.arange(levels.shape[1], dtype=np.int32)
+    counts = np.minimum(_batch_next_below(levels) - t, t[::-1])
     if I == 1:
         return int(counts.sum(dtype=np.int64))
     return sum(_elementary_symmetric(row, I) for row in counts[:, 1:-1].tolist())
+
+
+def _k_reducer(I: int):
+    """``_batch_k_total`` at order I, refusing I < 1 before any path is built."""
+    if I < 1:
+        raise ValueError("I must be at least 1")
+    return functools.partial(_batch_k_total, I=I)
 
 
 def _batch_stay_above_total(levels: np.ndarray) -> int:
@@ -328,33 +338,23 @@ def _batch_stay_above_total(levels: np.ndarray) -> int:
     return int(np.count_nonzero(head > np.arange(s, 2 * s + 1, dtype=np.int32)))
 
 
-def _all_paths(s: int):
-    """Every path of half-length s, for the exact totals (s <= 12)."""
-    if s > EXACT_EXPECTATION_LIMIT:
-        raise DyckSizeError(f"exact totals support s <= {EXACT_EXPECTATION_LIMIT}")
-    return enumerate_dyck(s)
-
-
 def exact_k_functional_total(s: int, I: int = 1) -> int:
     """Exact integer sum of the K functional (I = 1) or its ordered-tuple
     tensor variant (I >= 2) over every Dyck path of half-length s."""
-    return sum(map(_k_statistic(I), _all_paths(s)))
+    return sum(map(_k_reducer(I), _level_chunks(s)[0]))
 
 
 def exact_stay_above_total(s: int) -> int:
     """Exact integer sum of the full-window stay-above count over all paths."""
-    return sum(map(_stay_above_count, _all_paths(s)))
+    return sum(map(_batch_stay_above_total, _level_chunks(s)[0]))
 
 
-def _mean(statistic, batch_total, s: int, mode: str, trials: int, seed: int) -> float:
-    """Mean of an integer path statistic: over every path (mode "exact") or
-    over ``trials`` sampled paths (mode "mc", ``batch_total`` per chunk),
-    summed exactly."""
-    if mode == "exact":
-        return sum(map(statistic, _all_paths(s))) / catalan(s)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    return sum(map(batch_total, _sampled_levels(s, trials, seed))) / trials
+def _mean(batch_total, s: int, mode: str, trials: int, seed: int) -> float:
+    """Mean of an integer path statistic, ``batch_total`` per chunk, over
+    every path (mode "exact") or ``trials`` sampled paths (mode "mc"),
+    summed exactly and divided once."""
+    chunks, count = _level_chunks(s, mode, trials, seed)
+    return sum(map(batch_total, chunks)) / count
 
 
 def expected_k_functional(
@@ -369,10 +369,7 @@ def expected_k_functional(
     mode "exact" enumerates every path (s <= 12); mode "mc" averages over
     ``trials`` sampled paths with derived seeds seed + t.
     """
-    if I < 1:
-        raise ValueError("I must be at least 1")
-    batch_total = functools.partial(_batch_k_total, I=I)
-    return _mean(_k_statistic(I), batch_total, s, mode, trials, seed)
+    return _mean(_k_reducer(I), s, mode, trials, seed)
 
 
 def stay_above_full_window_expectation(
@@ -386,7 +383,7 @@ def stay_above_full_window_expectation(
 
     Grows like 2 sqrt(s / pi) for large s.
     """
-    return _mean(_stay_above_count, _batch_stay_above_total, s, mode, trials, seed)
+    return _mean(_batch_stay_above_total, s, mode, trials, seed)
 
 
 # ---------- auxiliary asymptotic quantities ----------
@@ -428,16 +425,8 @@ def max_level_tail(s: int, trials: int, seed: int, mode: str = "mc") -> MaxLevel
     paths counted.  The fit runs over rows with at least 10 paths; it is
     diagnostic only.
     """
-    if mode == "exact":
-        counts = np.bincount([max(x.levels()) for x in _all_paths(s)], minlength=s + 1)
-        trials = catalan(s)
-    elif mode == "mc":
-        counts = sum(
-            np.bincount(levels.max(axis=1), minlength=s + 1)
-            for levels in _sampled_levels(s, trials, seed)
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    chunks, trials = _level_chunks(s, mode, trials, seed)
+    counts = sum(np.bincount(levels.max(axis=1), minlength=s + 1) for levels in chunks)
     rows = tuple((k, counts[k] / trials) for k in range(1, s + 1))
     ks = [k for k, _ in rows if counts[k] >= 10]
     c1 = c2 = None

@@ -36,6 +36,7 @@ from .dyck import catalan
 from .paths import (
     ClosedPath,
     _check_enumeration_size,
+    _closed_sequences,
     edge_key,
     edge_multiplicities,
     is_even_path,
@@ -1012,8 +1013,8 @@ def run_invariant_suite(
     histogram: Counter = Counter()
     checked = 0
     if exhaustive:
-        for verts in itertools.product(range(1, n + 1), repeat=2 * s):
-            p = ClosedPath(vertices=verts + (verts[0],), n=n)
+        for verts in _closed_sequences(n, 2 * s):
+            p = ClosedPath(vertices=verts, n=n)
             histogram[_check_one(p, found)] += 1
             checked += 1
     if random_walks:

@@ -38,7 +38,7 @@ def test_trace_exact_small(tmp_path):
     assert code == 0
     assert len(rows) == 1
     row = rows[0]
-    assert row["route"] == "full"
+    assert row["route"] == "patterns"
     assert float(row["value"]) == pytest.approx(22.0, rel=1e-12)
     assert float(row["even_part"]) == pytest.approx(22.0, rel=1e-12)
     assert float(row["odd_part"]) == 0.0
@@ -140,6 +140,16 @@ def test_trace_exact_enumerates_once(tmp_path, monkeypatch, route, n, s, leaves)
 def test_trace_exact_residue_mean_weighs_every_pattern(tmp_path, monkeypatch):
     leaves = _moment_products(tmp_path, monkeypatch, "patterns", RESIDUE_LAW, 7, 4)
     assert leaves == _pattern_count(8, 7)
+
+
+def test_trace_exact_auto_takes_patterns_within_its_guard(tmp_path):
+    # 4^8 walks: small enough for the full route, but auto takes patterns,
+    # and the full sweep gives the same bits on this dyadic law
+    code, rows, _ = run(tmp_path, "trace-exact", "--dist", "skew12", "--n", "4", "--s", "4")
+    assert code == 0
+    assert rows[0]["route"] == "patterns"
+    value, even = paths.exact_trace_sums(parse_distribution("skew12"), 4, 4)
+    assert (float(rows[0]["value"]), float(rows[0]["even_part"])) == (value, even)
 
 
 @pytest.mark.parametrize("n,s", [(10**200, 2), (10**177, 1)], ids=["1e200-2", "1e177-1"])

@@ -76,6 +76,21 @@ def test_enumerate_dyck_counts():
         list(enumerate_dyck(15))
 
 
+def test_dyck_steps_lists_every_path_once_in_order():
+    # right shape, every row a Dyck path, rows strictly decreasing (+1 > -1):
+    # catalan(s) distinct Dyck paths are all of them, each once, +1 first
+    for s in range(13):
+        steps = dyck._dyck_steps(s)
+        assert steps.dtype == np.int8 and steps.shape == (catalan(s), 2 * s)
+        levels = np.cumsum(steps, axis=1)
+        assert (levels >= 0).all() and (levels[:, -1:] == 0).all()
+        assert set(np.unique(steps)) <= {-1, 1}
+        rows = [tuple(r) for r in steps.tolist()]
+        assert all(a > b for a, b in zip(rows, rows[1:]))
+    with pytest.raises(DyckSizeError, match="exact totals support s <= 12"):
+        dyck._dyck_steps(13)
+
+
 def test_sample_dyck_deterministic_and_uniform():
     assert sample_dyck(5, seed=3).steps == sample_dyck(5, seed=3).steps
     # chi-square against uniformity over the 14 paths of half-length 4
@@ -197,6 +212,8 @@ def test_stay_above_totals_frozen_and_closed_form():
     for s, total in enumerate(STAY_TOTALS, start=1):
         assert exact_stay_above_total(s) == total
         assert total == math.comb(s, s // 2) ** 2
+    for s in (11, 12):
+        assert exact_stay_above_total(s) == math.comb(s, s // 2) ** 2
 
 
 def test_expected_values_frozen():
@@ -266,27 +283,27 @@ def test_batch_next_below_on_every_path(s):
         assert nb == dyck._next_below(row)
 
 
-def per_path_means(s, trials, seed):
-    """Every Monte Carlo mean from the per-path route: sample_dyck one trial
-    at a time, scalar statistics, exact sums divided once."""
-    paths = [sample_dyck(s, seed + j) for j in range(trials)]
+def per_path_means(s, paths):
+    """Every mean from the per-path route over the given paths: scalar
+    statistics, exact sums divided once."""
+    count = len(paths)
     counts = np.bincount([max(p.levels()) for p in paths], minlength=s + 1)
     return {
-        "windows": sum(map(k_functional, paths)) / trials,
-        "tensor2": sum(k_functional_tensor(p, 2) for p in paths) / trials,
-        "tensor3": sum(k_functional_tensor(p, 3) for p in paths) / trials,
-        "stay": sum(map(dyck._stay_above_count, paths)) / trials,
-        "maxlevel": tuple((k, counts[k] / trials) for k in range(1, s + 1)),
+        "windows": sum(map(k_functional, paths)) / count,
+        "tensor2": sum(k_functional_tensor(p, 2) for p in paths) / count,
+        "tensor3": sum(k_functional_tensor(p, 3) for p in paths) / count,
+        "stay": sum(map(dyck._stay_above_count, paths)) / count,
+        "maxlevel": tuple((k, counts[k] / count) for k in range(1, s + 1)),
     }
 
 
-def kernel_means(s, trials, seed):
+def kernel_means(s, mode, trials=0, seed=0):
     return {
-        "windows": expected_k_functional(s, 1, mode="mc", trials=trials, seed=seed),
-        "tensor2": expected_k_functional(s, 2, mode="mc", trials=trials, seed=seed),
-        "tensor3": expected_k_functional(s, 3, mode="mc", trials=trials, seed=seed),
-        "stay": stay_above_full_window_expectation(s, mode="mc", trials=trials, seed=seed),
-        "maxlevel": max_level_tail(s, trials, seed).rows,
+        "windows": expected_k_functional(s, 1, mode=mode, trials=trials, seed=seed),
+        "tensor2": expected_k_functional(s, 2, mode=mode, trials=trials, seed=seed),
+        "tensor3": expected_k_functional(s, 3, mode=mode, trials=trials, seed=seed),
+        "stay": stay_above_full_window_expectation(s, mode=mode, trials=trials, seed=seed),
+        "maxlevel": max_level_tail(s, trials, seed, mode=mode).rows,
     }
 
 
@@ -300,7 +317,24 @@ def test_kernel_means_match_per_path_across_chunks(monkeypatch, s, budget, offse
     rows = dyck._chunk_rows(s)
     assert rows >= 3
     trials = 1 if offset is None else rows + offset
-    assert kernel_means(s, trials, 41) == per_path_means(s, trials, 41)
+    sampled = [sample_dyck(s, 41 + j) for j in range(trials)]
+    assert kernel_means(s, "mc", trials, 41) == per_path_means(s, sampled)
+
+
+def test_kernel_exact_means_match_per_path_across_chunks(monkeypatch):
+    # the 429 paths of half-length 7 in 143 chunks of 3, against the per-path
+    # statistics of every enumerated path
+    monkeypatch.setattr(dyck, "_BATCH_BYTES", 3000)
+    assert dyck._chunk_rows(7) == 3
+    assert kernel_means(7, "exact") == per_path_means(7, list(enumerate_dyck(7)))
+
+
+def test_order_below_one_is_refused():
+    with pytest.raises(ValueError, match="I must be at least 1"):
+        exact_k_functional_total(3, 0)
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match="I must be at least 1"):
+            expected_k_functional(3, 0, mode=mode, trials=10)
 
 
 def test_kernel_tensor_order_8_is_exact():
