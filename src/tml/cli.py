@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .dyck import (
     beta_sum,
+    catalan,
     expected_k_functional,
     max_level_tail,
     stay_above_full_window_expectation,
@@ -307,28 +308,24 @@ def _cmd_bounds_table(args):
 def _cmd_dyck_stats(args):
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
     rows = []
-    if args.functional == "windows":
-        v = expected_k_functional(args.s, 1, mode=args.mode, trials=args.trials, seed=args.seed)
-        rows.append([args.s, "windows", args.mode, 1, args.trials, args.seed, "", v])
-    elif args.functional == "tensor":
-        v = expected_k_functional(
-            args.s, args.tensor_order, mode=args.mode, trials=args.trials, seed=args.seed
-        )
-        rows.append([args.s, "tensor", args.mode, args.tensor_order, args.trials, args.seed, "", v])
-    elif args.functional == "stay":
-        v = stay_above_full_window_expectation(
-            args.s, mode=args.mode, trials=args.trials, seed=args.seed
-        )
-        rows.append([args.s, "stay", args.mode, 1, args.trials, args.seed, "", v])
+    # an exact row averages every path: trials is the path count, no seed is used
+    seed = "" if args.mode == "exact" else args.seed
+    if args.functional in ("windows", "tensor", "stay"):
+        order = args.tensor_order if args.functional == "tensor" else 1
+        sampled = dict(mode=args.mode, trials=args.trials, seed=args.seed)
+        if args.functional == "stay":
+            v = stay_above_full_window_expectation(args.s, **sampled)
+        else:
+            v = expected_k_functional(args.s, order, **sampled)
+        trials = catalan(args.s) if args.mode == "exact" else args.trials
+        rows.append([args.s, args.functional, args.mode, order, trials, seed, "", v])
     elif args.functional == "beta":
-        rows.append([args.s, "beta", "exact", args.tensor_order, 0, args.seed, "", beta_sum(args.tensor_order)])
+        rows.append([args.s, "beta", "exact", args.tensor_order, "", "", "", beta_sum(args.tensor_order)])
     elif args.functional == "maxlevel":
         table = max_level_tail(args.s, args.trials, args.seed, mode=args.mode)
-        for k, p in table.rows:
-            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, k, p])
-        if table.fit_c1 is not None:
-            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, "fit_c1", table.fit_c1])
-            rows.append([args.s, "maxlevel", args.mode, 1, args.trials, args.seed, "fit_c2", table.fit_c2])
+        fits = [] if table.fit_c1 is None else [("fit_c1", table.fit_c1), ("fit_c2", table.fit_c2)]
+        for k, p in [*table.rows, *fits]:
+            rows.append([args.s, "maxlevel", args.mode, 1, table.trials, seed, k, p])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown functional {args.functional!r}")
     return header, rows, 0

@@ -37,6 +37,7 @@ from .paths import (
     ClosedPath,
     _check_enumeration_size,
     _closed_sequences,
+    _edge_counts,
     edge_key,
     edge_multiplicities,
     is_even_path,
@@ -162,87 +163,68 @@ class GluedDecomposition:
         return sum(w.length for w in self.walks)
 
 
-@dataclass(frozen=True)
-class _GlueTrace:
-    """Slot bookkeeping behind a deterministic reassembly.
+def _glue_traced(p: ClosedPath) -> tuple[GluedDecomposition, OddStructure | None, list[int]]:
+    """The reassembly behind ``glue``, with its odd-run structure and its
+    endpoint pairing (None and [] for an even walk).
 
-    Fragment k owns two slots (k, "L") and (k, "R"), its reading ends in the
-    original walk.  Chain building consumes the slots in pairs; run i sits
-    between slots (i, "R") and (i+1, "L") and one virtual arc ties the final
-    fragment's right slot back to fragment 0's left slot at the origin.
+    Fragment k owns two slots: slot 2k is its first vertex in the original
+    walk and slot 2k + 1 its last.  Chain building pairs the slots two at a
+    time, and partner[x] is the slot that x was paired with.  A fragment read
+    forward is entered at its even slot and left at its odd one; read
+    backwards, the other way round.
     """
-
-    structure: OddStructure | None
-    pairings: tuple[tuple[tuple[int, str], tuple[int, str]], ...]
-
-
-def _glue_traced(p: ClosedPath) -> tuple[GluedDecomposition, _GlueTrace]:
-    if p.length % 2 != 0:
-        raise GluingError("walk length must be even")
     try:
         structure = odd_interval_decomposition(p)
     except EvenWalkError:
         decomp = GluedDecomposition(
             walks=(p,), origins=(p.origin,), odd_pairs=0, outcome="single-even"
         )
-        return decomp, _GlueTrace(structure=None, pairings=())
+        return decomp, None, []
 
     frags = _fragments(p, structure.runs)
     origin = p.origin
     unglued = set(range(1, len(frags)))
-    pairings: list[tuple[tuple[int, str], tuple[int, str]]] = []
-    chains: list[tuple[int, list[int]]] = []
+    partner = [0] * (2 * len(frags))
+    grouped: dict[int, list[int]] = {}  # chain origin -> glued walk, first closing first
 
-    def oriented(j: int, forward: bool) -> tuple[int, ...]:
-        return frags[j] if forward else frags[j][::-1]
+    def pair(x: int, y: int) -> None:
+        partner[x] = y
+        partner[y] = x
 
-    def pick(candidates: list[int], at: int) -> tuple[int, bool]:
+    def pick(candidates: list[int], at: int) -> int:
         # lowest original index; forward reading preferred when both ends match
         j = min(candidates)
-        return j, frags[j][0] == at
+        return 2 * j + (frags[j][0] != at)
+
+    def oriented(entry: int) -> tuple[int, ...]:
+        frag = frags[entry // 2]
+        return frag if entry % 2 == 0 else frag[::-1]
 
     cur = list(frags[0])
-    cur_origin = origin
-    entry_slot = (0, "L")
-    open_slot = (0, "R")
+    entry, exit_ = 0, 1
     while True:
-        if cur[-1] == cur_origin:
-            pairings.append((open_slot, entry_slot))
-            chains.append((cur_origin, cur))
+        if cur[-1] == cur[0]:
+            pair(exit_, entry)
+            grouped.setdefault(cur[0], [cur[0]]).extend(cur[1:])
             if not unglued:
                 break
             at_origin = [j for j in unglued if origin in (frags[j][0], frags[j][-1])]
-            if at_origin:
-                j, forward = pick(at_origin, origin)
-            else:
-                j, forward = min(unglued), True
-            unglued.remove(j)
-            seq = oriented(j, forward)
-            cur = list(seq)
-            cur_origin = seq[0]
-            entry_slot = (j, "L" if forward else "R")
-            open_slot = (j, "R" if forward else "L")
+            entry = pick(at_origin, origin) if at_origin else 2 * min(unglued)
+            unglued.remove(entry // 2)
+            cur = list(oriented(entry))
+            exit_ = entry ^ 1
             continue
         end = cur[-1]
         candidates = [j for j in unglued if end in (frags[j][0], frags[j][-1])]
         if not candidates:
             raise GluingError(f"no fragment endpoint at vertex {end}; walk malformed")
-        j, forward = pick(candidates, end)
-        unglued.remove(j)
-        seq = oriented(j, forward)
-        pairings.append((open_slot, (j, "L" if forward else "R")))
-        cur.extend(seq[1:])
-        open_slot = (j, "R" if forward else "L")
+        slot = pick(candidates, end)
+        unglued.remove(slot // 2)
+        pair(exit_, slot)
+        cur.extend(oriented(slot)[1:])
+        exit_ = slot ^ 1
 
-    # group the closed chains by origin, in order of first appearance
-    order: list[int] = []
-    grouped: dict[int, list[int]] = {}
-    for o, verts in chains:
-        if o not in grouped:
-            grouped[o] = [o]
-            order.append(o)
-        grouped[o].extend(verts[1:])
-    walks = tuple(ClosedPath(vertices=tuple(grouped[o]), n=p.n) for o in order)
+    walks = tuple(ClosedPath(vertices=tuple(verts), n=p.n) for verts in grouped.values())
     if len(walks) == 1:
         outcome = "single-even"
     elif all(w.length % 2 == 0 and is_even_path(w) for w in walks):
@@ -251,11 +233,11 @@ def _glue_traced(p: ClosedPath) -> tuple[GluedDecomposition, _GlueTrace]:
         outcome = "mixed-parity"
     decomp = GluedDecomposition(
         walks=walks,
-        origins=tuple(order),
+        origins=tuple(grouped),
         odd_pairs=structure.odd_pairs,
         outcome=outcome,
     )
-    return decomp, _GlueTrace(structure=structure, pairings=tuple(pairings))
+    return decomp, structure, partner
 
 
 def glue(p: ClosedPath) -> GluedDecomposition:
@@ -346,51 +328,35 @@ def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
     arc; pairings and arcs alternate around disjoint loops, and the loops
     containing at least one run are the cycles.  Even walks give no cycles.
     """
-    return _cycles(p, _glue_traced(p)[1])
+    return _cycles(p, *_glue_traced(p)[1:])
 
 
-def _cycles(p: ClosedPath, trace: _GlueTrace) -> CycleDecomposition:
-    if trace.structure is None:
+def _cycles(p: ClosedPath, structure: OddStructure | None, partner: list[int]) -> CycleDecomposition:
+    """Cycles of the slot pairing of ``_glue_traced``.
+
+    With J runs there are 2(J + 1) slots.  The arc from slot x goes to x + 1
+    if x is odd and to x - 1 if x is even, mod 2(J + 1), and carries run
+    (its odd end) // 2; index J is the virtual arc that closes the walk at
+    its origin.  Loops start at the lowest unseen slot.
+    """
+    if structure is None:
         return CycleDecomposition(cycles=(), sizes={})
-    runs = trace.structure.runs
-    j_count = len(runs)
-    # arc partner of each slot; arc over (k,"R") -- run k -- (k+1,"L"),
-    # wrapping (last,"R") -- virtual -- (0,"L")
-    arc_partner: dict[tuple[int, str], tuple[int, str]] = {}
-    arc_run: dict[frozenset[tuple[int, str]], int | None] = {}
-    for k in range(j_count + 1):
-        a = (k, "R")
-        b = ((k + 1) % (j_count + 1), "L")
-        arc_partner[a] = b
-        arc_partner[b] = a
-        arc_run[frozenset((a, b))] = k if k < j_count else None
-    pair_partner: dict[tuple[int, str], tuple[int, str]] = {}
-    for x, y in trace.pairings:
-        pair_partner[x] = y
-        pair_partner[y] = x
-
-    seen: set[tuple[int, str]] = set()
+    runs = structure.runs
+    slots = len(partner)
+    seen = [False] * slots
     cycles = []
-    for start in sorted(arc_partner):
-        if start in seen:
-            continue
+    for start in range(slots):
         slot = start
-        run_indices: list[int] = []
-        while slot not in seen:
-            seen.add(slot)
-            nxt = arc_partner[slot]
-            seen.add(nxt)
-            r = arc_run[frozenset((slot, nxt))]
-            if r is not None:
-                run_indices.append(r)
-            slot = pair_partner[nxt]
-        if not run_indices:
-            continue  # the loop carrying only the virtual arc
-        edges = []
-        for r in run_indices:
-            for j in runs[r].instants():
-                edges.append(edge_key(p.vertices[j - 1], p.vertices[j]))
-        cycles.append(tuple(edges))
+        edges: list[tuple[int, int]] = []
+        while not seen[slot]:
+            nxt = (slot + 1 if slot % 2 else slot - 1) % slots
+            seen[slot] = seen[nxt] = True
+            r = (slot if slot % 2 else nxt) // 2
+            if r < len(runs):
+                edges.extend(edge_key(*p.step(j)) for j in runs[r].instants())
+            slot = partner[nxt]
+        if edges:  # else an already seen start, or the virtual arc's own loop
+            cycles.append(tuple(edges))
     sizes = Counter(len(c) for c in cycles)
     return CycleDecomposition(cycles=tuple(cycles), sizes=dict(sorted(sizes.items())))
 
@@ -423,7 +389,7 @@ def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[l
     while True:
         target = None
         for i, a in enumerate(seqs):
-            mults = Counter(edge_key(a[t - 1], a[t]) for t in range(1, len(a)))
+            mults = _edge_counts(a)
             odd_instants = [t for t in range(1, len(a)) if mults[edge_key(a[t - 1], a[t])] % 2]
             if odd_instants:
                 target = (i, odd_instants[0], edge_key(a[odd_instants[0] - 1], a[odd_instants[0]]))
@@ -885,7 +851,7 @@ def enumerate_insertions(base: ClosedPath, max_odd_pairs: int) -> list[ClosedPat
         length = base.length + 2 * l
         for tail in itertools.product(range(1, base.n + 1), repeat=length - 1):
             verts = (base.origin,) + tail + (base.origin,)
-            mult = Counter(edge_key(verts[t - 1], verts[t]) for t in range(1, length + 1))
+            mult = _edge_counts(verts)
             odd = {e for e, m in mult.items() if m % 2}
             if len(odd) != 2 * l:
                 continue
@@ -930,12 +896,12 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
     if any(d % 2 for d in degrees.values()):
         bad("odd-graph-degree")
 
-    decomp, trace = _glue_traced(p)
+    decomp, structure, partner = _glue_traced(p)
     l = decomp.odd_pairs
     run_count = 0
-    cyc = _cycles(p, trace)
+    cyc = _cycles(p, structure, partner)
     if l > 0:
-        run_count = trace.structure.run_count
+        run_count = structure.run_count
         if not (1 <= run_count <= 2 * l):
             bad("run-count-range")
         if not (1 <= cyc.cycle_count <= run_count):
@@ -944,27 +910,21 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
             bad("cycle-partition")
         if Counter(e for c in cyc.cycles for e in c) != Counter(odd_edges):
             bad("cycle-partition")
-        count, hist = _pairing_count(trace.structure)
+        count, hist = _pairing_count(structure)
         floor = math.prod(math.factorial(i) ** k for i, k in hist.items())
         if count < floor:
             bad("pairing-count-floor")
 
     if decomp.total_length != p.length - 2 * l:
         bad("length-bookkeeping")
-    merged = Counter()
-    for w in decomp.walks:
-        merged.update(edge_multiplicities(w))
-    expected = mult.copy()
-    for e in odd_edges:
-        expected[e] -= 1
-        if expected[e] == 0:
-            del expected[e]
-    if merged != expected:
+    walk_mults = [edge_multiplicities(w) for w in decomp.walks]
+    merged = sum(walk_mults, Counter())
+    if merged != mult - Counter(odd_edges):
         bad("edge-conservation")
     if any(m % 2 for m in merged.values()):
         bad("union-parity")
     if decomp.outcome in ("single-even", "multi-even"):
-        if not all(is_even_path(w) for w in decomp.walks):
+        if any(k % 2 for m in walk_mults for k in m.values()):
             bad("even-outcome-parity")
     if decomp.outcome == "single-even" and decomp.walk_count != 1:
         bad("single-walk-count")

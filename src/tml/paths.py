@@ -149,11 +149,13 @@ def nonreturned_edges(p: ClosedPath) -> list[int]:
 
     The length of the result is 2l, twice the number of odd edge pairs.
     """
-    mult = edge_multiplicities(p)
+    mult: Counter = Counter()
     last: dict[tuple[int, int], int] = {}
     vs = p.vertices
     for j in range(1, len(vs)):
-        last[edge_key(vs[j - 1], vs[j])] = j
+        e = edge_key(vs[j - 1], vs[j])
+        mult[e] += 1
+        last[e] = j
     return sorted(last[e] for e, k in mult.items() if k % 2 == 1)
 
 

@@ -357,6 +357,21 @@ def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "functional, trials",
+    [(["windows"], "14"), (["stay"], "14"), (["tensor", "--tensor-order", "3"], "14"),
+     (["maxlevel"], "14"), (["beta"], "")],
+)
+def test_dyck_stats_exact_rows_ignore_trials_and_seed(tmp_path, functional, trials):
+    # exact rows average all catalan(4) = 14 paths and draw no random numbers
+    code, rows, _ = run(
+        tmp_path, "dyck-stats", "--functional", *functional, "--s", "4", "--mode", "exact",
+        "--trials", "5", "--seed", "9",
+    )
+    assert code == 0 and rows
+    assert {(r["trials"], r["seed"]) for r in rows} == {(trials, "")}
+
+
+@pytest.mark.parametrize(
     "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
 )
 def test_dyck_stats_sample_size_guard_exits_1(tmp_path, monkeypatch, capsys, functional):

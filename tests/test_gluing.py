@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -146,6 +147,15 @@ def test_glue_mixed_parity():
     d = glue(cp(1, 1, 2, 2, 1, 2, 2, 3, 1, n=3))
     assert d.outcome == "mixed-parity"
     assert d.walks == (cp(1, 2, 2, 1, n=3), cp(2, 2, n=3))
+
+
+def test_glue_groups_chains_by_first_closing():
+    # chains close at origins 3, 4, 6 and 4 again; the second loop at 4 joins
+    # the walk of the first, which keeps its place before 6
+    d = glue(cp(3, 4, 4, 6, 5, 6, 1, 4, 4, 5, 3, n=6))
+    assert d.outcome == "multi-even"
+    assert d.origins == (3, 4, 6)
+    assert d.walks == (ClosedPath(vertices=(3,), n=6), cp(4, 4, 4, n=6), cp(6, 5, 6))
 
 
 def test_glue_rejects_odd_length():
@@ -302,6 +312,28 @@ def test_mixed_parity_fixtures_merge_clean(verts):
     assert merges >= 1
     assert all(is_even_path(w) for w in merged)
     assert sum(w.length for w in merged) == p.length - 2 * d.odd_pairs - 2 * merges
+
+
+
+def test_surgery_record_frozen_at_n3():
+    # sha256 over one repr line each of glue(p), cycle_decomposition(p) and,
+    # for mixed-parity outcomes, merge_odd_walks(glue(p).walks), for every
+    # closed walk with n = 3 and s = 1..4 in odometer order.  The digest was
+    # computed by this loop on the reassembly that still kept its endpoint
+    # pairing as (fragment, side) tuples, so it pins walk order, origins and
+    # cycle edge order across the move to integer slots.
+    digest = hashlib.sha256()
+    walks = 0
+    for s in range(1, 5):
+        for head in itertools.product(range(1, 4), repeat=2 * s):
+            p = ClosedPath(vertices=head + (head[0],), n=3)
+            d = glue(p)
+            digest.update(f"{d!r}\n{cycle_decomposition(p)!r}\n".encode())
+            if d.outcome == "mixed-parity":
+                digest.update(f"{merge_odd_walks(d.walks)!r}\n".encode())
+            walks += 1
+    assert walks == 7380
+    assert digest.hexdigest() == "1ef0473492411010ffb3910eface28268ad6de54db78598de85a9febc1d3ce10"
 
 
 # ---------- walk statistics ----------
