@@ -35,8 +35,8 @@ import numpy as np
 from .dyck import catalan
 from .paths import (
     ClosedPath,
+    _canonical_sequences,
     _check_enumeration_size,
-    _closed_sequences,
     _edge_counts,
     edge_key,
     edge_multiplicities,
@@ -966,17 +966,25 @@ def run_invariant_suite(
     """Check every structural invariant of the surgery over all n^(2s)
     closed vertex sequences (exhaustive=True) and/or random_walks uniformly
     random closed walks of length 2s on n vertices.  The exhaustive sweep
-    is refused beforehand past the enumeration guard, or for n < 1 or s < 1."""
+    is refused beforehand past the enumeration guard, or for n < 1 or s < 1.
+
+    No check reads the vertex labels, so the exhaustive sweep checks one
+    representative per first-occurrence relabeling class (labels 1..v in
+    order of first visit, closing at vertex 1) and adds its histogram key
+    with weight n(n-1)...(n-v+1), the number of labeled walks in the class.
+    ``walks_checked`` still counts all n^(2s) of them.  A violating class is
+    reported once, by its representative.  Random walks are checked one by
+    one, with their own labels."""
     if exhaustive:
         _check_enumeration_size(n, s)
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0
     if exhaustive:
-        for verts in _closed_sequences(n, 2 * s):
+        for verts, v in _canonical_sequences(n, 2 * s):
             p = ClosedPath(vertices=verts, n=n)
-            histogram[_check_one(p, found)] += 1
-            checked += 1
+            histogram[_check_one(p, found)] += math.perm(n, v)
+        checked = n ** (2 * s)
     if random_walks:
         rng = np.random.default_rng(seed)
         for _ in range(random_walks):

@@ -23,6 +23,7 @@ machinery both handle them), so the container only enforces closedness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -75,6 +76,12 @@ class ClosedPath:
         """The directed step at instant j, 1-based."""
         return self.vertices[j - 1], self.vertices[j]
 
+    @functools.cached_property
+    def _multiplicities(self) -> Counter:
+        # counted once per walk and shared by the readers in this module, so
+        # none may mutate it; edge_multiplicities hands out copies
+        return _edge_counts(self.vertices)
+
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical non-oriented edge; loops are ordinary edges {v, v}."""
@@ -82,8 +89,8 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 def edge_multiplicities(p: ClosedPath) -> Counter:
-    """Non-oriented edge -> number of traversals."""
-    return _edge_counts(p.vertices)
+    """Non-oriented edge -> number of traversals, as a fresh Counter."""
+    return Counter(p._multiplicities)
 
 
 def _edge_counts(vs: tuple[int, ...]) -> Counter:
@@ -113,7 +120,7 @@ def _moment_product(dist: EntryDistribution, multiplicities) -> tuple[float, boo
 
 def is_even_path(p: ClosedPath) -> bool:
     """True when every edge multiplicity is even."""
-    return all(k % 2 == 0 for k in edge_multiplicities(p).values())
+    return all(k % 2 == 0 for k in p._multiplicities.values())
 
 
 def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True) -> float:
@@ -123,7 +130,7 @@ def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True)
     that edge's multiplicity.  With ``normalized`` each of the 2s factors
     carries 1/sqrt(n), i.e. the product is divided by n**s.
     """
-    w = _moment_product(dist, edge_multiplicities(p).values())[0]
+    w = _moment_product(dist, p._multiplicities.values())[0]
     if normalized:
         if p.length % 2 != 0:
             raise ValueError("normalized weights are defined for even lengths only")
@@ -149,14 +156,17 @@ def nonreturned_edges(p: ClosedPath) -> list[int]:
 
     The length of the result is 2l, twice the number of odd edge pairs.
     """
-    mult: Counter = Counter()
-    last: dict[tuple[int, int], int] = {}
+    odd = {e for e, k in p._multiplicities.items() if k % 2 == 1}
     vs = p.vertices
-    for j in range(1, len(vs)):
+    out = []
+    j = len(vs) - 1
+    while odd:  # backwards from the end: the first sighting is the last occurrence
         e = edge_key(vs[j - 1], vs[j])
-        mult[e] += 1
-        last[e] = j
-    return sorted(last[e] for e, k in mult.items() if k % 2 == 1)
+        if e in odd:
+            odd.remove(e)
+            out.append(j)
+        j -= 1
+    return out[::-1]
 
 
 def fk_lift(p: ClosedPath) -> ClosedPath:
@@ -180,6 +190,22 @@ def _closed_sequences(n: int, length: int):
     """All closed vertex sequences of the given length, odometer order."""
     for head in itertools.product(range(1, n + 1), repeat=length):
         yield head + (head[0],)
+
+
+def _canonical_sequences(n: int, length: int):
+    """One closed sequence of the given length (at least 1) per relabeling
+    class, as (vertices, v): the labels 1..v appear in first-occurrence
+    order, v <= n, and the walk closes at vertex 1.  Odometer order; each
+    class has n(n-1)...(n-v+1) labeled members."""
+
+    def grow(head: tuple[int, ...], v: int):
+        if len(head) == length:
+            yield head + (1,), v
+            return
+        for nxt in range(1, min(v + 1, n) + 1):
+            yield from grow(head + (nxt,), max(v, nxt))
+
+    return grow((1,), 1)
 
 
 def exact_trace_sums(

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,19 @@ def test_verify_gluing(tmp_path, capsys):
     assert set(rows[0]) == {
         "odd_pairs", "run_count", "walk_count", "cycle_count", "outcome", "count"
     }
+
+
+def test_verify_gluing_table_is_the_benchmark_frozen_body(tmp_path):
+    expected = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+    )
+    code, _, _ = run(tmp_path, "verify-gluing", "--n", "3", "--s", "4")
+    assert code == 0
+    body = (tmp_path / "verify-gluing.csv").read_bytes()
+    assert (
+        hashlib.sha256(body).hexdigest()
+        == expected["exact-walks"]["verify-gluing"]["sha256"]
+    )
 
 
 @pytest.mark.parametrize(

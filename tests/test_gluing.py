@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tml.cli as cli
 import tml.gluing as gluing
 from tml.dyck import catalan
 from tml.gluing import (
@@ -40,6 +41,8 @@ from tml.gluing import (
 from tml.paths import (
     ClosedPath,
     PathSizeError,
+    _canonical_sequences,
+    _closed_sequences,
     edge_multiplicities,
     is_even_path,
     marked_instants,
@@ -688,7 +691,8 @@ def test_invariant_suite_reassembles_each_walk_once(monkeypatch):
     counted("odd_interval_decomposition")
     report = run_invariant_suite(2, 3)
     assert report.walks_checked == 64
-    assert calls == {"_glue_traced": 64, "odd_interval_decomposition": 64}
+    # one call per relabeling class: S(6, 1) + S(6, 2) = 1 + 31
+    assert calls == {"_glue_traced": 32, "odd_interval_decomposition": 32}
 
 
 def test_invariant_suite_histogram_frozen():
@@ -707,3 +711,60 @@ def test_invariant_suite_histogram_frozen():
         (2, 3, 2, 2, "multi-even"): 6,
         (3, 1, 1, 1, "single-even"): 12,
     }
+
+
+def _first_occurrence(verts):
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels) + 1) for v in verts)
+
+
+def _labeled_suite(n, s):
+    """The per-walk odometer sweep that the class sweep replaced:
+    (histogram, walks checked, every violation found)."""
+    found = []
+    histogram = Counter()
+    for verts in _closed_sequences(n, 2 * s):
+        histogram[gluing._check_one(ClosedPath(vertices=verts, n=n), found)] += 1
+    return dict(sorted(histogram.items())), sum(histogram.values()), found
+
+
+@pytest.mark.parametrize("n,s", [(3, 4), (4, 3)])
+def test_invariant_checks_ignore_vertex_labels(n, s):
+    def checked(verts):
+        found = []
+        key = gluing._check_one(ClosedPath(vertices=verts, n=n), found)
+        return key, [tag for tag, _ in found]
+
+    by_class = {verts: checked(verts) for verts, _ in _canonical_sequences(n, 2 * s)}
+    for verts in _closed_sequences(n, 2 * s):
+        assert checked(verts) == by_class[_first_occurrence(verts)], verts
+
+
+@pytest.mark.parametrize("n,s", [(1, 3), (2, 5), (3, 3), (3, 4), (4, 3), (5, 2)])
+def test_class_sweep_equals_the_labeled_sweep(n, s):
+    # (5, 2): a walk of length 4 visits at most 4 of the 5 vertices
+    histogram, checked, found = _labeled_suite(n, s)
+    report = run_invariant_suite(n, s)
+    assert report.ok and not found
+    assert report.histogram == histogram
+    assert list(report.histogram) == list(histogram)
+    assert report.walks_checked == checked == n ** (2 * s)
+
+
+def test_class_sweep_flags_the_classes_the_labeled_sweep_flags(monkeypatch, tmp_path):
+    original = gluing._pairing_count
+
+    def broken(structure):
+        count, hist = original(structure)
+        return (0 if structure.odd_pairs >= 2 else count), hist
+
+    monkeypatch.setattr(gluing, "_pairing_count", broken)
+    _, _, found = _labeled_suite(3, 3)
+    expected = {(tag, _first_occurrence(verts)) for tag, verts in found}
+    assert {tag for tag, _ in expected} == {"pairing-count-floor"}
+    report = run_invariant_suite(3, 3)
+    assert len(report.violations) < 100  # under the report's cap, so none cut
+    assert len(set(report.violations)) == len(report.violations)
+    assert set(report.violations) == expected
+    code = cli.main(["verify-gluing", "--n", "3", "--s", "3", "--output-dir", str(tmp_path)])
+    assert code == 2

@@ -12,6 +12,8 @@ from tml.ensemble import make_distribution, parse_distribution, rademacher, skew
 from tml.paths import (
     ClosedPath,
     PathSizeError,
+    _canonical_sequences,
+    _closed_sequences,
     _moment_product,
     edge_key,
     edge_multiplicities,
@@ -68,6 +70,10 @@ def test_edge_key_and_multiplicities():
     assert edge_multiplicities(p) == {(1, 1): 1, (1, 2): 2, (2, 2): 1}
     assert not is_even_path(p)
     assert is_even_path(cp(1, 2, 1))
+    # each call hands out its own Counter: mutating one leaves the walk's count
+    edge_multiplicities(p)[(1, 1)] += 1
+    assert edge_multiplicities(p) == {(1, 1): 1, (1, 2): 2, (2, 2): 1}
+    assert not is_even_path(p)
 
 
 def test_marked_and_nonreturned_fixture():
@@ -78,6 +84,15 @@ def test_marked_and_nonreturned_fixture():
     q = cp(1, 2, 1, 2, 1)
     assert marked_instants(q) == {1, 3}
     assert nonreturned_edges(q) == []
+
+
+@given(closed_walks)
+def test_nonreturned_edges_are_the_last_odd_occurrences(p):
+    vs = p.vertices
+    steps = [edge_key(vs[j - 1], vs[j]) for j in range(1, len(vs))]
+    last = {e: j for j, e in enumerate(steps, start=1)}
+    odd = [e for e, m in Counter(steps).items() if m % 2]
+    assert nonreturned_edges(p) == sorted(last[e] for e in odd)
 
 
 @given(closed_walks)
@@ -100,6 +115,23 @@ def test_fk_lift():
     assert lifted.vertices.count(p.n + 1) == len(nonreturned_edges(p))
     even = cp(1, 2, 1)
     assert fk_lift(even).vertices == even.vertices
+
+
+def _first_occurrence(verts):
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels) + 1) for v in verts)
+
+
+@pytest.mark.parametrize("n,length", [(1, 1), (1, 4), (2, 5), (3, 4), (4, 6), (6, 3)])
+def test_canonical_sequences_cover_each_class_once(n, length):
+    classes = list(_canonical_sequences(n, length))
+    assert len({verts for verts, _ in classes}) == len(classes)
+    labeled = Counter(_first_occurrence(vs) for vs in _closed_sequences(n, length))
+    assert {verts: math.perm(n, v) for verts, v in classes} == labeled
+    for verts, v in classes:
+        assert len(verts) == length + 1 and verts[0] == verts[-1] == 1
+        assert v == max(verts) and _first_occurrence(verts) == verts
+    assert [verts for verts, _ in classes] == sorted(verts for verts, _ in classes)
 
 
 # ---------- weights ----------
