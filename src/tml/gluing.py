@@ -37,6 +37,7 @@ from .paths import (
     ClosedPath,
     _canonical_sequences,
     _check_enumeration_size,
+    _check_walk_shape,
     _edge_counts,
     edge_key,
     edge_multiplicities,
@@ -535,6 +536,13 @@ def _logsumexp(values: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
+def _check_positive(**scales: float) -> None:
+    """Reject a scale argument whose log a bound would take, by name."""
+    for name, x in scales.items():
+        if not x > 0.0:
+            raise ValueError(f"{name} must be positive, got {x!r}")
+
+
 @dataclass(frozen=True)
 class BoundBreakdown:
     """A positive bound kept in log space, with per-term diagnostics.
@@ -565,6 +573,7 @@ def single_walk_contribution_bound(
     """
     if s < 1 or n < 1:
         raise ValueError("s and n must be positive")
+    _check_positive(sigma=sigma, entry_bound=entry_bound, prefactor=prefactor)
     terms = []
     for l in range(1, s):
         terms.append(
@@ -597,6 +606,7 @@ def multi_walk_contribution_bound(
     """
     if s < 1 or n < 1:
         raise ValueError("s and n must be positive")
+    _check_positive(sigma=sigma, entry_bound=entry_bound)
     if prefactor < 1.0:
         raise ValueError("prefactor must be >= 1")
     terms = []
@@ -698,6 +708,7 @@ def cycle_refined_insertion_bound(
     l, j, c = odd_pairs, run_count, cycle_count
     if not (1 <= c <= j <= 2 * l):
         raise ValueError("need 1 <= cycle_count <= run_count <= 2*odd_pairs")
+    _check_positive(const=const)
     log_term = (
         c * math.log(s)
         - math.lgamma(c + 1)
@@ -965,8 +976,9 @@ def run_invariant_suite(
 ) -> InvariantReport:
     """Check every structural invariant of the surgery over all n^(2s)
     closed vertex sequences (exhaustive=True) and/or random_walks uniformly
-    random closed walks of length 2s on n vertices.  The exhaustive sweep
-    is refused beforehand past the enumeration guard, or for n < 1 or s < 1.
+    random closed walks of length 2s on n vertices.  n < 1, s < 1 and a
+    negative ``random_walks`` are refused before any walk is drawn, and so
+    is an exhaustive sweep past the enumeration guard.
 
     No check reads the vertex labels, so the exhaustive sweep checks one
     representative per first-occurrence relabeling class (labels 1..v in
@@ -977,11 +989,15 @@ def run_invariant_suite(
     one, with their own labels."""
     if exhaustive:
         _check_enumeration_size(n, s)
+    else:
+        _check_walk_shape(n, s)
+    if random_walks < 0:
+        raise ValueError(f"random_walks must be at least 0, got {random_walks}")
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0
     if exhaustive:
-        for verts, v in _canonical_sequences(n, 2 * s):
+        for verts, v, _ in _canonical_sequences(n, 2 * s):
             p = ClosedPath(vertices=verts, n=n)
             histogram[_check_one(p, found)] += math.perm(n, v)
         checked = n ** (2 * s)

@@ -192,20 +192,46 @@ def _closed_sequences(n: int, length: int):
         yield head + (head[0],)
 
 
-def _canonical_sequences(n: int, length: int):
+def _canonical_sequences(n: int, length: int, prune: bool = False):
     """One closed sequence of the given length (at least 1) per relabeling
-    class, as (vertices, v): the labels 1..v appear in first-occurrence
+    class, as (vertices, v, counts): the labels 1..v appear in first-occurrence
     order, v <= n, and the walk closes at vertex 1.  Odometer order; each
-    class has n(n-1)...(n-v+1) labeled members."""
+    class has n(n-1)...(n-v+1) labeled members.  ``counts`` is the walk's
+    edge Counter, keyed in first-traversal order; it is one live object,
+    valid until the next item is drawn.
 
-    def grow(head: tuple[int, ...], v: int):
-        if len(head) == length:
-            yield head + (1,), v
-            return
-        for nxt in range(1, min(v + 1, n) + 1):
-            yield from grow(head + (nxt,), max(v, nxt))
+    With ``prune``, only classes with every edge traversed twice or more
+    are yielded, in the same order.  A prefix whose singles (edges traversed
+    exactly once so far) exceed the steps left, the closing step included,
+    is skipped, since each step pairs off at most one single.  The closing
+    step is the last step, with vertex 1 its only candidate and no steps
+    left, so a walk it leaves with a single is skipped too.
+    """
+    counts: Counter = Counter()  # edge -> traversals so far
+    vertices = [1]
 
-    return grow((1,), 1)
+    def grow(v: int, singles: int):
+        last = vertices[-1]
+        steps_left = length - len(vertices)  # after the next; 0: it closes the walk
+        for nxt in range(1, (min(v + 1, n) if steps_left else 1) + 1):
+            e = edge_key(last, nxt)
+            k = counts[e]
+            child = singles + (k == 0) - (k == 1)
+            if prune and child > steps_left:
+                continue
+            counts[e] = k + 1
+            vertices.append(nxt)
+            if steps_left:
+                yield from grow(max(v, nxt), child)
+            else:
+                yield tuple(vertices), v, counts
+            vertices.pop()
+            if k:
+                counts[e] = k
+            else:
+                del counts[e]
+
+    return grow(1, 0)
 
 
 def exact_trace_sums(
@@ -267,11 +293,15 @@ def walk_count_exceeds(n: int, s: int, limit: int) -> bool:
     return 2 * s >= limit.bit_length() or n ** (2 * s) > limit
 
 
-def _check_enumeration_size(n: int, s: int) -> None:
+def _check_walk_shape(n: int, s: int) -> None:
     if s < 1:
         raise ValueError("s must be at least 1")
     if n < 1:
         raise ValueError("n must be at least 1")
+
+
+def _check_enumeration_size(n: int, s: int) -> None:
+    _check_walk_shape(n, s)
     # n = 1 has one walk, but it is 2s steps long: count it as 2**(2s)
     if walk_count_exceeds(max(n, 2), s, ENUMERATION_GUARD):
         raise PathSizeError(
@@ -292,27 +322,20 @@ def exact_trace_sums_patterns(
     representative per class makes the sum affordable for any n at small s.
     Guarded to path length 2s <= 12.
 
-    Pruning.  When ``moment(dist, 1) == 0.0`` exactly, a class with an edge
-    traversed once weighs exactly 0.0.  The recursion then carries the
-    number of edges traversed exactly once so far (its singles) and skips a
-    prefix whose singles exceed the steps left, the closing step back to
-    vertex 1 included, since each step pairs off at most one single; a leaf
-    whose closing edge leaves a single gets no moment product.  Only
-    classes with every edge traversed twice or more are weighed (4900 of
-    the Bell(10) = 115975 classes at s = 5, n >= 10), and they span at most
-    s + 1 vertices.  A law whose float mean is a rounding residue, not exactly
-    0.0, visits every class.  The skipped classes are exactly those that
-    added nothing, and the rest are summed in the same order, so the pair
-    is the same bits with or without the prune.
+    When ``moment(dist, 1) == 0.0`` exactly, a class with an edge traversed
+    once weighs exactly 0.0, so only classes with every edge traversed twice
+    or more are weighed (the prune of ``_canonical_sequences``: 4900 of the
+    Bell(10) = 115975 classes at s = 5, n >= 10), and they span at most
+    s + 1 vertices.  A law whose float mean is a rounding residue, not
+    exactly 0.0, weighs every class.  The skipped classes are exactly those
+    that added nothing, and the rest are summed in the same order, so the
+    pair is the same bits with or without the prune.
 
     Raises ValueError, before enumerating, when n(n-1)...(n-v+1) leaves the
     float range for the largest vertex count v the sum can weigh, and when
     the finished sum is not finite.
     """
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_walk_shape(n, s)
     if 2 * s > PATTERN_LENGTH_GUARD:
         raise PathSizeError(
             f"pattern enumeration supports 2s <= {PATTERN_LENGTH_GUARD}"
@@ -332,46 +355,15 @@ def exact_trace_sums_patterns(
             f"n is too large for the float pattern sum at s={s}: the falling"
             f" factorial n(n-1)... to {top} factors overflows a float"
         )
-    counts: Counter = Counter()  # edge -> traversals so far, first-traversal order
     total = 0.0
     even = 0.0
-
-    def rec(last: int, pos: int, vmax: int, singles: int):
-        # pos vertices placed: the walk's first pos - 1 steps, ending at last
-        nonlocal total, even
-        if pos == length:
-            # close the walk back to vertex 1
-            e = edge_key(last, 1)
-            k = counts[e]
-            if prune and singles + (k == 0) - (k == 1):
-                return
-            counts[e] = k + 1
-            w, all_even = _moment_product(dist, counts.values())
-            if k:
-                counts[e] = k
-            else:
-                del counts[e]
-            if w != 0.0:
-                ways = labelings[vmax]
-                total += w * ways
-                if all_even:
-                    even += w * ways
-            return
-        steps_left = length - pos  # after the next step, the closing one included
-        for nxt in range(1, min(vmax + 1, n) + 1):
-            e = edge_key(last, nxt)
-            k = counts[e]
-            child = singles + (k == 0) - (k == 1)
-            if prune and child > steps_left:
-                continue
-            counts[e] = k + 1
-            rec(nxt, pos + 1, max(vmax, nxt), child)
-            if k:
-                counts[e] = k
-            else:
-                del counts[e]
-
-    rec(1, 1, 1, 0)
+    for _, v, counts in _canonical_sequences(n, length, prune):
+        w, all_even = _moment_product(dist, counts.values())
+        if w != 0.0:
+            ways = labelings[v]
+            total += w * ways
+            if all_even:
+                even += w * ways
     if normalized:
         scale = float(n) ** s
         total, even = total / scale, even / scale

@@ -297,6 +297,17 @@ def test_verify_gluing_skip_exhaustive_skips_the_guard(tmp_path, capsys):
     assert sum(int(r["count"]) for r in rows) == 5
 
 
+def test_verify_gluing_rejects_bad_shapes_in_one_line(tmp_path, capsys):
+    for argv, message in [
+        (("--n", "3", "--s", "0", "--skip-exhaustive", "--random", "5"), "s must be at least 1"),
+        (("--n", "0", "--s", "2", "--skip-exhaustive", "--random", "5"), "n must be at least 1"),
+        (("--n", "3", "--s", "2", "--random", "-4"), "random_walks must be at least 0, got -4"),
+    ]:
+        code, rows, _ = run(tmp_path, "verify-gluing", *argv)
+        assert code == 1 and rows is None
+        assert capsys.readouterr().err.splitlines() == [f"tml verify-gluing: {message}"]
+
+
 def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         return InvariantReport(
@@ -417,6 +428,22 @@ def test_bounds_table(tmp_path):
     } <= families
     verified = [r for r in rows if r["family"] == "catalan-convolution-verified"]
     assert verified[0]["value"] == "1"
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [
+        ("--sigma", "0", "sigma"),
+        ("--sigma", "-1", "sigma"),
+        ("--entry-bound", "0", "entry_bound"),
+        ("--prefactor", "0", "prefactor"),
+    ],
+)
+def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value, name):
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", "8", "--n", "1000", flag, value)
+    assert code == 1 and rows is None
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"tml bounds-table: {name} must be positive, got {float(value)!r}"]
 
 
 def test_json_format(tmp_path):

@@ -538,6 +538,21 @@ def test_multi_walk_contribution_bound():
         multi_walk_contribution_bound(s, n, 1.0, 1.0, prefactor=0.5)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_bounds_reject_non_positive_scales_by_name(bad):
+    # at s = 1 there are no terms: the check runs before any would be computed
+    for name in ("sigma", "entry_bound", "prefactor"):
+        scales = {"sigma": 1.0, "entry_bound": 1.0, "prefactor": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            single_walk_contribution_bound(1, 10, **scales)
+    for name in ("sigma", "entry_bound"):
+        scales = {"sigma": 1.0, "entry_bound": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            multi_walk_contribution_bound(1, 10, **scales)
+    with pytest.raises(ValueError, match="^const must be positive"):
+        cycle_refined_insertion_bound(5, 1, 1, 1, bad)
+
+
 def test_mixed_parity_reduction_bound():
     s, n = 10, 10**4
     mb = mixed_parity_reduction_bound(s, n, odd_pairs=2, walk_count=3, merge_count=2)
@@ -667,6 +682,27 @@ def test_invariant_suite_guards_the_exhaustive_sweep():
     assert report.walks_checked == 5
 
 
+@pytest.mark.parametrize(
+    "n,s,random_walks,message",
+    [
+        (3, 0, 5, "s must be at least 1"),
+        (0, 2, 5, "n must be at least 1"),
+        (3, 2, -4, "random_walks must be at least 0"),
+    ],
+)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_invariant_suite_rejects_bad_shapes_before_any_walk(
+    monkeypatch, n, s, random_walks, message, exhaustive
+):
+    def drawn(*args):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(gluing, "random_closed_path", drawn)
+    monkeypatch.setattr(gluing, "_canonical_sequences", drawn)
+    with pytest.raises(ValueError, match=message):
+        run_invariant_suite(n, s, exhaustive=exhaustive, random_walks=random_walks)
+
+
 def test_invariant_suite_random_only():
     report = run_invariant_suite(5, 4, exhaustive=False, random_walks=300, seed=2)
     assert report.ok
@@ -735,7 +771,7 @@ def test_invariant_checks_ignore_vertex_labels(n, s):
         key = gluing._check_one(ClosedPath(vertices=verts, n=n), found)
         return key, [tag for tag, _ in found]
 
-    by_class = {verts: checked(verts) for verts, _ in _canonical_sequences(n, 2 * s)}
+    by_class = {verts: checked(verts) for verts, _, _ in _canonical_sequences(n, 2 * s)}
     for verts in _closed_sequences(n, 2 * s):
         assert checked(verts) == by_class[_first_occurrence(verts)], verts
 

@@ -14,6 +14,7 @@ from tml.paths import (
     PathSizeError,
     _canonical_sequences,
     _closed_sequences,
+    _edge_counts,
     _moment_product,
     edge_key,
     edge_multiplicities,
@@ -124,7 +125,7 @@ def _first_occurrence(verts):
 
 @pytest.mark.parametrize("n,length", [(1, 1), (1, 4), (2, 5), (3, 4), (4, 6), (6, 3)])
 def test_canonical_sequences_cover_each_class_once(n, length):
-    classes = list(_canonical_sequences(n, length))
+    classes = [(verts, v) for verts, v, _ in _canonical_sequences(n, length)]
     assert len({verts for verts, _ in classes}) == len(classes)
     labeled = Counter(_first_occurrence(vs) for vs in _closed_sequences(n, length))
     assert {verts: math.perm(n, v) for verts, v in classes} == labeled
@@ -132,6 +133,23 @@ def test_canonical_sequences_cover_each_class_once(n, length):
         assert len(verts) == length + 1 and verts[0] == verts[-1] == 1
         assert v == max(verts) and _first_occurrence(verts) == verts
     assert [verts for verts, _ in classes] == sorted(verts for verts, _ in classes)
+
+
+@pytest.mark.parametrize(
+    "n,length", [(1, 1), (1, 4), (2, 1), (2, 5), (3, 4), (4, 6), (6, 3), (7, 8), (100, 6)]
+)
+def test_canonical_sequences_count_edges_and_prune_unpaired_classes(n, length):
+    def drawn(prune):
+        # counts is live: read it before the next item is drawn
+        return [
+            (verts, v, list(counts.items()))
+            for verts, v, counts in _canonical_sequences(n, length, prune)
+        ]
+
+    every = drawn(False)
+    for verts, _, items in every:
+        assert items == list(_edge_counts(verts).items())
+    assert drawn(True) == [c for c in every if all(k >= 2 for _, k in c[2])]
 
 
 # ---------- weights ----------
