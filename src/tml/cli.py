@@ -32,7 +32,7 @@ from .dyck import (
 from .ensemble import RNG_ALGORITHM, parse_distribution
 from .gluing import (
     catalan_convolution_ratio,
-    cycle_refined_insertion_sum,
+    cycle_refined_insertion_log_sum,
     distance_two_tail_log,
     log_trace_excess_ratio,
     mixed_parity_reduction_bound,
@@ -248,9 +248,6 @@ def _cmd_bounds_table(args):
     sigma, bound_k = args.sigma, args.entry_bound
     rows: list[list] = []
 
-    def safe_log(x: float) -> float:
-        return math.log(x) if x > 0.0 else -math.inf
-
     def put(family: str, parameter, log_value: float):
         try:
             value = math.exp(log_value)
@@ -260,47 +257,30 @@ def _cmd_bounds_table(args):
 
     single = single_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
     multi = multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=max(1.0, args.prefactor))
-    for l, lv in enumerate(single.log_terms, start=1):
-        put("single-walk", l, lv)
-    put("single-walk", "total", single.log_total)
-    put("single-walk-excess-ratio", "total", log_trace_excess_ratio(single, s, n, sigma))
-    for l, lv in enumerate(multi.log_terms, start=1):
-        put("multi-walk", l, lv)
-    put("multi-walk", "total", multi.log_total)
-    put("multi-walk-excess-ratio", "total", log_trace_excess_ratio(multi, s, n, sigma))
+    for family, bound in (("single-walk", single), ("multi-walk", multi)):
+        for l, lv in enumerate(bound.log_terms, start=1):
+            put(family, l, lv)
+        put(family, "total", bound.log_total)
+        put(f"{family}-excess-ratio", "total", log_trace_excess_ratio(bound, s, n, sigma))
     for l in range(1, min(s - 1, args.max_odd_pairs) + 1):
-        put("cycle-refined-sum", l, math.log(cycle_refined_insertion_sum(s, l, bound_k)))
+        put("cycle-refined-sum", l, cycle_refined_insertion_log_sum(s, l, bound_k))
     for q in range(1, args.max_merges + 1):
         if s - (q + 1) - q < 0:
             break
         mp = mixed_parity_reduction_bound(s, n, odd_pairs=q + 1, walk_count=q + 1, merge_count=q)
-        put("mixed-trivial-ratio", q, safe_log(mp.trivial_ratio))
-        put("mixed-refined-ratio", q, safe_log(mp.refined_ratio))
-    put(
-        "typed-vertex-log",
-        args.growth_exponent,
-        typed_vertex_contribution_log(
-            s,
-            n,
-            odd_pairs=1,
-            growth_exponent=args.growth_exponent,
-            nonclosed_count=args.nonclosed,
-            small_type_count=args.small_type,
-            large_type_weight=args.large_type,
-            sigma=sigma,
-        ),
+        put("mixed-trivial-ratio", q, mp.log_trivial_ratio)
+        put("mixed-refined-ratio", q, mp.log_refined_ratio)
+    typed = typed_vertex_contribution_log(
+        s, n, odd_pairs=1, growth_exponent=args.growth_exponent, nonclosed_count=args.nonclosed,
+        small_type_count=args.small_type, large_type_weight=args.large_type, sigma=sigma,
     )
-    put(
-        "distance-two-log",
-        args.complexity,
-        distance_two_tail_log(s, args.complexity, args.nearby),
-    )
-    conv_s = min(s, 2000)
-    if conv_s >= 2:
-        put("catalan-convolution-ratio", conv_s, math.log(catalan_convolution_ratio(conv_s)))
-        put("power-sum-ratio", s, math.log(power_sum_ratio(max(s, 2))))
-    verified = verify_catalan_convolution(min(max(s, 2), 10**4))
-    rows.append(["catalan-convolution-verified", min(max(s, 2), 10**4), 0.0 if verified else -math.inf, 1.0 if verified else 0.0])
+    put("typed-vertex-log", args.growth_exponent, typed)
+    put("distance-two-log", args.complexity, distance_two_tail_log(s, args.complexity, args.nearby))
+    if s >= 2:
+        put("catalan-convolution-ratio", s, math.log(catalan_convolution_ratio(s)))
+        put("power-sum-ratio", s, math.log(power_sum_ratio(s)))
+    verified = verify_catalan_convolution(max(s, 2))
+    put("catalan-convolution-verified", max(s, 2), 0.0 if verified else -math.inf)
     header = ["family", "parameter", "log_value", "value"]
     return header, rows, 0
 

@@ -19,8 +19,9 @@ The reassembly also pairs up the runs of removed odd edges into closed
 cycles; the cycle count and size histogram feed the refined counting bounds.
 The reverse direction, re-inserting odd edges into an even walk, is only
 ever counted, never sampled: ``enumerate_insertions`` provides a brute-force
-fiber oracle at toy sizes and the ``*_bound`` functions implement the
-counting estimates that dominate those fibers.
+fiber oracle at toy sizes and the ``*_bound`` and ``*_log`` functions
+implement the counting estimates that dominate those fibers.  Every
+real-valued ceiling comes back as its natural log, so none overflows.
 """
 
 from __future__ import annotations
@@ -529,8 +530,14 @@ def _log_catalan(s: int) -> float:
     return math.lgamma(2 * s + 1) - math.lgamma(s + 1) - math.lgamma(s + 2)
 
 
+def _log_main_term(s: int, n: int, sigma: float) -> float:
+    """Natural log of the even-walk budget n * catalan(s) * sigma^(2s)."""
+    return math.log(n) + _log_catalan(s) + 2 * s * math.log(sigma)
+
+
 def _logsumexp(values: list[float]) -> float:
-    top = max(values)
+    """Natural log of sum(exp(v)); -inf for an empty sum."""
+    top = max(values, default=-math.inf)
     if top == -math.inf:
         return -math.inf
     return top + math.log(sum(math.exp(v - top) for v in values))
@@ -543,6 +550,18 @@ def _check_positive(**scales: float) -> None:
             raise ValueError(f"{name} must be positive, got {x!r}")
 
 
+# Deepest s the contribution ceilings accept (the edge scale N^(6/11) is 1874
+# at N = 10^6).  The multi-walk sum has O(s^2) terms; README gives timings.
+BOUND_S_LIMIT = 2000
+
+
+def _check_depth(s: int, n: int) -> None:
+    if s < 1 or n < 1:
+        raise ValueError("s and n must be positive")
+    if s > BOUND_S_LIMIT:
+        raise ValueError(f"s={s} exceeds the counting-bound limit {BOUND_S_LIMIT}")
+
+
 @dataclass(frozen=True)
 class BoundBreakdown:
     """A positive bound kept in log space, with per-term diagnostics.
@@ -552,13 +571,6 @@ class BoundBreakdown:
 
     log_total: float
     log_terms: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        try:
-            return math.exp(self.log_total)
-        except OverflowError:
-            return math.inf
 
 
 def single_walk_contribution_bound(
@@ -571,19 +583,15 @@ def single_walk_contribution_bound(
 
     entry_bound is the largest attainable |entry| of the matrix law.
     """
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
+    _check_depth(s, n)
     _check_positive(sigma=sigma, entry_bound=entry_bound, prefactor=prefactor)
-    terms = []
-    for l in range(1, s):
-        terms.append(
-            math.log(prefactor)
-            + math.log(n)
-            + _log_catalan(s - l)
-            + (2 * s - 2 * l) * math.log(sigma)
-            + 2 * l * (math.log(16 * entry_bound * (s - l)) - 0.5 * math.log(n))
-        )
-    return BoundBreakdown(log_total=_logsumexp(terms) if terms else -math.inf, log_terms=tuple(terms))
+    terms = [
+        math.log(prefactor)
+        + _log_main_term(s - l, n, sigma)
+        + 2 * l * (math.log(16 * (s - l)) + math.log(entry_bound) - 0.5 * math.log(n))
+        for l in range(1, s)
+    ]
+    return BoundBreakdown(log_total=_logsumexp(terms), log_terms=tuple(terms))
 
 
 CONVOLUTION_CONST = 2  # exact splitting constant for Catalan convolutions, see verify_catalan_convolution
@@ -602,52 +610,48 @@ def multi_walk_contribution_bound(
     choices of runs and edges, endpoint placement collapsed through
     C(2s-2l,I-1)*C(2s-2l-I+1,J-I+1) <= 2^J C(2s-2l,J), and the split of one
     Catalan budget across several walks absorbed into CONVOLUTION_CONST^(2l).
+    For l <= s/2 the J-dependent factors are
+    single_walk_insertion_bound(s-l, l, J) * (2*prefactor)^J.  J runs over
+    max(1, 4l-2s) <= J <= min(2l, 2s-2l), where the extra steps and the
+    endpoints fit; an l with no such J contributes -inf.
     Requires prefactor >= 1 so per-walk prefactors can be collapsed.
     """
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
+    _check_depth(s, n)
     _check_positive(sigma=sigma, entry_bound=entry_bound)
     if prefactor < 1.0:
         raise ValueError("prefactor must be >= 1")
+    log_4p = math.log(4) + math.log(prefactor)
+    log_kc = math.log(entry_bound) + math.log(CONVOLUTION_CONST)
+    log_fact = [math.lgamma(i + 1) for i in range(2 * s + 1)]  # log i!
     terms = []
     for l in range(1, s):
-        per_j = []
-        for j in range(1, 2 * l + 1):
-            if 2 * l - j > 2 * s - 2 * l or j > 2 * s - 2 * l:
-                continue  # no room for the extra steps or the endpoints
-            per_j.append(
-                j * math.log(2)
-                + math.lgamma(j + 1)
-                + math.log(math.comb(2 * l, j))
-                + (math.lgamma(2 * s - 2 * l + 1) - math.lgamma(2 * s - 4 * l + j + 1))
-                + 2 * l * math.log(entry_bound)
-                - l * math.log(n)
-                + j * math.log(2)
-                + math.log(math.comb(2 * s - 2 * l, j))
-                + j * math.log(prefactor)
-                + 2 * l * math.log(CONVOLUTION_CONST)
-                + math.log(n)
-                + _log_catalan(s - l)
-                + (2 * s - 2 * l) * math.log(sigma)
-            )
-        terms.append(_logsumexp(per_j) if per_j else -math.inf)
-    return BoundBreakdown(log_total=_logsumexp(terms) if terms else -math.inf, log_terms=tuple(terms))
+        m = 2 * s - 2 * l  # steps left once the odd pairs are removed
+        # 2^J J! C(2l,J) * 2^J C(m,J) * m!/(m-2l+J)!, with the l-only factorials outside
+        log_l = log_fact[2 * l] + 2 * log_fact[m] + 2 * l * log_kc
+        log_l += _log_main_term(s - l, n, sigma) - l * math.log(n)
+        per_j = [
+            j * log_4p - log_fact[2 * l - j] - log_fact[j] - log_fact[m - j] - log_fact[m - 2 * l + j]
+            for j in range(max(1, 4 * l - 2 * s), min(2 * l, m) + 1)
+        ]
+        terms.append(log_l + _logsumexp(per_j))
+    return BoundBreakdown(log_total=_logsumexp(terms), log_terms=tuple(terms))
 
 
 def log_trace_excess_ratio(bound: BoundBreakdown, s: int, n: int, sigma: float) -> float:
-    """Natural log of bound.total / (n * catalan(s) * sigma^(2s))."""
-    return bound.log_total - (math.log(n) + _log_catalan(s) + 2 * s * math.log(sigma))
+    """Natural log of the bound's total over n * catalan(s) * sigma^(2s)."""
+    return bound.log_total - _log_main_term(s, n, sigma)
 
 
 @dataclass(frozen=True)
 class MixedParityBound:
-    """Preimage ceilings for reconstructing walk collections that needed
-    merge_count extra merges, next to the choice budget C(2s, merge_count)."""
+    """Natural logs of the preimage ceilings for reconstructing walk
+    collections that needed merge_count extra merges, and of their ratios to
+    the choice budget C(2s, merge_count)."""
 
-    trivial: float
-    refined: float
-    trivial_ratio: float
-    refined_ratio: float
+    log_trivial: float
+    log_refined: float
+    log_trivial_ratio: float
+    log_refined_ratio: float
 
 
 def mixed_parity_reduction_bound(
@@ -659,7 +663,7 @@ def mixed_parity_reduction_bound(
     const: float = 1.0,
     refined_const: float = 1.0,
 ) -> MixedParityBound:
-    """Two ceilings on the cost of undoing merge_count merges.
+    """Two ceilings on the cost of undoing merge_count merges, as logs.
 
     trivial: C(2s, q) * (4s)^q * (2s)^q * (const/n)^q with q = merge_count
     (choices of switch instants, lengths, origins, and the weight of the
@@ -672,7 +676,7 @@ def mixed_parity_reduction_bound(
     if walk_count < 1 or q < 0 or (q > 0 and q >= walk_count):
         raise ValueError("merge_count must satisfy 0 <= merge_count < walk_count")
     if q == 0:
-        return MixedParityBound(trivial=1.0, refined=1.0, trivial_ratio=1.0, refined_ratio=1.0)
+        return MixedParityBound(0.0, 0.0, 0.0, 0.0)  # nothing to undo: every ceiling is 1
     s_prime = s - odd_pairs - q
     if s_prime < 0:
         raise ValueError("merge_count and odd_pairs exceed the walk length budget")
@@ -687,17 +691,18 @@ def mixed_parity_reduction_bound(
             math.log(refined_const) + 1.5 * math.log(s) - math.log(n)
         )
     return MixedParityBound(
-        trivial=math.exp(log_trivial),
-        refined=math.exp(log_refined),
-        trivial_ratio=math.exp(log_trivial - log_choices),
-        refined_ratio=math.exp(log_refined - log_choices),
+        log_trivial=log_trivial,
+        log_refined=log_refined,
+        log_trivial_ratio=log_trivial - log_choices,
+        log_refined_ratio=log_refined - log_choices,
     )
 
 
-def cycle_refined_insertion_bound(
+def cycle_refined_insertion_log(
     s: int, odd_pairs: int, run_count: int, cycle_count: int, const: float
 ) -> float:
-    """Insertion ceiling keyed to the cycle structure, per gluing:
+    """Natural log of the insertion ceiling keyed to the cycle structure,
+    per gluing:
 
         s^c / c! * s^l * s^(J-c) / (J-c)! * const^(2l)
 
@@ -709,7 +714,7 @@ def cycle_refined_insertion_bound(
     if not (1 <= c <= j <= 2 * l):
         raise ValueError("need 1 <= cycle_count <= run_count <= 2*odd_pairs")
     _check_positive(const=const)
-    log_term = (
+    return (
         c * math.log(s)
         - math.lgamma(c + 1)
         + l * math.log(s)
@@ -717,17 +722,18 @@ def cycle_refined_insertion_bound(
         - math.lgamma(j - c + 1)
         + 2 * l * math.log(const)
     )
-    return math.exp(log_term)
 
 
-def cycle_refined_insertion_sum(s: int, odd_pairs: int, const: float) -> float:
-    """Sum of cycle_refined_insertion_bound over all admissible run and
-    cycle counts at fixed odd_pairs."""
-    terms = []
-    for j in range(1, 2 * odd_pairs + 1):
-        for c in range(1, j + 1):
-            terms.append(math.log(cycle_refined_insertion_bound(s, odd_pairs, j, c, const)))
-    return math.exp(_logsumexp(terms))
+def cycle_refined_insertion_log_sum(s: int, odd_pairs: int, const: float) -> float:
+    """Natural log of the cycle-refined ceiling summed over all admissible
+    run and cycle counts at fixed odd_pairs.  The c-sum has the closed form
+    sum over 1 <= c <= J of 1/(c!(J-c)!) = (2^J - 1)/J!, which leaves
+    s^l * const^(2l) * sum over 1 <= J <= 2l of s^J (2^J - 1)/J!."""
+    l = odd_pairs
+    _check_positive(const=const)
+    log_2s = math.log(2 * s)
+    per_j = [j * log_2s + math.log1p(-(0.5**j)) - math.lgamma(j + 1) for j in range(1, 2 * l + 1)]
+    return l * math.log(s) + 2 * l * math.log(const) + _logsumexp(per_j)
 
 
 def typed_vertex_contribution_log(
@@ -759,10 +765,14 @@ def typed_vertex_contribution_log(
     if min(r, k1) < 0 or k2 < 0:
         raise ValueError("counts must be nonnegative")
     l = odd_pairs
+    try:
+        log_growth = math.exp(2 * eta * math.log(n))  # n^(2*eta), also for an int n past the float range
+    except OverflowError:
+        return math.inf  # exp(n^(2*eta)) alone leaves the float range: the ceiling is vacuous
     return (
         (2 * s - 2 * l) * math.log(sigma)
         + _log_catalan(s - l)
-        + n ** (2 * eta)
+        + log_growth
         + r * (-1 / 8 + 9 * eta / 4) * math.log(n)
         - math.lgamma(r + 1)
         + k1 * (3 * eta - 0.5) * math.log(n)
@@ -783,14 +793,15 @@ def distance_two_tail_log(s: int, complexity: int, total_nearby: float, decay: f
 # ---------- exact convolution facts behind the multi-walk constant ----------
 
 
+def _interior_convolution(s: int) -> int:
+    """sum over 1 <= k <= s-1 of catalan(k)*catalan(s-k), term by term."""
+    return sum(catalan(k) * catalan(s - k) for k in range(1, s))
+
+
 def catalan_convolution_ratio(s: int) -> float:
-    """Exact value of (sum over 1 <= k <= s-1 of catalan(k)*catalan(s-k))
-    divided by catalan(s), computed with integer arithmetic."""
-    if s < 2:
-        return 0.0
-    total = sum(catalan(k) * catalan(s - k) for k in range(1, s))
-    num, den = total, catalan(s)
-    return num / den
+    """Exact value of the interior Catalan convolution divided by
+    catalan(s), computed with integer arithmetic; 0.0 at s = 0 and 1."""
+    return _interior_convolution(s) / catalan(s)
 
 
 def verify_catalan_convolution(s_max: int, literal_grid: tuple[int, ...] = (2, 3, 5, 8, 13, 100, 1000)) -> bool:
@@ -805,7 +816,7 @@ def verify_catalan_convolution(s_max: int, literal_grid: tuple[int, ...] = (2, 3
     for s in literal_grid:
         if s > s_max:
             continue
-        literal = sum(catalan(k) * catalan(s - k) for k in range(1, s))
+        literal = _interior_convolution(s)
         if literal != catalan(s + 1) - 2 * catalan(s):
             return False
         if literal > CONVOLUTION_CONST * catalan(s):

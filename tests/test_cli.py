@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tml.cli as cli
+import tml.gluing as gluing
 import tml.paths as paths
 import tml.spectral as spectral
 from tml.ensemble import parse_distribution
@@ -444,6 +445,34 @@ def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value,
     assert code == 1 and rows is None
     err = capsys.readouterr().err
     assert err.splitlines() == [f"tml bounds-table: {name} must be positive, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize(
+    "argv,family",
+    [
+        (["--s", "64", "--n", "100000", "--entry-bound", "1e40"], "cycle-refined-sum"),
+        (["--s", "200", "--n", "10", "--max-merges", "150"], "mixed-trivial-ratio"),
+        (["--s", "8", "--n", "100000", "--growth-exponent", "100"], "typed-vertex-log"),
+    ],
+)
+def test_bounds_table_writes_inf_past_the_float_range(tmp_path, capsys, argv, family):
+    code, rows, _ = run(tmp_path, "bounds-table", *argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert any(r["family"] == family and r["value"] == "inf" for r in rows)
+
+
+def test_bounds_table_refuses_s_past_the_limit(tmp_path, capsys):
+    s = gluing.BOUND_S_LIMIT + 1
+    start = time.perf_counter()
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", str(s), "--n", "100000")
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"tml bounds-table: s={s} exceeds the counting-bound limit {gluing.BOUND_S_LIMIT}"
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 def test_json_format(tmp_path):

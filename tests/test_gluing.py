@@ -20,8 +20,8 @@ from tml.gluing import (
     catalan_convolution_ratio,
     count_gluings,
     cycle_decomposition,
-    cycle_refined_insertion_bound,
-    cycle_refined_insertion_sum,
+    cycle_refined_insertion_log,
+    cycle_refined_insertion_log_sum,
     distance_two_tail_log,
     enumerate_insertions,
     glue,
@@ -488,7 +488,6 @@ def test_single_walk_contribution_bound_formula():
     assert bd.log_total == pytest.approx(
         math.log(sum(math.exp(v) for v in bd.log_terms)), rel=1e-12
     )
-    assert bd.total == pytest.approx(math.exp(bd.log_total), rel=1e-12)
 
 
 def test_single_walk_contribution_prefactor_scales_terms():
@@ -506,7 +505,7 @@ def test_trace_excess_ratio_consistency():
     bd = single_walk_contribution_bound(s, n, sigma, 2.0)
     budget = n * catalan(s) * sigma ** (2 * s)
     assert log_trace_excess_ratio(bd, s, n, sigma) == pytest.approx(
-        math.log(bd.total / budget), rel=1e-10
+        bd.log_total - math.log(budget), rel=1e-10
     )
 
 
@@ -538,6 +537,33 @@ def test_multi_walk_contribution_bound():
         multi_walk_contribution_bound(s, n, 1.0, 1.0, prefactor=0.5)
 
 
+@pytest.mark.parametrize("prefactor", [1, 2])
+def test_multi_walk_terms_match_integer_oracle(prefactor):
+    # every l term rebuilt from Python ints; math.perm and math.comb vanish
+    # outside the admissible run counts, so the oracle sums every 1 <= J <= 2l
+    n, sigma, k = 1000, 2, 3
+    for s in range(1, 11):
+        bd = multi_walk_contribution_bound(s, n, sigma, k, prefactor=prefactor)
+        assert len(bd.log_terms) == s - 1
+        for l, lv in enumerate(bd.log_terms, start=1):
+            m = 2 * s - 2 * l
+            j_sum = 0
+            for j in range(1, 2 * l + 1):
+                term = (
+                    2**j * math.factorial(j) * math.comb(2 * l, j) * math.perm(m, 2 * l - j)
+                    * 2**j * math.comb(m, j) * prefactor**j
+                )
+                if 2 * l <= s:
+                    assert term == single_walk_insertion_bound(s - l, l, j) * (2 * prefactor) ** j
+                j_sum += term
+            # the l-factors without n^(1-l), which stays out of the integer
+            weight = j_sum * k ** (2 * l) * CONVOLUTION_CONST ** (2 * l) * catalan(s - l) * sigma**m
+            if weight == 0:
+                assert lv == -math.inf
+            else:
+                assert lv == pytest.approx(math.log(weight) + (1 - l) * math.log(n), rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_bounds_reject_non_positive_scales_by_name(bad):
     # at s = 1 there are no terms: the check runs before any would be computed
@@ -550,7 +576,15 @@ def test_bounds_reject_non_positive_scales_by_name(bad):
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             multi_walk_contribution_bound(1, 10, **scales)
     with pytest.raises(ValueError, match="^const must be positive"):
-        cycle_refined_insertion_bound(5, 1, 1, 1, bad)
+        cycle_refined_insertion_log(5, 1, 1, 1, bad)
+    with pytest.raises(ValueError, match="^const must be positive"):
+        cycle_refined_insertion_log_sum(5, 1, bad)
+
+
+def test_contribution_bounds_refuse_s_past_the_limit():
+    for bound in (single_walk_contribution_bound, multi_walk_contribution_bound):
+        with pytest.raises(ValueError, match=f"^s={gluing.BOUND_S_LIMIT + 1} exceeds"):
+            bound(gluing.BOUND_S_LIMIT + 1, 10, 1.0, 1.0)
 
 
 def test_mixed_parity_reduction_bound():
@@ -559,40 +593,45 @@ def test_mixed_parity_reduction_bound():
     q = 2
     choices = math.comb(2 * s, q)
     trivial = choices * (4 * s) ** q * (2 * s) ** q / n**q
-    assert mb.trivial == pytest.approx(trivial, rel=1e-10)
+    assert mb.log_trivial == pytest.approx(math.log(trivial), rel=1e-10)
     s_prime = s - 2 - q
     refined = math.comb(2 * s_prime, q) * (s**1.5 / n) ** q
-    assert mb.refined == pytest.approx(refined, rel=1e-10)
-    assert mb.trivial_ratio == pytest.approx(mb.trivial / choices, rel=1e-10)
-    assert mb.refined_ratio == pytest.approx(mb.refined / choices, rel=1e-10)
+    assert mb.log_refined == pytest.approx(math.log(refined), rel=1e-10)
+    assert mb.log_trivial_ratio == pytest.approx(mb.log_trivial - math.log(choices), rel=1e-10)
+    assert mb.log_refined_ratio == pytest.approx(mb.log_refined - math.log(choices), rel=1e-10)
     # no merges: everything collapses to 1
     none = mixed_parity_reduction_bound(s, n, odd_pairs=1, walk_count=2, merge_count=0)
-    assert none.trivial == none.refined == 1.0
+    assert none.log_trivial == none.log_refined == 0.0
     with pytest.raises(ValueError):
         mixed_parity_reduction_bound(s, n, odd_pairs=1, walk_count=2, merge_count=2)
     # refined preimage empties out when the shortened walk has no room
     tight = mixed_parity_reduction_bound(5, n, odd_pairs=3, walk_count=4, merge_count=2)
-    assert tight.refined == 0.0
+    assert tight.log_refined == tight.log_refined_ratio == -math.inf
+    # ceilings far past the float range stay finite logs
+    deep = mixed_parity_reduction_bound(200, 10, odd_pairs=100, walk_count=100, merge_count=99)
+    assert math.isfinite(deep.log_trivial_ratio) and deep.log_trivial_ratio > 710
 
 
 def test_cycle_refined_insertion_bound():
     s, const = 50, 3.0
-    v = cycle_refined_insertion_bound(s, odd_pairs=2, run_count=3, cycle_count=2, const=const)
+    v = cycle_refined_insertion_log(s, odd_pairs=2, run_count=3, cycle_count=2, const=const)
     direct = (
         s**2 / math.factorial(2) * s**2 * s**1 / math.factorial(1) * const**4
     )
-    assert v == pytest.approx(direct, rel=1e-10)
+    assert v == pytest.approx(math.log(direct), rel=1e-10)
     with pytest.raises(ValueError):
-        cycle_refined_insertion_bound(s, 2, 3, 4, const)  # c > J
+        cycle_refined_insertion_log(s, 2, 3, 4, const)  # c > J
     with pytest.raises(ValueError):
-        cycle_refined_insertion_bound(s, 1, 3, 1, const)  # J > 2l
-    total = cycle_refined_insertion_sum(s, 2, const)
+        cycle_refined_insertion_log(s, 1, 3, 1, const)  # J > 2l
+    total = cycle_refined_insertion_log_sum(s, 2, const)
     by_hand = sum(
-        cycle_refined_insertion_bound(s, 2, j, c, const)
+        math.exp(cycle_refined_insertion_log(s, 2, j, c, const))
         for j in range(1, 5)
         for c in range(1, j + 1)
     )
-    assert total == pytest.approx(by_hand, rel=1e-10)
+    assert total == pytest.approx(math.log(by_hand), rel=1e-10)
+    # the closed-form c-sum stays a finite log where every term overflows
+    assert math.isfinite(cycle_refined_insertion_log_sum(64, 8, 1e40))
 
 
 def test_typed_vertex_contribution_log():
@@ -615,6 +654,10 @@ def test_typed_vertex_contribution_log():
     assert v == pytest.approx(direct, rel=1e-12)
     with pytest.raises(ValueError):
         typed_vertex_contribution_log(s, n, l, eta, -1, k1, k2)
+    # n^(2*eta) past the float range: the ceiling is vacuous, not an error
+    assert typed_vertex_contribution_log(8, 10**5, 1, 100.0, r, k1, k2) == math.inf
+    # an int n past the float range with a small n^(2*eta) stays finite
+    assert math.isfinite(typed_vertex_contribution_log(8, 10**400, 1, eta, r, k1, k2))
 
 
 def test_distance_two_tail_log():
