@@ -6,6 +6,10 @@ subcommand, parameters, seed, build id, timestamps, and output files.  The
 table body is a pure function of the arguments, so reruns are byte-identical;
 wall-clock data lives only in the manifest.
 
+The spectral and Dyck functions, and numpy with them, are imported inside
+the handlers that call them: trace-exact, bounds-table and an exhaustive
+verify-gluing start without numpy or scipy.
+
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
 over its guard, eigensolver non-convergence, an unwritable output), 2
 invariant-suite failure.
@@ -22,14 +26,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .dyck import (
-    beta_sum,
-    catalan,
-    expected_k_functional,
-    max_level_tail,
-    stay_above_full_window_expectation,
-)
-from .ensemble import RNG_ALGORITHM, parse_distribution
+from .ensemble import RNG_ALGORITHM, EigensolverError, parse_distribution
 from .gluing import (
     catalan_convolution_ratio,
     cycle_refined_insertion_log_sum,
@@ -43,17 +40,8 @@ from .gluing import (
     typed_vertex_contribution_log,
     verify_catalan_convolution,
 )
-from .paths import ENUMERATION_GUARD, PATTERN_LENGTH_GUARD, walk_count_exceeds
+from .paths import ENUMERATION_GUARD, PATTERN_LENGTH_GUARD, catalan, walk_count_exceeds
 from .paths import exact_trace_sums, exact_trace_sums_patterns
-from .spectral import (
-    EigensolverError,
-    concentration_experiment,
-    edge_exceedance_experiment,
-    mc_expected_trace,
-    trial_values,
-    wigner_trace_prediction,
-    wigner_trace_prediction_refined,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,6 +138,12 @@ def _now() -> str:
 
 
 def _cmd_trace_mc(args):
+    from .spectral import (
+        mc_expected_trace,
+        wigner_trace_prediction,
+        wigner_trace_prediction_refined,
+    )
+
     dist = parse_distribution(args.dist)
     est = mc_expected_trace(
         dist,
@@ -192,6 +186,8 @@ def _cmd_trace_exact(args):
 
 
 def _cmd_spectrum(args):
+    from .spectral import trial_values
+
     dist = parse_distribution(args.dist)
     values = trial_values(dist, args.n, args.trials, args.seed, "spectrum")
     header = ["trial", "seed", "lambda_max", "spectral_norm"]
@@ -200,6 +196,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_edge_exceed(args):
+    from .spectral import edge_exceedance_experiment
+
     dist = parse_distribution(args.dist)
     result = edge_exceedance_experiment(
         dist, args.n, args.trials, args.epsilon, args.seed, threads=args.threads
@@ -217,6 +215,8 @@ def _cmd_edge_exceed(args):
 
 
 def _cmd_concentration(args):
+    from .spectral import concentration_experiment
+
     dist = parse_distribution(args.dist)
     t_values = [float(t) for t in args.t_values.split(",") if t]
     rows_out = concentration_experiment(
@@ -286,6 +286,13 @@ def _cmd_bounds_table(args):
 
 
 def _cmd_dyck_stats(args):
+    from .dyck import (
+        beta_sum,
+        expected_k_functional,
+        max_level_tail,
+        stay_above_full_window_expectation,
+    )
+
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
     rows = []
     # an exact row averages every path: trials is the path count, no seed is used

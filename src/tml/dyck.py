@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import catalan
+
 ENUMERATION_LIMIT = 12  # a materialised s = 14 would take about 75 MB
 _BATCH_BYTES = 1 << 18  # working set of one chunk of paths
 _INSTANT_BYTES = 64  # working bytes per instant of one sampled path, temporaries included
@@ -85,13 +87,6 @@ class DyckPath:
     def levels(self) -> list[int]:
         """x(0..2s) including both endpoints."""
         return [0, *itertools.accumulate(self.steps)]
-
-
-def catalan(s: int) -> int:
-    """(2s)! / (s! (s+1)!) as an exact integer."""
-    if s < 0:
-        raise ValueError("negative order")
-    return math.comb(2 * s, s) // (s + 1)
 
 
 def _dyck_steps(s: int) -> np.ndarray:

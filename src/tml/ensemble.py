@@ -13,9 +13,8 @@ order or thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 MOMENT_CACHE_DEPTH = 64
 RNG_ALGORITHM = "numpy-PCG64"
@@ -26,6 +25,17 @@ _MEAN_TOL = 1e-12
 
 class DistributionError(ValueError):
     """Raised when a proposed entry law violates the model assumptions."""
+
+
+class EigensolverError(RuntimeError):
+    """Iterative eigensolver failed to converge; carries the residual.
+
+    Raised by ``tml.spectral``; defined here so the CLI can catch it without
+    loading numpy."""
+
+    def __init__(self, message: str, residual: float = math.nan):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class MatrixSample:
     @property
     def normalized_view(self) -> np.ndarray:
         """entries / sqrt(n), the scale on which the spectrum lives on O(1)."""
-        return self.entries / np.sqrt(self.n)
+        return self.entries / math.sqrt(self.n)
 
 
 def make_distribution(
@@ -103,7 +113,7 @@ def make_distribution(
         support=xs,
         probabilities=ps,
         moment_cache=tuple(cache),
-        sigma=float(np.sqrt(var)),
+        sigma=math.sqrt(var),
         mu3=mu3,
         bound_K=bound,
         name=name,
@@ -168,6 +178,8 @@ def upper_uniforms(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarr
     row-major) of the size-n matrix seeded with ``seed``: the first draws of
     a PCG64 stream, the same as ``np.random.default_rng(seed).random``.
     Written into ``out`` when given."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     if out is None:
         return rng.random(n * (n + 1) // 2)
@@ -181,6 +193,8 @@ def support_index(dist: EntryDistribution, u: np.ndarray) -> np.ndarray:
     With ``upper_uniforms`` this is the one definition of the sampling
     stream; every symmetric-matrix sampler in the package goes through both.
     """
+    import numpy as np
+
     cum = np.cumsum(np.asarray(dist.probabilities))
     cum[-1] = 1.0  # guard the top bin against rounding
     return np.searchsorted(cum, u, side="right")
@@ -194,6 +208,8 @@ def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> Matri
     """
     if n < 1:
         raise ValueError("matrix size must be at least 1")
+    import numpy as np
+
     vals = np.asarray(dist.support)[support_index(dist, upper_uniforms(n, seed))]
     a = np.zeros((n, n))
     iu = np.triu_indices(n)

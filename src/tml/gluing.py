@@ -31,15 +31,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dyck import catalan
 from .paths import (
     ClosedPath,
     _canonical_sequences,
     _check_enumeration_size,
     _check_walk_shape,
     _edge_counts,
+    catalan,
     edge_key,
     edge_multiplicities,
     is_even_path,
@@ -550,6 +548,13 @@ def _check_positive(**scales: float) -> None:
             raise ValueError(f"{name} must be positive, got {x!r}")
 
 
+def _check_finite(**values: float) -> None:
+    """Reject a NaN or infinite argument a bound would carry into its log, by name."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 # Deepest s the contribution ceilings accept (the edge scale N^(6/11) is 1874
 # at N = 10^6).  The multi-walk sum has O(s^2) terms; README gives timings.
 BOUND_S_LIMIT = 2000
@@ -760,6 +765,7 @@ def typed_vertex_contribution_log(
     number of moderate-type vertices and k2 the weighted count of
     large-type vertices.
     """
+    _check_finite(growth_exponent=growth_exponent, large_type_weight=large_type_weight)
     eta = growth_exponent
     r, k1, k2 = nonclosed_count, small_type_count, large_type_weight
     if min(r, k1) < 0 or k2 < 0:
@@ -787,6 +793,7 @@ def distance_two_tail_log(s: int, complexity: int, total_nearby: float, decay: f
     with kappa the complexity budget."""
     if complexity < 1:
         raise ValueError("complexity must be at least 1")
+    _check_finite(total_nearby=total_nearby)
     return 4 * complexity * (math.log(s) - math.log(complexity)) - decay * total_nearby
 
 
@@ -909,12 +916,12 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
     def bad(tag: str) -> None:
         found.append((tag, p.vertices))
 
-    mult = edge_multiplicities(p)
+    mult = p._multiplicities  # the walk's cached counts: read, never mutated
     odd_edges = {e for e, m in mult.items() if m % 2}
-    degrees: Counter[int] = Counter()
-    for u, v in odd_edges:
-        degrees[u] += 2 if u == v else 1
-        degrees[v] += 0 if u == v else 1
+    degrees: dict[int, int] = {}
+    for u, v in odd_edges:  # a loop adds 2 to its vertex
+        degrees[u] = degrees.get(u, 0) + 1
+        degrees[v] = degrees.get(v, 0) + 1
     if any(d % 2 for d in degrees.values()):
         bad("odd-graph-degree")
 
@@ -930,7 +937,7 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
             bad("cycle-count-range")
         if sum(len(c) for c in cyc.cycles) != 2 * l:
             bad("cycle-partition")
-        if Counter(e for c in cyc.cycles for e in c) != Counter(odd_edges):
+        if sorted(e for c in cyc.cycles for e in c) != sorted(odd_edges):
             bad("cycle-partition")
         count, hist = _pairing_count(structure)
         floor = math.prod(math.factorial(i) ** k for i, k in hist.items())
@@ -939,14 +946,20 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
 
     if decomp.total_length != p.length - 2 * l:
         bad("length-bookkeeping")
-    walk_mults = [edge_multiplicities(w) for w in decomp.walks]
-    merged = sum(walk_mults, Counter())
-    if merged != mult - Counter(odd_edges):
+    merged: dict[tuple[int, int], int] = {}
+    for w in decomp.walks:
+        for e, k in w._multiplicities.items():
+            merged[e] = merged.get(e, 0) + k
+    # the walks keep every traversal but one per odd edge
+    if not (
+        merged.keys() <= mult.keys()
+        and all(merged.get(e, 0) == m - (e in odd_edges) for e, m in mult.items())
+    ):
         bad("edge-conservation")
     if any(m % 2 for m in merged.values()):
         bad("union-parity")
     if decomp.outcome in ("single-even", "multi-even"):
-        if any(k % 2 for m in walk_mults for k in m.values()):
+        if not all(is_even_path(w) for w in decomp.walks):
             bad("even-outcome-parity")
     if decomp.outcome == "single-even" and decomp.walk_count != 1:
         bad("single-walk-count")
@@ -1013,6 +1026,8 @@ def run_invariant_suite(
             histogram[_check_one(p, found)] += math.perm(n, v)
         checked = n ** (2 * s)
     if random_walks:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         for _ in range(random_walks):
             p = random_closed_path(n, s, rng)

@@ -29,8 +29,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ensemble import EntryDistribution, moment
 
 ENUMERATION_GUARD = 10**8
@@ -78,9 +76,16 @@ class ClosedPath:
 
     @functools.cached_property
     def _multiplicities(self) -> Counter:
-        # counted once per walk and shared by the readers in this module, so
-        # none may mutate it; edge_multiplicities hands out copies
+        # counted once per walk and shared by the readers in this module and
+        # in gluing, so none may mutate it; edge_multiplicities hands out copies
         return _edge_counts(self.vertices)
+
+
+def catalan(s: int) -> int:
+    """(2s)! / (s! (s+1)!) as an exact integer."""
+    if s < 0:
+        raise ValueError("negative order")
+    return math.comb(2 * s, s) // (s + 1)
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:

@@ -37,20 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyck import catalan
-from .ensemble import EntryDistribution, support_index, upper_uniforms
+from .ensemble import EigensolverError, EntryDistribution, support_index, upper_uniforms
+from .paths import catalan
 
 DENSE_EIG_CUTOFF = 64
 DEFAULT_TOLERANCE = 1e-10
 BATCH_BYTES = 1 << 23  # matrix data per batched solve on the small-n route
-
-
-class EigensolverError(RuntimeError):
-    """Iterative eigensolver failed to converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:

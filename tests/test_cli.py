@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -448,6 +450,24 @@ def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value,
 
 
 @pytest.mark.parametrize(
+    "flag,value,name",
+    [
+        ("--growth-exponent", "nan", "growth_exponent"),
+        ("--growth-exponent", "inf", "growth_exponent"),
+        ("--nearby", "nan", "total_nearby"),
+        ("--nearby", "inf", "total_nearby"),
+        ("--large-type", "nan", "large_type_weight"),
+        ("--large-type", "inf", "large_type_weight"),
+    ],
+)
+def test_bounds_table_rejects_non_finite_parameters(tmp_path, capsys, flag, value, name):
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", "8", "--n", "1000", flag, value)
+    assert code == 1 and rows is None
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"tml bounds-table: {name} must be finite, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize(
     "argv,family",
     [
         (["--s", "64", "--n", "100000", "--entry-bound", "1e40"], "cycle-refined-sum"),
@@ -545,7 +565,7 @@ def test_eigensolver_failure_exits_1(tmp_path, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise EigensolverError("Lanczos iteration did not converge at tol=1e-10")
 
-    monkeypatch.setattr(cli, "edge_exceedance_experiment", no_convergence)
+    monkeypatch.setattr(spectral, "edge_exceedance_experiment", no_convergence)
     code, rows, _ = run(
         tmp_path, "edge-exceed", "--dist", "rademacher", "--n", "80",
         "--trials", "2", "--epsilon", "0.05",
@@ -553,6 +573,48 @@ def test_eigensolver_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert code == 1 and rows is None
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "did not converge" in err
+
+
+def _fresh_interpreter(tmp_path, calls: list[list[str]], check: str = "") -> None:
+    """Run tml.cli.main on each argv in a new interpreter, assert exit 0 for
+    each, then run ``check`` there."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "from tml.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        f"    assert main([*argv, '--output-dir', {str(tmp_path)!r}]) == 0, argv\n"
+        f"{check}\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
+    _fresh_interpreter(
+        tmp_path,
+        [
+            ["trace-exact", "--dist", "skew12", "--n", "5", "--s", "3", "--route", "patterns"],
+            ["verify-gluing", "--n", "3", "--s", "3"],
+        ],
+        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "assert not loaded, loaded",
+    )
+
+
+def test_numpy_routes_import_their_handlers_names(tmp_path):
+    # the spectral and Dyck names are imported inside the handlers, on first use
+    _fresh_interpreter(
+        tmp_path,
+        [
+            ["dyck-stats", "--s", "2", "--mode", "mc", "--trials", "2"],
+            ["trace-mc", "--dist", "rademacher", "--n", "2", "--s", "1", "--trials", "2"],
+        ],
+    )
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -828,6 +829,44 @@ def test_class_sweep_equals_the_labeled_sweep(n, s):
     assert report.histogram == histogram
     assert list(report.histogram) == list(histogram)
     assert report.walks_checked == checked == n ** (2 * s)
+
+
+@pytest.mark.parametrize(
+    "extra_walks,cycles,tags",
+    [
+        # the input walk itself: odd edges kept, odd counts, an odd "even" outcome
+        ("input", None, {"edge-conservation", "union-parity", "even-outcome-parity"}),
+        # an even walk on an edge the input never used
+        ("fresh-edge", None, {"edge-conservation"}),
+        # one odd edge twice and the other not at all
+        (None, (((1, 1), (1, 1)),), {"cycle-partition"}),
+    ],
+)
+def test_surgery_checks_flag_a_broken_reassembly(monkeypatch, extra_walks, cycles, tags):
+    p = ClosedPath(vertices=(1, 1, 2, 2, 1), n=3)  # odd edges {1,1} and {2,2}
+    glue_traced, find_cycles = gluing._glue_traced, gluing._cycles
+
+    def broken_glue(q):
+        decomp, structure, partner = glue_traced(q)
+        walks = {
+            "input": (q,),
+            "fresh-edge": (*decomp.walks, ClosedPath(vertices=(3, 3, 3), n=3)),
+            None: decomp.walks,
+        }[extra_walks]
+        return dataclasses.replace(decomp, walks=walks), structure, partner
+
+    def broken_cycles(q, structure, partner):
+        cyc = find_cycles(q, structure, partner)
+        return cyc if cycles is None else dataclasses.replace(cyc, cycles=cycles)
+
+    found = []
+    assert gluing._check_one(p, found)[-1] == "single-even" and not found
+    monkeypatch.setattr(gluing, "_glue_traced", broken_glue)
+    monkeypatch.setattr(gluing, "_cycles", broken_cycles)
+    gluing._check_one(p, found)
+    flagged = {tag for tag, _ in found}
+    surgery_tags = {"edge-conservation", "union-parity", "even-outcome-parity", "cycle-partition"}
+    assert flagged & surgery_tags == tags
 
 
 def test_class_sweep_flags_the_classes_the_labeled_sweep_flags(monkeypatch, tmp_path):

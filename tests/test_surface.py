@@ -13,6 +13,10 @@ import types
 import pytest
 
 import tml
+import tml.dyck
+import tml.ensemble
+import tml.paths
+import tml.spectral
 
 TRACER_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
@@ -61,3 +65,10 @@ def test_package_exports_only_version():
     }
     assert public == set()
     assert tml.__version__
+
+
+def test_moved_names_keep_their_identity():
+    # catalan lives in paths and EigensolverError in ensemble, both free of
+    # numpy; the modules that used to define them re-export the same objects
+    assert tml.dyck.catalan is tml.paths.catalan
+    assert tml.spectral.EigensolverError is tml.ensemble.EigensolverError
