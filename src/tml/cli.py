@@ -6,9 +6,11 @@ subcommand, parameters, seed, build id, timestamps, and output files.  The
 table body is a pure function of the arguments, so reruns are byte-identical;
 wall-clock data lives only in the manifest.
 
-The spectral and Dyck functions, and numpy with them, are imported inside
-the handlers that call them: trace-exact, bounds-table and an exhaustive
-verify-gluing start without numpy or scipy.
+Each handler imports the one kernel module it calls (``paths``, ``gluing``,
+``spectral`` or ``dyck``) and calls through it, so a subcommand loads only
+its own kernel: trace-exact, bounds-table and an exhaustive verify-gluing
+start without numpy or scipy, and the Monte Carlo subcommands without
+``gluing``.
 
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
 over its guard, eigensolver non-convergence, an unwritable output), 2
@@ -27,21 +29,6 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .ensemble import RNG_ALGORITHM, EigensolverError, parse_distribution
-from .gluing import (
-    catalan_convolution_ratio,
-    cycle_refined_insertion_log_sum,
-    distance_two_tail_log,
-    log_trace_excess_ratio,
-    mixed_parity_reduction_bound,
-    multi_walk_contribution_bound,
-    power_sum_ratio,
-    run_invariant_suite,
-    single_walk_contribution_bound,
-    typed_vertex_contribution_log,
-    verify_catalan_convolution,
-)
-from .paths import ENUMERATION_GUARD, PATTERN_LENGTH_GUARD, catalan, walk_count_exceeds
-from .paths import exact_trace_sums, exact_trace_sums_patterns
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,47 +125,32 @@ def _now() -> str:
 
 
 def _cmd_trace_mc(args):
-    from .spectral import (
-        mc_expected_trace,
-        wigner_trace_prediction,
-        wigner_trace_prediction_refined,
-    )
+    from . import spectral
 
     dist = parse_distribution(args.dist)
-    est = mc_expected_trace(
-        dist,
-        args.n,
-        args.s,
-        args.trials,
-        args.seed,
-        normalized=not args.raw,
-        method=args.method,
-        threads=args.threads,
+    est = spectral.mc_expected_trace(
+        dist, args.n, args.s, args.trials, args.seed,
+        normalized=not args.raw, method=args.method, threads=args.threads,
     )
-    header = ["n", "s", "trials", "seed", "mean", "stderr", "prediction", "prediction_refined"]
-    rows = [
-        [
-            args.n,
-            args.s,
-            args.trials,
-            args.seed,
-            est.mean,
-            est.stderr,
-            wigner_trace_prediction(args.n, args.s, dist.sigma),
-            wigner_trace_prediction_refined(args.n, args.s, dist.sigma),
-        ]
+    predictions = [
+        spectral.wigner_trace_prediction(args.n, args.s, dist.sigma),
+        spectral.wigner_trace_prediction_refined(args.n, args.s, dist.sigma),
     ]
+    header = ["n", "s", "trials", "seed", "mean", "stderr", "prediction", "prediction_refined"]
+    rows = [[args.n, args.s, args.trials, args.seed, est.mean, est.stderr, *predictions]]
     return header, rows, 0
 
 
 def _cmd_trace_exact(args):
+    from . import paths
+
     dist = parse_distribution(args.dist)
     route = args.route
     if route == "auto":
         # patterns covers every n at 2s <= 12; past that only a small full sweep fits
-        fits_full = not walk_count_exceeds(args.n, args.s, ENUMERATION_GUARD)
-        route = "full" if 2 * args.s > PATTERN_LENGTH_GUARD and fits_full else "patterns"
-    sums = exact_trace_sums_patterns if route == "patterns" else exact_trace_sums
+        fits_full = not paths.walk_count_exceeds(args.n, args.s, paths.ENUMERATION_GUARD)
+        route = "full" if 2 * args.s > paths.PATTERN_LENGTH_GUARD and fits_full else "patterns"
+    sums = paths.exact_trace_sums_patterns if route == "patterns" else paths.exact_trace_sums
     value, even = sums(dist, args.n, args.s)
     header = ["n", "s", "route", "value", "even_part", "odd_part"]
     rows = [[args.n, args.s, route, value, even, value - even]]
@@ -186,20 +158,20 @@ def _cmd_trace_exact(args):
 
 
 def _cmd_spectrum(args):
-    from .spectral import trial_values
+    from . import spectral
 
     dist = parse_distribution(args.dist)
-    values = trial_values(dist, args.n, args.trials, args.seed, "spectrum")
+    values = spectral.trial_values(dist, args.n, args.trials, args.seed, "spectrum")
     header = ["trial", "seed", "lambda_max", "spectral_norm"]
     rows = [[i, args.seed + i, lam, norm] for i, (lam, norm) in enumerate(values.tolist())]
     return header, rows, 0
 
 
 def _cmd_edge_exceed(args):
-    from .spectral import edge_exceedance_experiment
+    from . import spectral
 
     dist = parse_distribution(args.dist)
-    result = edge_exceedance_experiment(
+    result = spectral.edge_exceedance_experiment(
         dist, args.n, args.trials, args.epsilon, args.seed, threads=args.threads
     )
     header = ["trial", "lambda_max", "threshold", "exceeded"]
@@ -215,11 +187,11 @@ def _cmd_edge_exceed(args):
 
 
 def _cmd_concentration(args):
-    from .spectral import concentration_experiment
+    from . import spectral
 
     dist = parse_distribution(args.dist)
     t_values = [float(t) for t in args.t_values.split(",") if t]
-    rows_out = concentration_experiment(
+    rows_out = spectral.concentration_experiment(
         dist, args.n, args.trials, t_values, args.seed, threads=args.threads
     )
     header = ["t", "deviation", "empirical_fraction", "bound"]
@@ -228,7 +200,9 @@ def _cmd_concentration(args):
 
 
 def _cmd_verify_gluing(args):
-    report = run_invariant_suite(
+    from . import gluing
+
+    report = gluing.run_invariant_suite(
         args.n,
         args.s,
         exhaustive=not args.skip_exhaustive,
@@ -244,6 +218,8 @@ def _cmd_verify_gluing(args):
 
 
 def _cmd_bounds_table(args):
+    from . import gluing
+
     s, n = args.s, args.n
     sigma, bound_k = args.sigma, args.entry_bound
     rows: list[list] = []
@@ -255,43 +231,38 @@ def _cmd_bounds_table(args):
             value = math.inf
         rows.append([family, parameter, log_value, value])
 
-    single = single_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
-    multi = multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=max(1.0, args.prefactor))
+    single = gluing.single_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
+    multi = gluing.multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=max(1.0, args.prefactor))
     for family, bound in (("single-walk", single), ("multi-walk", multi)):
         for l, lv in enumerate(bound.log_terms, start=1):
             put(family, l, lv)
         put(family, "total", bound.log_total)
-        put(f"{family}-excess-ratio", "total", log_trace_excess_ratio(bound, s, n, sigma))
+        put(f"{family}-excess-ratio", "total", gluing.log_trace_excess_ratio(bound, s, n, sigma))
     for l in range(1, min(s - 1, args.max_odd_pairs) + 1):
-        put("cycle-refined-sum", l, cycle_refined_insertion_log_sum(s, l, bound_k))
+        put("cycle-refined-sum", l, gluing.cycle_refined_insertion_log_sum(s, l, bound_k))
     for q in range(1, args.max_merges + 1):
         if s - (q + 1) - q < 0:
             break
-        mp = mixed_parity_reduction_bound(s, n, odd_pairs=q + 1, walk_count=q + 1, merge_count=q)
+        mp = gluing.mixed_parity_reduction_bound(s, n, odd_pairs=q + 1, walk_count=q + 1, merge_count=q)
         put("mixed-trivial-ratio", q, mp.log_trivial_ratio)
         put("mixed-refined-ratio", q, mp.log_refined_ratio)
-    typed = typed_vertex_contribution_log(
+    typed = gluing.typed_vertex_contribution_log(
         s, n, odd_pairs=1, growth_exponent=args.growth_exponent, nonclosed_count=args.nonclosed,
         small_type_count=args.small_type, large_type_weight=args.large_type, sigma=sigma,
     )
     put("typed-vertex-log", args.growth_exponent, typed)
-    put("distance-two-log", args.complexity, distance_two_tail_log(s, args.complexity, args.nearby))
+    put("distance-two-log", args.complexity, gluing.distance_two_tail_log(s, args.complexity, args.nearby))
     if s >= 2:
-        put("catalan-convolution-ratio", s, math.log(catalan_convolution_ratio(s)))
-        put("power-sum-ratio", s, math.log(power_sum_ratio(s)))
-    verified = verify_catalan_convolution(max(s, 2))
+        put("catalan-convolution-ratio", s, math.log(gluing.catalan_convolution_ratio(s)))
+        put("power-sum-ratio", s, math.log(gluing.power_sum_ratio(s)))
+    verified = gluing.verify_catalan_convolution(max(s, 2))
     put("catalan-convolution-verified", max(s, 2), 0.0 if verified else -math.inf)
     header = ["family", "parameter", "log_value", "value"]
     return header, rows, 0
 
 
 def _cmd_dyck_stats(args):
-    from .dyck import (
-        beta_sum,
-        expected_k_functional,
-        max_level_tail,
-        stay_above_full_window_expectation,
-    )
+    from . import dyck, paths
 
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
     rows = []
@@ -301,20 +272,18 @@ def _cmd_dyck_stats(args):
         order = args.tensor_order if args.functional == "tensor" else 1
         sampled = dict(mode=args.mode, trials=args.trials, seed=args.seed)
         if args.functional == "stay":
-            v = stay_above_full_window_expectation(args.s, **sampled)
+            v = dyck.stay_above_full_window_expectation(args.s, **sampled)
         else:
-            v = expected_k_functional(args.s, order, **sampled)
-        trials = catalan(args.s) if args.mode == "exact" else args.trials
+            v = dyck.expected_k_functional(args.s, order, **sampled)
+        trials = paths.catalan(args.s) if args.mode == "exact" else args.trials
         rows.append([args.s, args.functional, args.mode, order, trials, seed, "", v])
     elif args.functional == "beta":
-        rows.append([args.s, "beta", "exact", args.tensor_order, "", "", "", beta_sum(args.tensor_order)])
-    elif args.functional == "maxlevel":
-        table = max_level_tail(args.s, args.trials, args.seed, mode=args.mode)
+        rows.append([args.s, "beta", "exact", args.tensor_order, "", "", "", dyck.beta_sum(args.tensor_order)])
+    else:  # maxlevel
+        table = dyck.max_level_tail(args.s, args.trials, args.seed, mode=args.mode)
         fits = [] if table.fit_c1 is None else [("fit_c1", table.fit_c1), ("fit_c2", table.fit_c2)]
         for k, p in [*table.rows, *fits]:
             rows.append([args.s, "maxlevel", args.mode, 1, table.trials, seed, k, p])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown functional {args.functional!r}")
     return header, rows, 0
 
 

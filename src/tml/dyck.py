@@ -38,8 +38,10 @@ and the whole chunk is rotated at once (cumsum, argmin, take_along_axis).
 which lists each level's visits in time order; a reverse running minimum
 over the visits followed by a down-step gives next_below for every path of
 the chunk, with no per-instant loop.  An s whose one sampled path would not
-fit in physical memory is refused before anything is allocated.  Means sum
-the integer statistic exactly over the chunks and divide once.
+fit in physical memory is refused before anything is allocated; the memory
+figure is ``ensemble._physical_memory_bytes``, the one the spectral matrix
+guard reads, so this module never loads ``spectral``.  Means sum the integer
+statistic exactly over the chunks and divide once.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble
 from .paths import catalan
 
 ENUMERATION_LIMIT = 12  # a materialised s = 14 would take about 75 MB
@@ -122,14 +125,12 @@ def enumerate_dyck(s: int):
 def _check_sample_size(s: int) -> None:
     """Refuse, before anything is allocated, an s whose one sampled path
     would not fit in physical memory."""
-    from .spectral import _physical_memory_bytes  # spectral imports this module
-
     if s < 1:
         raise ValueError("s must be at least 1")
     if s > _MAX_SAMPLED_S:
         raise DyckSizeError(f"sampling supports s <= {_MAX_SAMPLED_S}")
     need = _INSTANT_BYTES * (2 * s + 1)
-    have = _physical_memory_bytes()
+    have = ensemble._physical_memory_bytes()
     if have is not None and need > have:
         raise DyckSizeError(
             f"s={s} needs {need} bytes for one sampled path, "

@@ -14,6 +14,7 @@ order or thread count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 MOMENT_CACHE_DEPTH = 64
@@ -68,6 +69,14 @@ class MatrixSample:
     def normalized_view(self) -> np.ndarray:
         """entries / sqrt(n), the scale on which the spectrum lives on O(1)."""
         return self.entries / math.sqrt(self.n)
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory in bytes (None if unknown), read by the spectral and Dyck size guards."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def make_distribution(

@@ -304,20 +304,27 @@ def _pairing_count_by_search(p: ClosedPath) -> int:
 # ---------- cycle structure of the removed odd edges ----------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CycleDecomposition:
     """The removed odd edges organized into closed cycles.
 
-    cycles holds, per cycle, the odd-edge keys in traversal order; sizes maps
-    a cycle edge-count to the number of cycles with that many edges.
+    cycles holds, per cycle, the odd-edge keys in traversal order; sizes,
+    computed on demand, maps a cycle edge-count to the number of cycles
+    with that many edges.  The repr lists both.
     """
 
     cycles: tuple[tuple[tuple[int, int], ...], ...]
-    sizes: dict[int, int]
 
     @property
     def cycle_count(self) -> int:
         return len(self.cycles)
+
+    @property
+    def sizes(self) -> dict[int, int]:
+        return dict(sorted(Counter(len(c) for c in self.cycles).items()))
+
+    def __repr__(self) -> str:
+        return f"CycleDecomposition(cycles={self.cycles!r}, sizes={self.sizes!r})"
 
 
 def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
@@ -340,7 +347,7 @@ def _cycles(p: ClosedPath, structure: OddStructure | None, partner: list[int]) -
     its origin.  Loops start at the lowest unseen slot.
     """
     if structure is None:
-        return CycleDecomposition(cycles=(), sizes={})
+        return CycleDecomposition(cycles=())
     runs = structure.runs
     slots = len(partner)
     seen = [False] * slots
@@ -357,8 +364,7 @@ def _cycles(p: ClosedPath, structure: OddStructure | None, partner: list[int]) -
             slot = partner[nxt]
         if edges:  # else an already seen start, or the virtual arc's own loop
             cycles.append(tuple(edges))
-    sizes = Counter(len(c) for c in cycles)
-    return CycleDecomposition(cycles=tuple(cycles), sizes=dict(sorted(sizes.items())))
+    return CycleDecomposition(cycles=tuple(cycles))
 
 
 # ---------- merge procedure for mixed-parity outcomes ----------
@@ -1009,10 +1015,12 @@ def run_invariant_suite(
     order of first visit, closing at vertex 1) and adds its histogram key
     with weight n(n-1)...(n-v+1), the number of labeled walks in the class.
     ``walks_checked`` still counts all n^(2s) of them.  A violating class is
-    reported once, by its representative.  Random walks are checked one by
-    one, with their own labels."""
+    reported once, by its representative.  A walk visits at most 2s labels,
+    so every n >= 2s has the classes of n = 2s, and the guard counts
+    min(n, 2s)^(2s) walks.  Random walks are checked one by one, with their
+    own labels."""
     if exhaustive:
-        _check_enumeration_size(n, s)
+        _check_enumeration_size(min(n, 2 * s), s)
     else:
         _check_walk_shape(n, s)
     if random_walks < 0:

@@ -310,8 +310,7 @@ def _check_enumeration_size(n: int, s: int) -> None:
     # n = 1 has one walk, but it is 2s steps long: count it as 2**(2s)
     if walk_count_exceeds(max(n, 2), s, ENUMERATION_GUARD):
         raise PathSizeError(
-            f"max(n, 2)**(2s) = {max(n, 2)}**{2 * s} exceeds the enumeration guard"
-            f" {ENUMERATION_GUARD}"
+            f"{max(n, 2)}**{2 * s} exceeds the enumeration guard {ENUMERATION_GUARD}"
         )
 
 

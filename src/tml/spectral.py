@@ -31,13 +31,13 @@ independent of thread count and scheduling.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EigensolverError, EntryDistribution, support_index, upper_uniforms
+from . import ensemble
+from .ensemble import EigensolverError, EntryDistribution
 from .paths import catalan
 
 DENSE_EIG_CUTOFF = 64
@@ -54,7 +54,7 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lanczos(a: np.ndarray, k: int, which: str, tol: float) -> np.ndarray:
+def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
     """k eigenvalues of symmetric a by ARPACK Lanczos, from a fixed all-ones
     starting vector so the result is bit-reproducible."""
     # scipy.sparse.linalg takes about 0.35 s to import; only this route needs it
@@ -63,7 +63,7 @@ def _lanczos(a: np.ndarray, k: int, which: str, tol: float) -> np.ndarray:
     n = a.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
-        return eigsh(a, k=k, which=which, v0=v0, tol=tol, return_eigenvectors=False)
+        return eigsh(a, k=k, which=which, v0=v0, tol=DEFAULT_TOLERANCE, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         residual = math.nan
         if len(exc.eigenvalues) and exc.eigenvectors.size:
@@ -71,25 +71,25 @@ def _lanczos(a: np.ndarray, k: int, which: str, tol: float) -> np.ndarray:
             vec = exc.eigenvectors[:, -1]
             residual = float(np.linalg.norm(a @ vec - lam * vec))
         raise EigensolverError(
-            f"Lanczos iteration did not converge at tol={tol}", residual=residual
+            f"Lanczos iteration did not converge at tol={DEFAULT_TOLERANCE}", residual=residual
         ) from exc
 
 
-def _top(a: np.ndarray, tol: float) -> float:
+def _top(a: np.ndarray) -> float:
     if a.shape[0] < DENSE_EIG_CUTOFF:
         return float(np.linalg.eigvalsh(a)[-1])
-    return float(_lanczos(a, 1, "LA", tol)[-1])
+    return float(_lanczos(a, 1, "LA")[-1])
 
 
-def _norm(a: np.ndarray, tol: float) -> float:
+def _norm(a: np.ndarray) -> float:
     if a.shape[0] < DENSE_EIG_CUTOFF:
         ends = np.linalg.eigvalsh(a)[[0, -1]]
     else:
-        ends = _lanczos(a, 2, "BE", tol)
+        ends = _lanczos(a, 2, "BE")
     return float(np.max(np.abs(ends)))
 
 
-def largest_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
+def largest_eigenvalue(a: np.ndarray) -> float:
     """Top eigenvalue of a symmetric matrix.
 
     Small matrices go through the full dense solver; larger ones use the
@@ -97,14 +97,14 @@ def largest_eigenvalue(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
     result is bit-reproducible.  Non-convergence raises EigensolverError
     with the residual of the best available pair.
     """
-    return _top(_check_symmetric(a), tol)
+    return _top(_check_symmetric(a))
 
 
-def spectral_norm(a: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> float:
+def spectral_norm(a: np.ndarray) -> float:
     """Operator norm of a symmetric matrix: max |lambda| over both ends of
     the spectrum, from one solve (dense below DENSE_EIG_CUTOFF, one
     two-ended Lanczos run above it)."""
-    return _norm(_check_symmetric(a), tol)
+    return _norm(_check_symmetric(a))
 
 
 def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
@@ -122,20 +122,13 @@ def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
     raise ValueError(f"unknown trace method {method!r}")
 
 
-def _physical_memory_bytes() -> int | None:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def check_matrix_memory(n: int) -> None:
     """Refuse, before anything is allocated, a size whose n x n float64
     matrix alone would not fit in physical memory."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     need = 8 * n * n
-    have = _physical_memory_bytes()
+    have = ensemble._physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
             f"n={n} needs {need} bytes for one n x n float64 matrix, "
@@ -166,7 +159,6 @@ def trial_values(
     method: str = "eig",
     normalized: bool = True,
     threads: int = 1,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> np.ndarray:
     """The statistic of each of ``trials`` sampled matrices, trial i drawn
     from seed + i, as an array in trial order.
@@ -203,13 +195,13 @@ def trial_values(
         for first in range(0, trials, chunk):
             u = np.empty((min(chunk, trials - first), m))
             for j, row in enumerate(u):
-                upper_uniforms(n, seed + first + j, out=row)
-            stack = support[support_index(dist, u)][:, mirror]
+                ensemble.upper_uniforms(n, seed + first + j, out=row)
+            stack = support[ensemble.support_index(dist, u)][:, mirror]
             parts.append(_stack_values(stack, statistic, s, method))
         return np.concatenate(parts)
 
     def worker(i: int):
-        vals = support[support_index(dist, upper_uniforms(n, seed + i))]
+        vals = support[ensemble.support_index(dist, ensemble.upper_uniforms(n, seed + i))]
         a = np.empty((n, n))
         start = 0
         for r in range(n):
@@ -218,8 +210,8 @@ def trial_values(
         if statistic == "trace":
             return _stack_values(a[None], statistic, s, method)[0]
         if statistic == "lambda_max":
-            return _top(a, tol)
-        return _top(a, tol), _norm(a, tol)
+            return _top(a)
+        return _top(a), _norm(a)
 
     # per-trial seeds make the values independent of execution order
     if threads <= 1:
@@ -260,15 +252,34 @@ def mc_expected_trace(
     return TraceEstimate(mean=mean, stderr=stderr, trials=trials, n=n, s=s)
 
 
+def _from_log(log_value: float) -> float:
+    """exp(log_value), or inf past the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def wigner_trace_prediction(n: int, s: int, sigma: float) -> float:
-    """Leading even-walk budget n * catalan(s) * sigma^(2s)."""
-    return n * catalan(s) * sigma ** (2 * s)
+    """Leading even-walk budget n * catalan(s) * sigma^(2s); inf past the float range."""
+    try:
+        return n * catalan(s) * sigma ** (2 * s)
+    except OverflowError:  # a factor left the float range: redo the product in logs
+        return _from_log(math.log(n * catalan(s)) + 2 * s * math.log(sigma))
 
 
 def wigner_trace_prediction_refined(n: int, s: int, sigma: float) -> float:
     """Stirling-refined budget n * (2 sigma)^(2s) / (sqrt(pi) * s^(3/2)),
-    the large-s shape of the leading prediction."""
-    return n * (2.0 * sigma) ** (2 * s) / (math.sqrt(math.pi) * s**1.5)
+    the large-s shape of the leading prediction; inf past the float range."""
+    scale = math.sqrt(math.pi) * s**1.5
+    try:
+        value = n * (2.0 * sigma) ** (2 * s) / scale
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    # the numerator may leave the float range where the quotient does not: use logs
+    return _from_log(math.log(n) + 2 * s * math.log(2.0 * sigma) - math.log(scale))
 
 
 def markov_tail_bound(expected_trace: float, threshold: float, s: int) -> float:
@@ -305,12 +316,17 @@ def edge_exceedance_experiment(
     epsilon: float,
     seed: int,
     threads: int = 1,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> EdgeExceedanceResult:
     """Sample matrices and count how often the top eigenvalue of the
-    normalized matrix exceeds 2*sigma + n^(-6/11 + epsilon)."""
-    threshold = 2.0 * dist.sigma + float(n) ** (EDGE_EXPONENT + epsilon)
-    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads, tol=tol).tolist()
+    normalized matrix exceeds the threshold 2*sigma + n^(-6/11 + epsilon),
+    inf past the float range.  A non-finite epsilon is refused before sampling."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads).tolist()
+    try:
+        threshold = 2.0 * dist.sigma + float(n) ** (EDGE_EXPONENT + epsilon)
+    except OverflowError:
+        threshold = math.inf
     count = sum(1 for v in values if v > threshold)
     return EdgeExceedanceResult(
         n=n,
@@ -336,6 +352,8 @@ class ConcentrationRow:
 
 def concentration_bound(t: float) -> float:
     """The ceiling min(1, 4*exp(-t^2/32)) for deviations K*t/sqrt(n)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     return min(1.0, 4.0 * math.exp(-t * t / 32.0))
@@ -348,30 +366,25 @@ def concentration_experiment(
     t_values: list[float] | tuple[float, ...],
     seed: int,
     threads: int = 1,
-    tol: float = DEFAULT_TOLERANCE,
 ) -> list[ConcentrationRow]:
     """Tail of the top normalized eigenvalue around its mean.
 
     The deviation is measured from the sample mean over these trials; the
     proved ceiling concerns the deviation from the expectation, so the
     substitution adds O(stderr) slack, negligible against K*t/sqrt(n) at the
-    trial counts used here.
+    trial counts used here.  A negative or non-finite t is refused before
+    sampling.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads, tol=tol)
+    ts = [float(t) for t in t_values]
+    bounds = [concentration_bound(t) for t in ts]
+    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads)
     center = float(values.mean())
     scale = dist.bound_K / math.sqrt(n)
     rows = []
-    for t in t_values:
-        dev = scale * float(t)
+    for t, bound in zip(ts, bounds):
+        dev = scale * t
         frac = float(np.mean(np.abs(values - center) >= dev))
-        rows.append(
-            ConcentrationRow(
-                t=float(t),
-                deviation=dev,
-                empirical_fraction=frac,
-                bound=concentration_bound(float(t)),
-            )
-        )
+        rows.append(ConcentrationRow(t=t, deviation=dev, empirical_fraction=frac, bound=bound))
     return rows

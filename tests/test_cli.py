@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tml.cli as cli
+import tml.ensemble as ensemble
 import tml.gluing as gluing
 import tml.paths as paths
 import tml.spectral as spectral
@@ -280,7 +281,11 @@ def test_verify_gluing_table_is_the_benchmark_frozen_body(tmp_path):
 
 @pytest.mark.parametrize(
     "n,s,message",
-    [("3", "12", "exceeds the enumeration guard"), ("0", "2", "n must be at least 1")],
+    [
+        ("3", "12", "exceeds the enumeration guard"),
+        ("0", "2", "n must be at least 1"),
+        ("7", "5", "7**10 exceeds the enumeration guard"),
+    ],
 )
 def test_verify_gluing_size_guard_exits_1(tmp_path, capsys, n, s, message):
     start = time.perf_counter()
@@ -288,6 +293,15 @@ def test_verify_gluing_size_guard_exits_1(tmp_path, capsys, n, s, message):
     assert code == 1 and rows is None
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
+
+
+def test_verify_gluing_guard_counts_the_labels_a_walk_can_use(tmp_path, capsys):
+    # 100**6 labeled walks, but a walk of length 6 uses at most 6 labels: the
+    # sweep checks the 203 classes of n = 6
+    code, rows, _ = run(tmp_path, "verify-gluing", "--n", "100", "--s", "3")
+    assert code == 0
+    assert "checked 1000000000000 walks, 0 violations" in capsys.readouterr().out
+    assert sum(int(r["count"]) for r in rows) == 100**6
 
 
 def test_verify_gluing_skip_exhaustive_skips_the_guard(tmp_path, capsys):
@@ -319,7 +333,7 @@ def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):
             histogram={(0, 0, 1, 0, "single-even"): 1},
         )
 
-    monkeypatch.setattr(cli, "run_invariant_suite", broken)
+    monkeypatch.setattr(gluing, "run_invariant_suite", broken)
     code, _, _ = run(tmp_path, "verify-gluing", "--n", "2", "--s", "1")
     assert code == 2
 
@@ -405,7 +419,7 @@ def test_dyck_stats_exact_rows_ignore_trials_and_seed(tmp_path, functional, tria
 )
 def test_dyck_stats_sample_size_guard_exits_1(tmp_path, monkeypatch, capsys, functional):
     # s = 10^9 needs 128 GB for one sampled path; refused before allocating
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 8 << 30)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 8 << 30)
     start = time.perf_counter()
     code = cli.main([
         "dyck-stats", "--functional", *functional, "--mode", "mc", "--s", "1000000000",
@@ -607,7 +621,7 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
 
 
 def test_numpy_routes_import_their_handlers_names(tmp_path):
-    # the spectral and Dyck names are imported inside the handlers, on first use
+    # each handler imports its kernel module inside the handler, on first use
     _fresh_interpreter(
         tmp_path,
         [
@@ -615,6 +629,56 @@ def test_numpy_routes_import_their_handlers_names(tmp_path):
             ["trace-mc", "--dist", "rademacher", "--n", "2", "--s", "1", "--trials", "2"],
         ],
     )
+
+
+def test_import_loads_only_cli_and_ensemble(tmp_path):
+    _fresh_interpreter(
+        tmp_path, [],
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'tml')\n"
+        "assert loaded == ['tml', 'tml.cli', 'tml.ensemble'], loaded",
+    )
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["trace-exact", "--dist", "skew12", "--n", "5", "--s", "3"], ["tml.gluing"]),
+    (["dyck-stats", "--s", "3", "--mode", "mc", "--trials", "2"], ["tml.spectral", "concurrent.futures"]),
+])
+def test_a_subcommand_loads_only_its_kernel(tmp_path, argv, unloaded):
+    _fresh_interpreter(
+        tmp_path, [argv],
+        f"loaded = [m for m in {unloaded!r} if m in sys.modules]\nassert not loaded, loaded",
+    )
+
+
+def test_predictions_past_the_float_range_are_written_as_inf(tmp_path):
+    code, rows, _ = run(
+        tmp_path, "trace-mc", "--dist", "skew12", "--n", "3", "--s", "400", "--trials", "5"
+    )
+    assert code == 0
+    assert (rows[0]["prediction"], rows[0]["prediction_refined"]) == ("inf", "inf")
+
+
+def test_edge_threshold_past_the_float_range_is_inf(tmp_path):
+    code, rows, _ = run(
+        tmp_path, "edge-exceed", "--dist", "skew12", "--n", "4", "--trials", "2",
+        "--epsilon", "1e308",
+    )
+    assert code == 0
+    assert {(r["threshold"], r["exceeded"]) for r in rows} == {("inf", "0")}
+
+
+@pytest.mark.parametrize("case,message", [
+    (["edge-exceed", "--trials", "2", "--epsilon", "nan"], "epsilon must be finite, got nan"),
+    (["edge-exceed", "--trials", "2", "--epsilon", "inf"], "epsilon must be finite, got inf"),
+    (["edge-exceed", "--trials", "2", "--epsilon=-inf"], "epsilon must be finite, got -inf"),
+    (["concentration", "--trials", "3", "--t-values", "nan,1"], "t must be finite, got nan"),
+    (["concentration", "--trials", "3", "--t-values", "1,inf"], "t must be finite, got inf"),
+])
+def test_non_finite_spectral_parameters_exit_1(tmp_path, capsys, case, message):
+    argv = [case[0], "--dist", "skew12", "--n", "4", *case[1:], "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"tml {case[0]}: {message}"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -641,7 +705,7 @@ def test_matrix_size_guard_exits_1(tmp_path, capsys, case):
 
 
 def test_matrix_size_guard_uses_physical_memory(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1000)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
     code, _, _ = run(tmp_path, "spectrum", "--dist", "rademacher", "--n", "12")
     assert code == 1
     assert "needs 1152 bytes" in capsys.readouterr().err

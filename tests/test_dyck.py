@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import tml.spectral as spectral
+import tml.ensemble as ensemble
 from tml import dyck
 from tml.dyck import (
     DyckPath,
@@ -364,12 +364,12 @@ def test_sample_size_guard(monkeypatch, call):
     start = time.perf_counter()
     with pytest.raises(DyckSizeError, match="sampling supports s <= "):
         call(2**40)
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 10**6)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 10**6)
     with pytest.raises(DyckSizeError, match="s=100000 needs 12800064 bytes"):
         call(10**5)
     assert time.perf_counter() - start < 1.0
     call(7000)  # 64 * 14001 bytes fit in 10^6
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: None)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: None)
     call(10**4)  # unknown memory: only the int32 range is enforced
 
 

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tml
+import tml.ensemble as ensemble
 import tml.spectral as spectral
 from tml.dyck import catalan
 from tml.ensemble import rademacher, sample_symmetric_matrix, skew12
@@ -143,6 +145,30 @@ def test_wigner_trace_prediction():
         assert refined / exact == pytest.approx(1.0, abs=0.02)
 
 
+def test_predictions_survive_an_intermediate_overflow():
+    # catalan(600) is past the float range and 0.5**1200 below it; the
+    # product is about 2e-5
+    exact = Fraction(7 * catalan(600), 2**1200)
+    assert wigner_trace_prediction(7, 600, 0.5) == pytest.approx(float(exact), rel=1e-12)
+    # (2 sigma)^(2s) = 2^1024 overflows alone, and n times 2^1020 does so silently
+    for n, sigma in ((3, 1.0), (2**10, 2.0 ** (1020 / 1024) / 2)):
+        scale = math.sqrt(math.pi) * 512**1.5
+        exact = n * Fraction(2 * sigma) ** 1024 / Fraction(scale)
+        assert wigner_trace_prediction_refined(n, 512, sigma) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_predictions_past_the_float_range_are_inf():
+    sigma = math.sqrt(2.0)  # skew12
+    assert wigner_trace_prediction(3, 400, sigma) == math.inf
+    assert wigner_trace_prediction_refined(3, 400, sigma) == math.inf
+    assert wigner_trace_prediction(3, 10**4, 1.3) == math.inf
+    # finite predictions are the direct products, bit for bit
+    assert wigner_trace_prediction(3, 300, sigma) == 3 * catalan(300) * sigma**600
+    assert wigner_trace_prediction_refined(3, 300, sigma) == (
+        3 * (2.0 * sigma) ** 600 / (math.sqrt(math.pi) * 300**1.5)
+    )
+
+
 def test_markov_tail_bound():
     assert markov_tail_bound(16.0, 2.0, 1) == 1.0  # clamped
     assert markov_tail_bound(16.0, 4.0, 1) == pytest.approx(1.0)
@@ -192,6 +218,9 @@ def test_concentration_bound_values():
     assert concentration_bound(100.0) < 1e-100
     with pytest.raises(ValueError):
         concentration_bound(-1.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            concentration_bound(t)
 
 
 def test_concentration_experiment():
@@ -278,7 +307,7 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     check_matrix_memory(100)
     with pytest.raises(ValueError, match="needs 80000000000000000 bytes"):
         check_matrix_memory(10**8)  # 8e16 bytes, beyond any machine
-    monkeypatch.setattr(spectral, "_physical_memory_bytes", lambda: 1000)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
     with pytest.raises(ValueError, match="needs 1152 bytes"):
         trial_values(rademacher(), 12, 1, 0, "lambda_max")
 
