@@ -262,9 +262,14 @@ def _cmd_bounds_table(args):
 
 
 def _cmd_dyck_stats(args):
-    from . import dyck, paths
+    from . import paths
 
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
+    if args.functional == "beta":  # a pure lgamma sum: the beta row loads no numpy
+        value = paths.beta_sum(args.tensor_order)
+        return header, [[args.s, "beta", "exact", args.tensor_order, "", "", "", value]], 0
+    from . import dyck
+
     rows = []
     # an exact row averages every path: trials is the path count, no seed is used
     seed = "" if args.mode == "exact" else args.seed
@@ -277,8 +282,6 @@ def _cmd_dyck_stats(args):
             v = dyck.expected_k_functional(args.s, order, **sampled)
         trials = paths.catalan(args.s) if args.mode == "exact" else args.trials
         rows.append([args.s, args.functional, args.mode, order, trials, seed, "", v])
-    elif args.functional == "beta":
-        rows.append([args.s, "beta", "exact", args.tensor_order, "", "", "", dyck.beta_sum(args.tensor_order)])
     else:  # maxlevel
         table = dyck.max_level_tail(args.s, args.trials, args.seed, mode=args.mode)
         fits = [] if table.fit_c1 is None else [("fit_c1", table.fit_c1), ("fit_c2", table.fit_c2)]

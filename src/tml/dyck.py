@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble
-from .paths import catalan
+from .paths import beta_sum, catalan  # noqa: F401  re-exported; both live in numpy-free paths
 
 ENUMERATION_LIMIT = 12  # a materialised s = 14 would take about 75 MB
 _BATCH_BYTES = 1 << 18  # working set of one chunk of paths
@@ -166,13 +166,17 @@ def _chunk_rows(s: int) -> int:
     return max(1, _BATCH_BYTES // (_INSTANT_BYTES * (2 * s + 1)))
 
 
-def _sample_steps(s: int, seed: int, rows: int) -> np.ndarray:
-    """(rows, 2s) int8 steps; row j is ``sample_dyck(s, seed + j).steps``."""
+def _sample_steps(s: int, seed: int, rows: int, streams=None) -> np.ndarray:
+    """(rows, 2s) int8 steps; row j is ``sample_dyck(s, seed + j).steps``.
+    ``streams`` is an ``ensemble._trial_streams`` run whose next item is
+    seed's, so that one seeding pass serves every chunk of a call."""
+    if streams is None:
+        streams = ensemble._trial_streams(seed, rows)
     raw = np.empty((rows, 2 * s + 1), dtype=np.int8)
     raw[:, :s] = 1
     raw[:, s:] = -1
-    for j, row in enumerate(raw):
-        np.random.default_rng(seed + j).shuffle(row)
+    for row, rng in zip(raw, streams):
+        rng.shuffle(row)
     first_min = np.argmin(np.cumsum(raw, axis=1, dtype=_level_dtype(s)), axis=1)
     index = (first_min[:, None] + np.arange(1, 2 * s + 1)) % (2 * s + 1)
     return np.take_along_axis(raw, index, axis=1)
@@ -200,8 +204,10 @@ def _level_chunks(s: int, mode: str = "exact", trials: int = 0, seed: int = 0):
         raise ValueError("trials must be positive")
     _check_sample_size(s)
     rows = _chunk_rows(s)
+    streams = ensemble._trial_streams(seed, trials)
     chunks = (
-        _levels(_sample_steps(s, seed + i, min(rows, trials - i))) for i in range(0, trials, rows)
+        _levels(_sample_steps(s, seed + i, min(rows, trials - i), streams))
+        for i in range(0, trials, rows)
     )
     return chunks, trials
 
@@ -380,25 +386,6 @@ def stay_above_full_window_expectation(
     Grows like 2 sqrt(s / pi) for large s.
     """
     return _mean(_batch_stay_above_total, s, mode, trials, seed)
-
-
-# ---------- auxiliary asymptotic quantities ----------
-
-
-def beta_sum(I: int) -> float:
-    """Sum over k < I of B(3k/2 + 1/2, 3(I-1-k)/2 + 1/2) via log-gamma.
-
-    The k-th term is the Beta function of the two half-integer arguments;
-    beta_sum(1) = pi and beta_sum(2) = 8/3.
-    """
-    if I < 1:
-        raise ValueError("I must be at least 1")
-    total = 0.0
-    for k in range(I):
-        a = 1.5 * k + 0.5
-        b = 1.5 * (I - 1 - k) + 0.5
-        total += math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    return total
 
 
 @dataclass(frozen=True)

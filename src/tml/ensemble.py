@@ -8,7 +8,14 @@ The normalized companion matrix is A = M / sqrt(n).
 
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
 derives its own seed as ``seed + t``, so results never depend on execution
-order or thread count.
+order or thread count.  Trial t's stream is that of
+``np.random.default_rng(seed + t)``.  The batched kernels do not build one
+generator per trial: ``_trial_streams`` seeds the trials of a call in
+vectorised SeedSequence passes of ``_SEED_BLOCK`` seeds, and points one
+reused generator at each trial's PCG64 state in turn.  A seed
+outside [0, 2^32) hashes a longer entropy word list, so it takes the
+per-trial constructor instead; a run may cross that boundary.
+``default_rng(seed)`` stays the oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +29,16 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-12
+
+# numpy's SeedSequence (pool size 4) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ONE_WORD_SEEDS = 1 << 32  # a seed below this is one entropy word
+_SEED_BLOCK = 1 << 10  # seeds hashed per vectorised pass; bounds the Python-int state list
 
 
 class DistributionError(ValueError):
@@ -193,6 +210,66 @@ def upper_uniforms(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarr
     if out is None:
         return rng.random(n * (n + 1) // 2)
     return rng.random(out=out)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every s of a
+    uint32 array, as one (len(seeds), 4) uint64 array: numpy's pool mix of a
+    one-word entropy and its output hash, in wrapping uint32 arithmetic."""
+    import numpy as np
+
+    def hasher(const: int, mult: int):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value = value * np.uint32(const)
+            return value ^ value >> np.uint32(16)
+
+        return hashmix
+
+    mix = hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros_like(seeds)
+    pool = [mix(seeds), mix(zeros), mix(zeros), mix(zeros)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * mix(pool[src])
+                pool[dst] = value ^ value >> np.uint32(16)
+    out = hasher(_INIT_B, _MULT_B)
+    words = np.stack([out(pool[i % 4]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_streams(seed: int, count: int):
+    """Yield, for j = 0..count-1, a generator at the start of the stream of
+    ``np.random.default_rng(seed + j)``.
+
+    Seeds in [0, 2^32) are hashed ``_SEED_BLOCK`` at a time by
+    ``_seed_words``; PCG64's two seeding LCG steps follow in Python integers,
+    and one reused generator is pointed at each trial's state, so an item is
+    valid only until the next one is drawn.  Any other seed gets its own
+    ``Generator(PCG64(seed + j))``, which refuses a negative one.
+    """
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    s, stop = seed, seed + count
+    while s < stop:
+        if not 0 <= s < _ONE_WORD_SEEDS:
+            yield np.random.Generator(np.random.PCG64(s))
+            s += 1
+            continue
+        end = min(stop, _ONE_WORD_SEEDS, s + _SEED_BLOCK)
+        for hi, lo, inc_hi, inc_lo in _seed_words(np.arange(s, end, dtype=np.uint32)).tolist():
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state["inc"] = inc
+            state["state"] = ((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128
+            rng.bit_generator.state = full_state
+            yield rng
+        s = end
 
 
 def support_index(dist: EntryDistribution, u: np.ndarray) -> np.ndarray:

@@ -88,6 +88,22 @@ def catalan(s: int) -> int:
     return math.comb(2 * s, s) // (s + 1)
 
 
+def beta_sum(I: int) -> float:
+    """Sum over k < I of B(3k/2 + 1/2, 3(I-1-k)/2 + 1/2) via log-gamma.
+
+    The k-th term is the Beta function of the two half-integer arguments;
+    beta_sum(1) = pi and beta_sum(2) = 8/3.
+    """
+    if I < 1:
+        raise ValueError("I must be at least 1")
+    total = 0.0
+    for k in range(I):
+        a = 1.5 * k + 0.5
+        b = 1.5 * (I - 1 - k) + 0.5
+        total += math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return total
+
+
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical non-oriented edge; loops are ordinary edges {v, v}."""
     return (u, v) if u <= v else (v, u)

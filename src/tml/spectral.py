@@ -10,8 +10,9 @@ The route follows the matrix size:
 
 * n < DENSE_EIG_CUTOFF: trials are drawn in chunks of at most BATCH_BYTES
   of matrix data, gathered into one (T, n, n) stack, and solved by one
-  batched ``eigvalsh`` (or one stacked ``matrix_power``).  The thread count
-  is ignored: a chunk is a single numpy call.
+  batched ``eigvalsh`` (or one stacked ``matrix_power``).  One
+  ``ensemble._trial_streams`` run, seeded in vectorised passes, feeds every
+  chunk.  The thread count is ignored: a chunk is a single numpy call.
 * n >= DENSE_EIG_CUTOFF: each trial fills one normalized matrix row by row
   and goes straight to Lanczos (ARPACK, imported on first use); trials run
   on a pool of ``threads`` workers.
@@ -191,11 +192,12 @@ def trial_values(
         mirror = np.empty((n, n), dtype=np.intp)
         mirror[rows, cols] = mirror[cols, rows] = np.arange(m)
         chunk = max(1, BATCH_BYTES // (8 * n * n))
+        streams = ensemble._trial_streams(seed, trials)
         parts = []
         for first in range(0, trials, chunk):
             u = np.empty((min(chunk, trials - first), m))
-            for j, row in enumerate(u):
-                ensemble.upper_uniforms(n, seed + first + j, out=row)
+            for row, rng in zip(u, streams):
+                rng.random(out=row)
             stack = support[ensemble.support_index(dist, u)][:, mirror]
             parts.append(_stack_values(stack, statistic, s, method))
         return np.concatenate(parts)
@@ -248,8 +250,22 @@ def mc_expected_trace(
         s=s, method=method, normalized=normalized, threads=threads,
     )
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return TraceEstimate(mean=mean, stderr=stderr, trials=trials, n=n, s=s)
+    return TraceEstimate(mean=mean, stderr=_stderr(values), trials=trials, n=n, s=s)
+
+
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean; inf for a single value.  The spread is
+    taken on the scale of max |value| only when its squares overflow, so
+    every value that fits keeps its bits."""
+    if len(values) < 2:
+        return math.inf
+    root = math.sqrt(len(values))
+    with np.errstate(over="ignore"):
+        spread = float(values.std(ddof=1))
+    if math.isinf(spread):  # only finite values overflow; an inf one gives nan
+        peak = float(np.max(np.abs(values)))
+        return float((values / peak).std(ddof=1)) / root * peak
+    return spread / root
 
 
 def _from_log(log_value: float) -> float:

@@ -620,6 +620,16 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
     )
 
 
+def test_beta_row_loads_no_numpy(tmp_path):
+    # beta_sum is a pure lgamma sum in paths; dyck and numpy stay unloaded
+    _fresh_interpreter(
+        tmp_path,
+        [["dyck-stats", "--s", "1", "--functional", "beta", "--tensor-order", "2"]],
+        "loaded = [m for m in ('numpy', 'tml.dyck') if m in sys.modules]\n"
+        "assert not loaded, loaded",
+    )
+
+
 def test_numpy_routes_import_their_handlers_names(tmp_path):
     # each handler imports its kernel module inside the handler, on first use
     _fresh_interpreter(

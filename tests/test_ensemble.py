@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tml.cli as cli
+import tml.ensemble as ensemble
+from tml import dyck, spectral
 from tml.ensemble import (
     MOMENT_CACHE_DEPTH,
     DistributionError,
@@ -17,6 +20,8 @@ from tml.ensemble import (
     support_index,
     upper_uniforms,
 )
+
+NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence and PCG64 seeding _seed_words mirrors
 
 
 def test_rademacher_moments():
@@ -168,3 +173,71 @@ def test_sampling_stream_definition():
     sample = sample_symmetric_matrix(d, n, seed)
     upper = sample.entries[np.triu_indices(n)]
     assert np.array_equal(upper, np.asarray(d.support)[support_index(d, u)])
+
+
+# ---------- one seeding pass per call, against default_rng(seed + j) ----------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 123456789, 2**32 - 1])
+def test_seed_words_match_seed_sequence(seed):
+    pin = (
+        f"ensemble._seed_words mirrors the SeedSequence and PCG64 seeding of numpy "
+        f"{NUMPY_PIN} and does not match the installed numpy {np.__version__}"
+    )
+    words = ensemble._seed_words(np.array([seed], dtype=np.uint32))[0]
+    assert np.array_equal(words, np.random.SeedSequence(seed).generate_state(4, np.uint64)), pin
+    rng = next(ensemble._trial_streams(seed, 1))
+    assert rng.bit_generator.state == np.random.PCG64(seed).state, pin
+
+
+# 2**32 - 2 crosses into the per-trial fallback, 2**64 + 5 lies past it
+@pytest.mark.parametrize("seed,count", [(256, 12), (2**32 - 2, 4), (2**64 + 5, 3)])
+def test_trial_streams_follow_default_rng(monkeypatch, seed, count):
+    monkeypatch.setattr(ensemble, "_SEED_BLOCK", 5)  # several hashing passes
+    uniforms = [rng.random(6).tolist() for rng in ensemble._trial_streams(seed, count)]
+    assert uniforms == [np.random.default_rng(seed + j).random(6).tolist() for j in range(count)]
+
+    def shuffled(rng):
+        row = np.arange(9, dtype=np.int8)
+        rng.shuffle(row)
+        return row.tolist()
+
+    shuffles = [shuffled(rng) for rng in ensemble._trial_streams(seed, count)]
+    assert shuffles == [shuffled(np.random.default_rng(seed + j)) for j in range(count)]
+
+
+@pytest.mark.parametrize("seed", [256, 2**32 - 2, 2**64 + 5])
+def test_trial_values_chunk_edge_follows_default_rng(monkeypatch, seed):
+    # chunks of three matrices: four trials cross a chunk edge
+    n, d = 3, skew12()
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
+    got = spectral.trial_values(d, n, 4, seed, "lambda_max", normalized=False)
+    oracle = [
+        spectral.largest_eigenvalue(sample_symmetric_matrix(d, n, seed + j).entries)
+        for j in range(4)
+    ]
+    assert got.tolist() == oracle
+
+
+@pytest.mark.parametrize("seed", [256, 2**32 - 2, 2**64 + 5])
+def test_dyck_chunk_edge_follows_default_rng(monkeypatch, seed):
+    monkeypatch.setattr(dyck, "_BATCH_BYTES", 3000)
+    assert dyck._chunk_rows(7) == 3
+    chunks, count = dyck._level_chunks(7, "mc", 4, seed)
+    levels = np.concatenate(list(chunks)).tolist()
+    assert levels == [dyck.sample_dyck(7, seed + j).levels() for j in range(count)]
+
+
+def test_negative_seed_is_refused_before_any_draw():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        next(ensemble._trial_streams(-2, 4))
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "4"],
+    ["dyck-stats", "--s", "7", "--mode", "mc", "--trials", "4"],
+])
+def test_negative_seed_exits_1_in_one_line(tmp_path, capsys, argv):
+    assert cli.main([*argv, "--seed", "-2", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"tml {argv[0]}: expected non-negative integer"]
+    assert list(tmp_path.iterdir()) == []

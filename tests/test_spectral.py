@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,27 @@ def test_mc_matches_exact_small():
     # E[Tr A^2] = n sigma^2 = 4 at n=2 for skew12
     est = mc_expected_trace(skew12(), 2, 1, trials=4000, seed=21)
     assert abs(est.mean - 4.0) <= 4 * est.stderr
+
+
+def test_stderr_is_finite_where_the_squares_overflow():
+    # traces near 1e235: the squared deviations leave the float range
+    d = skew12()
+    values = trial_values(d, 3, 5, 0, "trace", s=400).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_expected_trace(d, 3, 400, trials=5, seed=0)
+    # Fraction oracle: mean and squared deviations exactly, rounded once
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / 5
+    variance = sum((v - mean) ** 2 for v in exact) / (4 * 5)
+    assert est.stderr == pytest.approx(math.sqrt(variance / 10**470) * 10**235, rel=1e-12)
+
+
+def test_stderr_keeps_its_bits_in_range():
+    values = trial_values(skew12(), 4, 200, 7, "trace", s=2)
+    est = mc_expected_trace(skew12(), 4, 2, trials=200, seed=7)
+    assert est.stderr == float(values.std(ddof=1) / math.sqrt(200))
+    assert mc_expected_trace(skew12(), 4, 2, trials=1, seed=7).stderr == math.inf
 
 
 def test_mc_methods_agree():

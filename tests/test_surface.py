@@ -68,7 +68,8 @@ def test_package_exports_only_version():
 
 
 def test_moved_names_keep_their_identity():
-    # catalan lives in paths and EigensolverError in ensemble, both free of
+    # catalan and beta_sum live in paths and EigensolverError in ensemble, all free of
     # numpy; the modules that used to define them re-export the same objects
     assert tml.dyck.catalan is tml.paths.catalan
+    assert tml.dyck.beta_sum is tml.paths.beta_sum
     assert tml.spectral.EigensolverError is tml.ensemble.EigensolverError
