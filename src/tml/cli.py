@@ -50,6 +50,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """Strict JSON has no Infinity or NaN: such a float goes as the CSV writes it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
 def _build_id() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     try:
@@ -79,9 +86,9 @@ def _write_table(args, header: list[str], rows: list[list]) -> list[str]:
     base = args.out or args.subcommand
     if args.format == "json":
         path = os.path.join(out_dir, f"{base}.json")
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return [path]
     path = os.path.join(out_dir, f"{base}.csv")

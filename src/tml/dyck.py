@@ -166,12 +166,10 @@ def _chunk_rows(s: int) -> int:
     return max(1, _BATCH_BYTES // (_INSTANT_BYTES * (2 * s + 1)))
 
 
-def _sample_steps(s: int, seed: int, rows: int, streams=None) -> np.ndarray:
-    """(rows, 2s) int8 steps; row j is ``sample_dyck(s, seed + j).steps``.
-    ``streams`` is an ``ensemble._trial_streams`` run whose next item is
-    seed's, so that one seeding pass serves every chunk of a call."""
-    if streams is None:
-        streams = ensemble._trial_streams(seed, rows)
+def _sample_steps(s: int, rows: int, streams) -> np.ndarray:
+    """(rows, 2s) int8 steps, each row shuffled by the next item of ``streams``
+    (an ``ensemble._trial_streams`` run) exactly as ``sample_dyck`` shuffles,
+    so that one seeding pass serves every chunk of a call."""
     raw = np.empty((rows, 2 * s + 1), dtype=np.int8)
     raw[:, :s] = 1
     raw[:, s:] = -1
@@ -205,10 +203,7 @@ def _level_chunks(s: int, mode: str = "exact", trials: int = 0, seed: int = 0):
     _check_sample_size(s)
     rows = _chunk_rows(s)
     streams = ensemble._trial_streams(seed, trials)
-    chunks = (
-        _levels(_sample_steps(s, seed + i, min(rows, trials - i), streams))
-        for i in range(0, trials, rows)
-    )
+    chunks = (_levels(_sample_steps(s, min(rows, trials - i), streams)) for i in range(0, trials, rows))
     return chunks, trials
 
 

@@ -9,12 +9,9 @@ The normalized companion matrix is A = M / sqrt(n).
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
 derives its own seed as ``seed + t``, so results never depend on execution
 order or thread count.  Trial t's stream is that of
-``np.random.default_rng(seed + t)``.  The batched kernels do not build one
-generator per trial: ``_trial_streams`` seeds the trials of a call in
-vectorised SeedSequence passes of ``_SEED_BLOCK`` seeds, and points one
-reused generator at each trial's PCG64 state in turn.  A seed
-outside [0, 2^32) hashes a longer entropy word list, so it takes the
-per-trial constructor instead; a run may cross that boundary.
+``np.random.default_rng(seed + t)``.  The batched kernels take those streams
+from ``_trial_streams``, which hashes the seeds of a call in vectorised
+passes and lets each trial's PCG64 seed itself from its hashed words;
 ``default_rng(seed)`` stays the oracle.
 """
 
@@ -30,15 +27,13 @@ RNG_ALGORITHM = "numpy-PCG64"
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-12
 
-# numpy's SeedSequence (pool size 4) and PCG64 seeding constants
+# numpy's SeedSequence (pool size 4) hashing constants
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _ONE_WORD_SEEDS = 1 << 32  # a seed below this is one entropy word
-_SEED_BLOCK = 1 << 10  # seeds hashed per vectorised pass; bounds the Python-int state list
+_SEED_BLOCK = 1 << 10  # seeds hashed per vectorised pass
 
 
 class DistributionError(ValueError):
@@ -199,17 +194,13 @@ def parse_distribution(token: str) -> EntryDistribution:
     return make_distribution(xs, ps)
 
 
-def upper_uniforms(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+def upper_uniforms(n: int, seed: int) -> np.ndarray:
     """The n(n+1)/2 uniforms behind the upper triangle (diagonal included,
     row-major) of the size-n matrix seeded with ``seed``: the first draws of
-    a PCG64 stream, the same as ``np.random.default_rng(seed).random``.
-    Written into ``out`` when given."""
+    a PCG64 stream, the same as ``np.random.default_rng(seed).random``."""
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if out is None:
-        return rng.random(n * (n + 1) // 2)
-    return rng.random(out=out)
+    return np.random.Generator(np.random.PCG64(seed)).random(n * (n + 1) // 2)
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -246,29 +237,33 @@ def _trial_streams(seed: int, count: int):
     ``np.random.default_rng(seed + j)``.
 
     Seeds in [0, 2^32) are hashed ``_SEED_BLOCK`` at a time by
-    ``_seed_words``; PCG64's two seeding LCG steps follow in Python integers,
-    and one reused generator is pointed at each trial's state, so an item is
-    valid only until the next one is drawn.  Any other seed gets its own
-    ``Generator(PCG64(seed + j))``, which refuses a negative one.
+    ``_seed_words``, and each trial's PCG64 takes its row of words through
+    numpy's ``ISeedSequence`` hook in place of a fresh SeedSequence.  Any
+    other seed hashes a longer entropy word list, so it gets
+    ``Generator(PCG64(seed + j))``, which refuses a negative one; a run may
+    cross 2^32.
     """
     import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
 
-    rng = np.random.Generator(np.random.PCG64(0))
-    state = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    class Hashed(ISeedSequence):
+        """One trial's ``SeedSequence(seed).generate_state(4, np.uint64)``."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     s, stop = seed, seed + count
     while s < stop:
-        if not 0 <= s < _ONE_WORD_SEEDS:
-            yield np.random.Generator(np.random.PCG64(s))
-            s += 1
-            continue
-        end = min(stop, _ONE_WORD_SEEDS, s + _SEED_BLOCK)
-        for hi, lo, inc_hi, inc_lo in _seed_words(np.arange(s, end, dtype=np.uint32)).tolist():
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state["inc"] = inc
-            state["state"] = ((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128
-            rng.bit_generator.state = full_state
-            yield rng
+        if 0 <= s < _ONE_WORD_SEEDS:
+            end = min(stop, _ONE_WORD_SEEDS, s + _SEED_BLOCK)
+            seeds = map(Hashed, _seed_words(np.arange(s, end, dtype=np.uint32)))
+        else:
+            end, seeds = s + 1, [s]
+        for seed_seq in seeds:
+            yield np.random.Generator(np.random.PCG64(seed_seq))
         s = end
 
 

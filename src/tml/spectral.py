@@ -388,12 +388,14 @@ def concentration_experiment(
     The deviation is measured from the sample mean over these trials; the
     proved ceiling concerns the deviation from the expectation, so the
     substitution adds O(stderr) slack, negligible against K*t/sqrt(n) at the
-    trial counts used here.  A negative or non-finite t is refused before
-    sampling.
+    trial counts used here.  An empty t list, or a negative or non-finite
+    t, is refused before sampling.
     """
     if trials < 2:
         raise ValueError("need at least two trials")
     ts = [float(t) for t in t_values]
+    if not ts:
+        raise ValueError("need at least one t value")
     bounds = [concentration_bound(t) for t in ts]
     values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads)
     center = float(values.mean())

@@ -524,6 +524,27 @@ def test_json_format(tmp_path):
     assert manifest["output_files"] == ["trace-exact.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds-table", "--s", "600", "--n", "10"],
+    ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "400", "--trials", "5"],
+])
+def test_json_is_strict_and_writes_non_finite_floats_as_the_csv_does(tmp_path, argv):
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    assert run(tmp_path, *argv, "--format", "json")[0] == 0
+    payload = json.loads((tmp_path / f"{argv[0]}.json").read_text(), parse_constant=refuse)
+    code, rows, _ = run(tmp_path, *argv)
+    assert code == 0 and len(payload) == len(rows)
+    non_finite = 0
+    for record, row in zip(payload, rows):
+        for key, text in row.items():
+            if text in ("inf", "-inf", "nan"):
+                assert record[key] == text, key
+                non_finite += 1
+    assert non_finite > 0
+
+
 def test_output_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TML_OUTPUT_DIR", str(tmp_path / "env_out"))
     code = cli.main(["dyck-stats", "--s", "2"])
@@ -645,7 +666,9 @@ def test_import_loads_only_cli_and_ensemble(tmp_path):
     _fresh_interpreter(
         tmp_path, [],
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'tml')\n"
-        "assert loaded == ['tml', 'tml.cli', 'tml.ensemble'], loaded",
+        "assert loaded == ['tml', 'tml.cli', 'tml.ensemble'], loaded\n"
+        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "assert not loaded, loaded",
     )
 
 
@@ -688,6 +711,20 @@ def test_non_finite_spectral_parameters_exit_1(tmp_path, capsys, case, message):
     argv = [case[0], "--dist", "skew12", "--n", "4", *case[1:], "--output-dir", str(tmp_path)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"tml {case[0]}: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t_values", ["", ","])
+def test_concentration_refuses_an_empty_t_list_before_sampling(
+    tmp_path, capsys, monkeypatch, t_values
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(spectral, "trial_values", no_sampling)
+    argv = ["concentration", "--dist", "skew12", "--n", "4", "--trials", "3", "--t-values", t_values]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["tml concentration: need at least one t value"]
     assert not list(tmp_path.iterdir())
 
 

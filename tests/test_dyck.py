@@ -255,7 +255,7 @@ def test_mc_values_pinned():
 
 @pytest.mark.parametrize("s", [1, 2, 7, 64, 256])
 def test_kernel_rows_match_sample_dyck(s):
-    steps = dyck._sample_steps(s, 300 + s, 5)
+    steps = dyck._sample_steps(s, 5, ensemble._trial_streams(300 + s, 5))
     assert steps.dtype == np.int8 and steps.shape == (5, 2 * s)
     levels = dyck._levels(steps)
     for j in range(5):
@@ -267,7 +267,7 @@ def test_kernel_rows_match_sample_dyck(s):
 @pytest.mark.parametrize("s", [1, 2, 7, 64, 256, 2**15 - 1, 2**15])
 def test_batch_next_below_matches_stack_sweep(s):
     # 2**15 - 1 is the last s with int16 levels; 2**15 takes the int32 route
-    levels = dyck._levels(dyck._sample_steps(s, 17 * s, 6))
+    levels = dyck._levels(dyck._sample_steps(s, 6, ensemble._trial_streams(17 * s, 6)))
     next_below = dyck._batch_next_below(levels)
     assert next_below.dtype == np.int32
     for row, nb in zip(levels.tolist(), next_below.tolist()):
@@ -343,7 +343,7 @@ def test_kernel_tensor_order_8_is_exact():
     s, trials, seed = 256, 6, 2024
     oracle = [k_functional_tensor(sample_dyck(s, seed + j), 8) for j in range(trials)]
     assert max(oracle) > 2**63
-    levels = dyck._levels(dyck._sample_steps(s, seed, trials))
+    levels = dyck._levels(dyck._sample_steps(s, trials, ensemble._trial_streams(seed, trials)))
     assert dyck._batch_k_total(levels, 8) == sum(oracle)
     assert expected_k_functional(s, 8, mode="mc", trials=trials, seed=seed) == sum(oracle) / trials
 

@@ -21,7 +21,7 @@ from tml.ensemble import (
     upper_uniforms,
 )
 
-NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence and PCG64 seeding _seed_words mirrors
+NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence hash _seed_words mirrors
 
 
 def test_rademacher_moments():
@@ -165,8 +165,6 @@ def test_sampling_stream_definition():
     n, seed = 7, 123
     u = upper_uniforms(n, seed)
     assert np.array_equal(u, np.random.default_rng(seed).random(n * (n + 1) // 2))
-    out = np.empty_like(u)
-    assert upper_uniforms(n, seed, out=out) is out and np.array_equal(out, u)
     d = make_distribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     idx = support_index(d, np.array([[0.0, 0.2499], [0.25, 0.7499], [0.75, 0.9999]]))
     assert idx.tolist() == [[0, 0], [1, 1], [2, 2]]
@@ -181,7 +179,7 @@ def test_sampling_stream_definition():
 @pytest.mark.parametrize("seed", [0, 1, 42, 123456789, 2**32 - 1])
 def test_seed_words_match_seed_sequence(seed):
     pin = (
-        f"ensemble._seed_words mirrors the SeedSequence and PCG64 seeding of numpy "
+        f"ensemble._seed_words mirrors only the SeedSequence hash of numpy "
         f"{NUMPY_PIN} and does not match the installed numpy {np.__version__}"
     )
     words = ensemble._seed_words(np.array([seed], dtype=np.uint32))[0]
@@ -204,6 +202,18 @@ def test_trial_streams_follow_default_rng(monkeypatch, seed, count):
 
     shuffles = [shuffled(rng) for rng in ensemble._trial_streams(seed, count)]
     assert shuffles == [shuffled(np.random.default_rng(seed + j)) for j in range(count)]
+
+
+# seven items span two hashing passes of five; 2**32 - 2 crosses into the
+# per-trial fallback
+@pytest.mark.parametrize("seed", [3, 2**32 - 2])
+def test_trial_streams_items_held_at_once_stay_independent(monkeypatch, seed):
+    monkeypatch.setattr(ensemble, "_SEED_BLOCK", 5)
+    held = list(ensemble._trial_streams(seed, 7))
+    oracles = [np.random.default_rng(seed + j) for j in range(7)]
+    for _ in range(3):
+        for rng, oracle in zip(held, oracles):
+            assert rng.random(2).tolist() == oracle.random(2).tolist()
 
 
 @pytest.mark.parametrize("seed", [256, 2**32 - 2, 2**64 + 5])
