@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble
-from .paths import beta_sum, catalan  # noqa: F401  re-exported; both live in numpy-free paths
 
 ENUMERATION_LIMIT = 12  # a materialised s = 14 would take about 75 MB
 _BATCH_BYTES = 1 << 18  # working set of one chunk of paths

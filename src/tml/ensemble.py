@@ -9,10 +9,11 @@ The normalized companion matrix is A = M / sqrt(n).
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
 derives its own seed as ``seed + t``, so results never depend on execution
 order or thread count.  Trial t's stream is that of
-``np.random.default_rng(seed + t)``.  The batched kernels take those streams
-from ``_trial_streams``, which hashes the seeds of a call in vectorised
-passes and lets each trial's PCG64 seed itself from its hashed words;
-``default_rng(seed)`` stays the oracle.
+``np.random.default_rng(seed + t)``.  Every trial kernel takes those streams
+from ``_trial_streams``, the one place the ``seed + t`` rule lives, which
+hashes the seeds of a call in vectorised passes and lets each trial's PCG64
+seed itself from its hashed words.  The public ``sample_symmetric_matrix``
+calls ``default_rng(seed)`` directly and stays the oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class EntryDistribution:
     probabilities: tuple[float, ...]
     moment_cache: tuple[float, ...]
     sigma: float
-    mu3: float
     bound_K: float
     name: str = "custom"
 
@@ -98,10 +98,10 @@ def make_distribution(
 ) -> EntryDistribution:
     """Validate and freeze a centered finite discrete law.
 
-    Rejects mismatched lengths, probabilities outside (0, 1], probability
-    mass not summing to 1 (tolerance 1e-12), a nonzero mean (tolerance
-    1e-12 times the largest |support point|, so the check is scale-free),
-    and zero variance.
+    Rejects mismatched lengths, a non-finite support point, probabilities
+    outside (0, 1], probability mass not summing to 1 (tolerance 1e-12), a
+    nonzero mean (tolerance 1e-12 times the largest |support point|, so the
+    check is scale-free), and a variance that is zero or past the float range.
     """
     xs = tuple(float(x) for x in support)
     ps = tuple(float(p) for p in probabilities)
@@ -111,6 +111,9 @@ def make_distribution(
         raise DistributionError("empty support")
     if len(set(xs)) != len(xs):
         raise DistributionError("support points must be distinct")
+    for x in xs:
+        if not math.isfinite(x):
+            raise DistributionError(f"support point {x!r} is not finite")
     for p in ps:
         if not (0.0 < p <= 1.0):
             raise DistributionError(f"probability {p!r} outside (0, 1]")
@@ -123,19 +126,19 @@ def make_distribution(
     var = sum(p * x * x for p, x in zip(ps, xs))
     if var <= 0.0:
         raise DistributionError("law has zero variance")
+    if math.isinf(var):
+        raise DistributionError("law variance overflows a float")
     cache = []
     for k in range(MOMENT_CACHE_DEPTH + 1):
         try:
             cache.append(sum(p * x**k for p, x in zip(ps, xs)))
         except OverflowError:  # |x|^k beyond the float range
             break
-    mu3 = sum(p * x**3 for p, x in zip(ps, xs))
     return EntryDistribution(
         support=xs,
         probabilities=ps,
         moment_cache=tuple(cache),
         sigma=math.sqrt(var),
-        mu3=mu3,
         bound_K=bound,
         name=name,
     )
@@ -192,15 +195,6 @@ def parse_distribution(token: str) -> EntryDistribution:
     except ValueError as exc:
         raise DistributionError(f"bad distribution token {token!r}: {exc}") from exc
     return make_distribution(xs, ps)
-
-
-def upper_uniforms(n: int, seed: int) -> np.ndarray:
-    """The n(n+1)/2 uniforms behind the upper triangle (diagonal included,
-    row-major) of the size-n matrix seeded with ``seed``: the first draws of
-    a PCG64 stream, the same as ``np.random.default_rng(seed).random``."""
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(seed)).random(n * (n + 1) // 2)
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -271,8 +265,9 @@ def support_index(dist: EntryDistribution, u: np.ndarray) -> np.ndarray:
     """Index into ``dist.support`` of each uniform draw in ``u`` (any shape):
     the k with cum[k-1] <= u < cum[k] over the cumulative probabilities.
 
-    With ``upper_uniforms`` this is the one definition of the sampling
-    stream; every symmetric-matrix sampler in the package goes through both.
+    Applied to the first n(n+1)/2 uniforms of a trial's PCG64 stream, this
+    is the one definition of the sampling stream; every symmetric-matrix
+    sampler in the package goes through it.
     """
     import numpy as np
 
@@ -285,13 +280,16 @@ def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> Matri
     """Draw one symmetric n x n matrix with i.i.d. upper-triangle entries.
 
     The upper triangle (diagonal included) is filled in row-major order from
-    a single PCG64 stream seeded with ``seed``; the lower triangle mirrors it.
+    the first n(n+1)/2 uniforms of ``np.random.default_rng(seed)``; the lower
+    triangle mirrors it.  This is the oracle the trial kernels are tested
+    against.
     """
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     import numpy as np
 
-    vals = np.asarray(dist.support)[support_index(dist, upper_uniforms(n, seed))]
+    u = np.random.default_rng(seed).random(n * (n + 1) // 2)
+    vals = np.asarray(dist.support)[support_index(dist, u)]
     a = np.zeros((n, n))
     iu = np.triu_indices(n)
     a[iu] = vals

@@ -671,15 +671,13 @@ def mixed_parity_reduction_bound(
     odd_pairs: int,
     walk_count: int,
     merge_count: int,
-    const: float = 1.0,
-    refined_const: float = 1.0,
 ) -> MixedParityBound:
     """Two ceilings on the cost of undoing merge_count merges, as logs.
 
-    trivial: C(2s, q) * (4s)^q * (2s)^q * (const/n)^q with q = merge_count
+    trivial: C(2s, q) * (4s)^q * (2s)^q * n^(-q) with q = merge_count
     (choices of switch instants, lengths, origins, and the weight of the
-    q restored edge pairs).  refined: C(2s', q) * (refined_const * s^(3/2)/n)^q
-    with s' = s - odd_pairs - merge_count, using the window-functional
+    q restored edge pairs).  refined: C(2s', q) * (s^(3/2)/n)^q with
+    s' = s - odd_pairs - merge_count, using the window-functional
     expectation in place of the raw length counting.  Ratios divide by
     C(2s, q).
     """
@@ -692,15 +690,13 @@ def mixed_parity_reduction_bound(
     if s_prime < 0:
         raise ValueError("merge_count and odd_pairs exceed the walk length budget")
     log_choices = math.log(math.comb(2 * s, q))
-    log_trivial = log_choices + q * (math.log(4 * s) + math.log(2 * s) + math.log(const) - math.log(n))
+    log_trivial = log_choices + q * (math.log(4 * s) + math.log(2 * s) - math.log(n))
     refined_choices = math.comb(2 * s_prime, q)
     if refined_choices == 0:
         # the shortened walks cannot host q switch instants: empty preimage
         log_refined = -math.inf
     else:
-        log_refined = math.log(refined_choices) + q * (
-            math.log(refined_const) + 1.5 * math.log(s) - math.log(n)
-        )
+        log_refined = math.log(refined_choices) + q * (1.5 * math.log(s) - math.log(n))
     return MixedParityBound(
         log_trivial=log_trivial,
         log_refined=log_refined,
@@ -756,7 +752,6 @@ def typed_vertex_contribution_log(
     small_type_count: int,
     large_type_weight: float,
     sigma: float = 1.0,
-    c_prime: float = 1.0,
 ) -> float:
     """Natural log of the even-walk contribution ceiling at fixed
     self-intersection budget, when the walk length grows like
@@ -765,7 +760,7 @@ def typed_vertex_contribution_log(
         sigma^(2s-2l) * catalan(s-l) * exp(n^(2*eta))
         * (n^(-1/8 + 9*eta/4))^r / r!
         * (n^(3*eta - 1/2))^k1 / k1!
-        * (c_prime * s / n^(199/200))^k2
+        * (s / n^(199/200))^k2
 
     with eta the growth exponent, r the non-closed-vertex count, k1 the
     number of moderate-type vertices and k2 the weighted count of
@@ -789,18 +784,18 @@ def typed_vertex_contribution_log(
         - math.lgamma(r + 1)
         + k1 * (3 * eta - 0.5) * math.log(n)
         - math.lgamma(k1 + 1)
-        + k2 * (math.log(c_prime * s) - (199 / 200) * math.log(n))
+        + k2 * (math.log(s) - (199 / 200) * math.log(n))
     )
 
 
-def distance_two_tail_log(s: int, complexity: int, total_nearby: float, decay: float = 1.0) -> float:
-    """Natural log of the product bound (s/kappa)^(4*kappa) * exp(-decay*M)
+def distance_two_tail_log(s: int, complexity: int, total_nearby: float) -> float:
+    """Natural log of the product bound (s/kappa)^(4*kappa) * exp(-M)
     controlling walks whose some vertex sees M vertices within distance two,
     with kappa the complexity budget."""
     if complexity < 1:
         raise ValueError("complexity must be at least 1")
     _check_finite(total_nearby=total_nearby)
-    return 4 * complexity * (math.log(s) - math.log(complexity)) - decay * total_nearby
+    return 4 * complexity * (math.log(s) - math.log(complexity)) - total_nearby
 
 
 # ---------- exact convolution facts behind the multi-walk constant ----------
@@ -817,16 +812,17 @@ def catalan_convolution_ratio(s: int) -> float:
     return _interior_convolution(s) / catalan(s)
 
 
-def verify_catalan_convolution(s_max: int, literal_grid: tuple[int, ...] = (2, 3, 5, 8, 13, 100, 1000)) -> bool:
+def verify_catalan_convolution(s_max: int) -> bool:
     """Exact check that the interior Catalan convolution never exceeds
     CONVOLUTION_CONST * catalan(s) for any 2 <= s <= s_max.
 
     The interior convolution equals catalan(s+1) - 2*catalan(s) (the full
     convolution identity minus the two boundary terms), so the inequality is
     catalan(s+1) <= 4*catalan(s), checked here with exact integers via the
-    ratio recurrence; the identity itself is re-verified literally on a grid.
+    ratio recurrence; the identity itself is re-verified term by term at the
+    orders 2, 3, 5, 8, 13, 100 and 1000 up to s_max.
     """
-    for s in literal_grid:
+    for s in (2, 3, 5, 8, 13, 100, 1000):
         if s > s_max:
             continue
         literal = _interior_convolution(s)

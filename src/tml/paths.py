@@ -259,7 +259,8 @@ def exact_trace_sums(
     dist: EntryDistribution, n: int, s: int, normalized: bool = True
 ) -> tuple[float, float]:
     """(E[Tr A^(2s)], its even-path share Z_e) by brute enumeration, in one
-    pass; raw E[Tr M^(2s)] sums with ``normalized=False``.
+    pass; the odd-path share Z_o is their difference.  Raw E[Tr M^(2s)] sums
+    with ``normalized=False``.
 
     Walks all n^(2s) closed sequences in odometer order.  Guarded so the
     enumeration stays below 1e8 sequences; use the relabeling-class variant
@@ -285,21 +286,6 @@ def exact_expected_trace(
 ) -> float:
     """E[Tr A^(2s)] (or the raw E[Tr M^(2s)]) by brute enumeration."""
     return exact_trace_sums(dist, n, s, normalized)[0]
-
-
-def even_path_contribution(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """Share of the exact expected trace carried by even paths (Z_e)."""
-    return exact_trace_sums(dist, n, s, normalized)[1]
-
-
-def odd_path_contribution(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """Share of the exact expected trace carried by odd paths (Z_o)."""
-    total, even = exact_trace_sums(dist, n, s, normalized)
-    return total - even
 
 
 def walk_count_exceeds(n: int, s: int, limit: int) -> bool:

@@ -4,29 +4,29 @@ tail bounds, and the two spectrum experiments (edge exceedance and
 concentration of the top eigenvalue).
 
 Every Monte Carlo routine here, and the CLI's spectrum table, runs through
-one trial kernel, ``trial_values``.  It samples trial i from seed + i,
-scales by 1/sqrt(n) (unless raw), and reduces each matrix to its statistic.
-The route follows the matrix size:
+one trial kernel, ``trial_values``.  It samples each trial from its own
+stream, taken from one ``ensemble._trial_streams`` run (seeded in vectorised
+passes), scales by 1/sqrt(n) (unless raw), and reduces each matrix to its
+statistic.  The route follows the matrix size:
 
 * n < DENSE_EIG_CUTOFF: trials are drawn in chunks of at most BATCH_BYTES
   of matrix data, gathered into one (T, n, n) stack, and solved by one
-  batched ``eigvalsh`` (or one stacked ``matrix_power``).  One
-  ``ensemble._trial_streams`` run, seeded in vectorised passes, feeds every
-  chunk.  The thread count is ignored: a chunk is a single numpy call.
+  batched ``eigvalsh`` (or one stacked ``matrix_power``).  The thread count
+  is ignored: a chunk is a single numpy call.
 * n >= DENSE_EIG_CUTOFF: each trial fills one normalized matrix row by row
   and goes straight to Lanczos (ARPACK, imported on first use); trials run
-  on a pool of ``threads`` workers.
+  on a pool of ``threads`` workers, each handed its trial's generator.
 
-Matrices built by the kernel are symmetric by construction, so the symmetry
-check runs only at the public boundary (``largest_eigenvalue``,
-``spectral_norm``, ``trace_power``).  The public route
-``sample_symmetric_matrix`` -> ``normalized_view`` -> ``largest_eigenvalue``
-/ ``trace_power`` stays as the kernel's test oracle; the two agree bit for
-bit.
+Matrices built by the kernel are symmetric and finite by construction, so
+the symmetry and finiteness check runs only at the public boundary
+(``largest_eigenvalue``, ``spectral_norm``, ``trace_power``).  The public
+route ``sample_symmetric_matrix`` -> ``normalized_view`` ->
+``largest_eigenvalue`` / ``trace_power`` stays as the kernel's test oracle;
+the two agree bit for bit.
 
 Determinism contract: every randomized routine takes one integer seed and
-derives the trial-i stream as seed + i, so runs are reproducible and
-independent of thread count and scheduling.
+derives each trial's stream from it through ``ensemble._trial_streams``, so
+runs are reproducible and independent of thread count and scheduling.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ValueError("matrix is not symmetric")
     return a
@@ -59,21 +61,22 @@ def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
     """k eigenvalues of symmetric a by ARPACK Lanczos, from a fixed all-ones
     starting vector so the result is bit-reproducible."""
     # scipy.sparse.linalg takes about 0.35 s to import; only this route needs it
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
     n = a.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
         return eigsh(a, k=k, which=which, v0=v0, tol=DEFAULT_TOLERANCE, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
+    except ArpackError as exc:
         residual = math.nan
-        if len(exc.eigenvalues) and exc.eigenvectors.size:
-            lam = float(exc.eigenvalues[-1])
-            vec = exc.eigenvectors[:, -1]
-            residual = float(np.linalg.norm(a @ vec - lam * vec))
-        raise EigensolverError(
-            f"Lanczos iteration did not converge at tol={DEFAULT_TOLERANCE}", residual=residual
-        ) from exc
+        message = f"Lanczos iteration failed: {exc}"
+        if isinstance(exc, ArpackNoConvergence):  # it carries the best pair found
+            message = f"Lanczos iteration did not converge at tol={DEFAULT_TOLERANCE}"
+            if len(exc.eigenvalues) and exc.eigenvectors.size:
+                lam = float(exc.eigenvalues[-1])
+                vec = exc.eigenvectors[:, -1]
+                residual = float(np.linalg.norm(a @ vec - lam * vec))
+        raise EigensolverError(message, residual=residual) from exc
 
 
 def _top(a: np.ndarray) -> float:
@@ -161,14 +164,15 @@ def trial_values(
     normalized: bool = True,
     threads: int = 1,
 ) -> np.ndarray:
-    """The statistic of each of ``trials`` sampled matrices, trial i drawn
-    from seed + i, as an array in trial order.
+    """The statistic of each of ``trials`` sampled matrices, as an array in
+    trial order; trial i draws from stream i of ``ensemble._trial_streams``.
 
     ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s) by
     ``method``, "eig" or "power") or "spectrum" (one row of top eigenvalue
     and spectral norm per trial).  A is the 1/sqrt(n)-normalized matrix, or
     the raw one when normalized=False.  Values equal those of the public
-    per-matrix functions on ``sample_symmetric_matrix(dist, n, seed + i)``.
+    per-matrix functions on ``sample_symmetric_matrix``, called with ``seed``
+    for trial 0 and one more for each later trial.
     ``threads`` is used on the n >= DENSE_EIG_CUTOFF route only.
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
@@ -185,6 +189,8 @@ def trial_values(
     if normalized:
         support = support / np.sqrt(n)
     m = n * (n + 1) // 2
+    # per-trial streams make the values independent of execution order
+    streams = ensemble._trial_streams(seed, trials)
 
     if n < DENSE_EIG_CUTOFF:
         # mirror[r, c] is the upper-triangle position of entry (r, c)
@@ -192,7 +198,6 @@ def trial_values(
         mirror = np.empty((n, n), dtype=np.intp)
         mirror[rows, cols] = mirror[cols, rows] = np.arange(m)
         chunk = max(1, BATCH_BYTES // (8 * n * n))
-        streams = ensemble._trial_streams(seed, trials)
         parts = []
         for first in range(0, trials, chunk):
             u = np.empty((min(chunk, trials - first), m))
@@ -202,8 +207,8 @@ def trial_values(
             parts.append(_stack_values(stack, statistic, s, method))
         return np.concatenate(parts)
 
-    def worker(i: int):
-        vals = support[ensemble.support_index(dist, ensemble.upper_uniforms(n, seed + i))]
+    def worker(rng: np.random.Generator):
+        vals = support[ensemble.support_index(dist, rng.random(m))]
         a = np.empty((n, n))
         start = 0
         for r in range(n):
@@ -215,11 +220,10 @@ def trial_values(
             return _top(a)
         return _top(a), _norm(a)
 
-    # per-trial seeds make the values independent of execution order
     if threads <= 1:
-        return np.array([worker(i) for i in range(trials)])
+        return np.array([worker(rng) for rng in streams])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(worker, range(trials))))
+        return np.array(list(pool.map(worker, streams)))  # draws every stream in this thread
 
 
 @dataclass(frozen=True)

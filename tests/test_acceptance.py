@@ -16,8 +16,6 @@ import pytest
 
 import tml.cli as cli
 from tml.dyck import (
-    beta_sum,
-    catalan,
     enumerate_dyck,
     expected_k_functional,
     stay_above_full_window_expectation,
@@ -37,8 +35,10 @@ from tml.gluing import (
 )
 from tml.paths import (
     ClosedPath,
-    even_path_contribution,
+    beta_sum,
+    catalan,
     exact_expected_trace,
+    exact_trace_sums,
     is_even_path,
     random_closed_path,
 )
@@ -91,8 +91,7 @@ def test_02_catalan_wigner_consistency(capsys):
     detail = ""
     for n in (1, 2, 3):
         for s in (1, 2, 3):
-            full = exact_expected_trace(dist, n, s)
-            even = even_path_contribution(dist, n, s)
+            full, even = exact_trace_sums(dist, n, s)
             if even != pytest.approx(full, rel=1e-12):
                 ok, detail = False, f"n={n} s={s} full={full} even={even}"
     for s in range(1, 11):

@@ -119,8 +119,7 @@ def _moment_products(tmp_path, monkeypatch, route, dist, n, s) -> int:
     monkeypatch.setattr(paths, "_moment_product", product)
     d = parse_distribution(dist)
     if route == "full":
-        value = paths.exact_expected_trace(d, n, s)
-        even = paths.even_path_contribution(d, n, s)
+        value, even = paths.exact_trace_sums(d, n, s)
     else:
         value = paths.exact_expected_trace_patterns(d, n, s)
         even = paths.exact_trace_sums_patterns(d, n, s)[1]
@@ -496,6 +495,21 @@ def test_bounds_table_writes_inf_past_the_float_range(tmp_path, capsys, argv, fa
     assert any(r["family"] == family and r["value"] == "inf" for r in rows)
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--s", "8", "--n", "1000"], "5cebf1a346c0697265b74a2cb2d08065cbde053c633d043f07b41dd78c5a6110"),
+    # non-default knobs of the mixed-parity, typed-vertex and distance-two rows
+    (
+        ["--s", "64", "--n", "100000", "--max-merges", "20", "--growth-exponent", "0.2",
+         "--large-type", "3.5", "--nearby", "40", "--complexity", "5"],
+        "dd5bc0cd5649105a79ddcfa85e9364596bfa5aca4a709aec0ecccd54ac4ba208",
+    ),
+], ids=["default", "non-default"])
+def test_bounds_table_bytes_are_pinned(tmp_path, argv, digest):
+    code, _, _ = run(tmp_path, "bounds-table", *argv)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "bounds-table.csv").read_bytes()).hexdigest() == digest
+
+
 def test_bounds_table_refuses_s_past_the_limit(tmp_path, capsys):
     s = gluing.BOUND_S_LIMIT + 1
     start = time.perf_counter()
@@ -711,6 +725,22 @@ def test_non_finite_spectral_parameters_exit_1(tmp_path, capsys, case, message):
     argv = [case[0], "--dist", "skew12", "--n", "4", *case[1:], "--output-dir", str(tmp_path)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"tml {case[0]}: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["trace-exact", "--n", "2", "--s", "1"],
+    ["edge-exceed", "--n", "70", "--trials", "1", "--epsilon", "0.1"],
+], ids=["trace-exact", "edge-exceed"])
+@pytest.mark.parametrize("law,message", [
+    ("support=nan,1;probs=0.5,0.5", "support point nan is not finite"),
+    ("support=-inf,inf;probs=0.5,0.5", "support point -inf is not finite"),
+    ("support=-1e200,1e200;probs=0.5,0.5", "law variance overflows a float"),
+], ids=["nan", "inf", "variance-overflow"])
+def test_non_finite_law_exits_1(tmp_path, capsys, subcommand, law, message):
+    argv = [subcommand[0], "--dist", law, *subcommand[1:], "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"tml {subcommand[0]}: {message}"]
     assert not list(tmp_path.iterdir())
 
 

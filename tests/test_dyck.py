@@ -11,8 +11,6 @@ from tml import dyck
 from tml.dyck import (
     DyckPath,
     DyckSizeError,
-    beta_sum,
-    catalan,
     descent_window,
     enumerate_dyck,
     exact_k_functional_total,
@@ -24,6 +22,7 @@ from tml.dyck import (
     sample_dyck,
     stay_above_full_window_expectation,
 )
+from tml.paths import beta_sum, catalan
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 

@@ -18,7 +18,6 @@ from tml.ensemble import (
     sample_symmetric_matrix,
     skew12,
     support_index,
-    upper_uniforms,
 )
 
 NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence hash _seed_words mirrors
@@ -27,7 +26,7 @@ NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence hash _seed_words mirrors
 def test_rademacher_moments():
     d = rademacher()
     assert d.sigma == 1.0
-    assert d.mu3 == 0.0
+    assert moment(d, 3) == 0.0
     assert d.bound_K == 1.0
     for k in range(0, 20):
         assert moment(d, k) == (1.0 if k % 2 == 0 else 0.0)
@@ -36,7 +35,7 @@ def test_rademacher_moments():
 def test_skew12_moments():
     d = skew12()
     assert d.sigma == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert d.mu3 == pytest.approx(2.0, abs=1e-12)
+    assert moment(d, 3) == pytest.approx(2.0, abs=1e-12)
     assert d.bound_K == 2.0
     # E[x^k] = (2/3)(-1)^k + (1/3)2^k
     for k in range(0, 12):
@@ -67,11 +66,26 @@ def test_moment_cache_depth_and_overflow():
         ([-1.0, 1.0], [0.6, 0.6]),             # mass != 1
         ([0.0, 2.0], [0.5, 0.5]),              # nonzero mean
         ([0.0], [1.0]),                        # zero variance
+        ([math.nan, 1.0], [0.5, 0.5]),         # non-finite support point
+        ([-math.inf, math.inf], [0.5, 0.5]),   # non-finite support points
+        ([-1e200, 1e200], [0.5, 0.5]),         # variance past the float range
     ],
 )
 def test_make_distribution_rejects(support, probs):
     with pytest.raises(DistributionError):
         make_distribution(support, probs)
+
+
+def test_law_whose_third_power_overflows_is_accepted(tmp_path):
+    # x^3 leaves the float range, x^2 does not: the moment cache stops at order 2
+    token = "support=-1e120,1e120;probs=0.5,0.5"
+    d = parse_distribution(token)
+    assert d.sigma == 1e120
+    assert moment(d, 2) == 1e240
+    with pytest.raises(DistributionError):
+        moment(d, 3)
+    argv = ["trace-exact", "--dist", token, "--n", "2", "--s", "1", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
 
 
 @given(
@@ -163,8 +177,7 @@ def test_two_point_law_variance_matches_sigma(dist):
 def test_sampling_stream_definition():
     # trial seeds index PCG64 streams exactly as np.random.default_rng does
     n, seed = 7, 123
-    u = upper_uniforms(n, seed)
-    assert np.array_equal(u, np.random.default_rng(seed).random(n * (n + 1) // 2))
+    u = np.random.default_rng(seed).random(n * (n + 1) // 2)
     d = make_distribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     idx = support_index(d, np.array([[0.0, 0.2499], [0.25, 0.7499], [0.75, 0.9999]]))
     assert idx.tolist() == [[0, 0], [1, 1], [2, 2]]

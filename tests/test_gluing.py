@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import tml.cli as cli
 import tml.gluing as gluing
-from tml.dyck import catalan
 from tml.gluing import (
     BoundBreakdown,
     CONVOLUTION_CONST,
@@ -44,6 +43,7 @@ from tml.paths import (
     PathSizeError,
     _canonical_sequences,
     _closed_sequences,
+    catalan,
     edge_multiplicities,
     is_even_path,
     marked_instants,
@@ -638,8 +638,8 @@ def test_cycle_refined_insertion_bound():
 def test_typed_vertex_contribution_log():
     s, n, l = 100, 10**6, 2
     eta, r, k1, k2 = 0.01, 2, 1, 0.5
-    sigma, cp_ = math.sqrt(2.0), 1.5
-    v = typed_vertex_contribution_log(s, n, l, eta, r, k1, k2, sigma=sigma, c_prime=cp_)
+    sigma = math.sqrt(2.0)
+    v = typed_vertex_contribution_log(s, n, l, eta, r, k1, k2, sigma=sigma)
     direct = (
         (2 * s - 2 * l) * math.log(sigma)
         + math.lgamma(2 * (s - l) + 1)
@@ -650,7 +650,7 @@ def test_typed_vertex_contribution_log():
         - math.lgamma(r + 1)
         + k1 * (3 * eta - 0.5) * math.log(n)
         - math.lgamma(k1 + 1)
-        + k2 * (math.log(cp_ * s) - (199 / 200) * math.log(n))
+        + k2 * (math.log(s) - (199 / 200) * math.log(n))
     )
     assert v == pytest.approx(direct, rel=1e-12)
     with pytest.raises(ValueError):
@@ -665,9 +665,6 @@ def test_distance_two_tail_log():
     s, kappa, m = 64, 4, 30.0
     assert distance_two_tail_log(s, kappa, m) == pytest.approx(
         4 * kappa * math.log(s / kappa) - m, rel=1e-12
-    )
-    assert distance_two_tail_log(s, kappa, m, decay=0.5) == pytest.approx(
-        4 * kappa * math.log(s / kappa) - 0.5 * m, rel=1e-12
     )
     with pytest.raises(ValueError):
         distance_two_tail_log(s, 0, m)

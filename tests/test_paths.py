@@ -18,7 +18,6 @@ from tml.paths import (
     _moment_product,
     edge_key,
     edge_multiplicities,
-    even_path_contribution,
     exact_expected_trace,
     exact_expected_trace_patterns,
     exact_trace_sums,
@@ -27,7 +26,6 @@ from tml.paths import (
     is_even_path,
     marked_instants,
     nonreturned_edges,
-    odd_path_contribution,
     path_weight,
     random_closed_path,
     walk_count_exceeds,
@@ -221,13 +219,15 @@ def test_exact_trace_rademacher_frozen():
 def test_even_odd_split():
     d = skew12()
     for n, s in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        total = exact_expected_trace(d, n, s)
-        even = even_path_contribution(d, n, s)
-        odd = odd_path_contribution(d, n, s)
-        assert even + odd == pytest.approx(total, rel=1e-12)
+        total, even = exact_trace_sums(d, n, s)
+        walks = [ClosedPath(vertices=vs, n=n) for vs in _closed_sequences(n, 2 * s)]
+        assert total == pytest.approx(sum(path_weight(p, d) for p in walks), rel=1e-12)
+        even_walks = [p for p in walks if is_even_path(p)]
+        assert even == pytest.approx(sum(path_weight(p, d) for p in even_walks), rel=1e-12)
     # rademacher kills every odd path outright
     for n, s in [(2, 2), (3, 3)]:
-        assert odd_path_contribution(rademacher(), n, s) == 0.0
+        total, even = exact_trace_sums(rademacher(), n, s)
+        assert total - even == 0.0
 
 
 def test_skew12_odd_share_first_appears_at_s4():
@@ -235,8 +235,10 @@ def test_skew12_odd_share_first_appears_at_s4():
     # odd-degree vertex, so the odd share vanishes through s = 3
     d = skew12()
     for s in (1, 2, 3):
-        assert odd_path_contribution(d, 3, s) == 0.0
-    assert odd_path_contribution(d, 3, 4) == pytest.approx(
+        total, even = exact_trace_sums(d, 3, s)
+        assert total - even == 0.0
+    total, even = exact_trace_sums(d, 3, 4)
+    assert total - even == pytest.approx(
         2.3703703703704377, rel=1e-9
     )
     assert exact_expected_trace(d, 3, 4) == pytest.approx(
@@ -250,7 +252,7 @@ def test_patterns_route_matches_full():
             full = exact_expected_trace(d, n, s)
             pat = exact_expected_trace_patterns(d, n, s)
             assert pat == pytest.approx(full, rel=1e-12)
-            even_full = even_path_contribution(d, n, s)
+            even_full = exact_trace_sums(d, n, s)[1]
             even_pat = exact_trace_sums_patterns(d, n, s)[1]
             assert even_pat == pytest.approx(even_full, rel=1e-12)
 
@@ -324,8 +326,6 @@ def test_pair_functions_match_their_views(law, normalized):
     for n, s in [(1, 3), (2, 4), (3, 4)]:
         total, even = exact_trace_sums(d, n, s, normalized)
         assert exact_expected_trace(d, n, s, normalized) == total
-        assert even_path_contribution(d, n, s, normalized) == even
-        assert odd_path_contribution(d, n, s, normalized) == total - even
 
 
 @pytest.mark.parametrize("law", LAWS)

@@ -11,7 +11,6 @@ import pytest
 import tml
 import tml.ensemble as ensemble
 import tml.spectral as spectral
-from tml.dyck import catalan
 from tml.ensemble import rademacher, sample_symmetric_matrix, skew12
 from tml.spectral import (
     EDGE_EXPONENT,
@@ -28,6 +27,7 @@ from tml.spectral import (
     wigner_trace_prediction,
     wigner_trace_prediction_refined,
 )
+from tml.paths import catalan
 
 
 def random_symmetric(n, seed):
@@ -60,6 +60,28 @@ def test_largest_eigenvalue_rejects_asymmetric():
         largest_eigenvalue(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         largest_eigenvalue(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", [5, 64])  # the dense and the Lanczos route
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_public_routines_reject_non_finite_entries(n, value):
+    bad = np.full((n, n), value)
+    for fn in (largest_eigenvalue, spectral_norm, lambda a: trace_power(a, 1)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(bad)
+
+
+def test_lanczos_maps_every_arpack_error(monkeypatch):
+    import scipy.sparse.linalg as linalg
+
+    def broken(*args, **kwargs):
+        raise linalg.ArpackError(-9)  # "starting vector is zero"
+
+    monkeypatch.setattr(linalg, "eigsh", broken)
+    with pytest.raises(spectral.EigensolverError) as info:
+        largest_eigenvalue(random_symmetric(64, seed=7))
+    assert math.isnan(info.value.residual)
+    assert isinstance(info.value.__cause__, linalg.ArpackError)
 
 
 def test_spectral_norm():
@@ -299,9 +321,11 @@ def test_trace_kernel_matches_public_route(n, method, normalized, monkeypatch):
 def test_eigenvalue_kernel_matches_public_route(n, statistic, monkeypatch):
     monkeypatch.setattr(spectral, "BATCH_BYTES", 2 * 8 * n * n)
     d = rademacher()
-    expected = public_route(d, n, 5, 31, statistic)
-    for threads in (1, 3):
-        assert np.array_equal(trial_values(d, n, 5, 31, statistic, threads=threads), expected)
+    for seed in (31, 2**32 - 2):  # the second run's five seeds cross 2^32
+        expected = public_route(d, n, 5, seed, statistic)
+        for threads in (1, 3):
+            got = trial_values(d, n, 5, seed, statistic, threads=threads)
+            assert np.array_equal(got, expected)
 
 
 def test_kernel_chunking_does_not_change_values(monkeypatch):

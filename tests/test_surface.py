@@ -1,10 +1,12 @@
-"""The package's public surface: what the benchmark tracer wraps, and what
-the top-level package exports.
+"""The package's public surface: what the benchmark tracer wraps, what the
+top-level package exports, and that every module uses each name it imports.
 
 The tracer reports a name it cannot find as absent and runs on, so a rename
 or a trim would silently blank a benchmark layer; these tests make it fail.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -13,14 +15,12 @@ import types
 import pytest
 
 import tml
-import tml.dyck
 import tml.ensemble
-import tml.paths
 import tml.spectral
 
-TRACER_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER_PATH = os.path.join(ROOT, "perfbench", "tracer.py")
+SRC_DIR = os.path.join(ROOT, "src", "tml")
 
 
 def _tracer():
@@ -68,8 +68,25 @@ def test_package_exports_only_version():
 
 
 def test_moved_names_keep_their_identity():
-    # catalan and beta_sum live in paths and EigensolverError in ensemble, all free of
-    # numpy; the modules that used to define them re-export the same objects
-    assert tml.dyck.catalan is tml.paths.catalan
-    assert tml.dyck.beta_sum is tml.paths.beta_sum
+    # EigensolverError lives in numpy-free ensemble; spectral raises the same object
     assert tml.spectral.EigensolverError is tml.ensemble.EigensolverError
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every name an import statement binds, anywhere in the module, apart
+    from ``__future__`` features."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))), ids=os.path.basename)
+def test_every_import_is_used(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert _imported_names(tree) - used == set()
