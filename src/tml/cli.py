@@ -303,8 +303,8 @@ def _cmd_dyck_stats(args):
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=int, default=1,
-        help="trial threads on the n >= 64 Lanczos route; BLAS threads already "
-        "parallelize each solve, and the batched n < 64 route ignores this",
+        help="worker threads, at most one per CPU, each running whole chunks of "
+        "trials (at least 1); BLAS threads already parallelize each solve",
     )
 
 

@@ -11,7 +11,7 @@ derives its own seed as ``seed + t``, so results never depend on execution
 order or thread count.  Trial t's stream is that of
 ``np.random.default_rng(seed + t)``.  Every trial kernel takes those streams
 from ``_trial_streams``, the one place the ``seed + t`` rule lives, which
-hashes the seeds of a call in vectorised passes and lets each trial's PCG64
+hashes the seeds of each run in vectorised passes and lets each trial's PCG64
 seed itself from its hashed words.  The public ``sample_symmetric_matrix``
 calls ``default_rng(seed)`` directly and stays the oracle.
 """

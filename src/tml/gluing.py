@@ -265,16 +265,16 @@ def count_gluings(p: ClosedPath) -> tuple[int, dict[int, int]]:
 
 
 def _pairing_count(structure: OddStructure) -> tuple[int, dict[int, int]]:
-    ends = Counter()
+    ends: dict[int, int] = {}
     for run in structure.runs:
-        ends[run.depart_vertex] += 1
-        ends[run.arrive_vertex] += 1
-    hist: Counter[int] = Counter()
+        ends[run.depart_vertex] = ends.get(run.depart_vertex, 0) + 1
+        ends[run.arrive_vertex] = ends.get(run.arrive_vertex, 0) + 1
+    hist: dict[int, int] = {}
     count = 1
     for v, c in ends.items():
         if c % 2 != 0:
             raise GluingError(f"odd endpoint incidence at vertex {v}")
-        hist[c // 2] += 1
+        hist[c // 2] = hist.get(c // 2, 0) + 1
         count *= math.prod(range(1, c, 2))  # (c-1)!! over even c
     return count, dict(sorted(hist.items()))
 
@@ -477,9 +477,13 @@ def path_statistics(p: ClosedPath) -> WalkStatistics:
     if not is_even_path(p):
         raise GluingError("statistics are defined for even walks")
     marked = marked_instants(p)
-    events = Counter(p.vertices[t] for t in marked)
-    events[p.origin] += 1
-    hist = Counter(k for k in events.values() if k >= 2)
+    events = {p.origin: 1}
+    for t in marked:
+        events[p.vertices[t]] = events.get(p.vertices[t], 0) + 1
+    hist: dict[int, int] = {}
+    for k in events.values():
+        if k >= 2:
+            hist[k] = hist.get(k, 0) + 1
 
     r = 0
     for v, k in events.items():
@@ -487,10 +491,10 @@ def path_statistics(p: ClosedPath) -> WalkStatistics:
             r += 1
     complexity = r + sum(k * c for k, c in hist.items() if k > 2)
 
-    degrees: dict[int, Counter] = {}
+    degrees: dict[int, set[tuple[int, int]]] = {}  # vertex -> its edges
     for u, v in edge_multiplicities(p):
-        degrees.setdefault(u, Counter())[(u, v)] = 1
-        degrees.setdefault(v, Counter())[(u, v)] = 1
+        degrees.setdefault(u, set()).add((u, v))
+        degrees.setdefault(v, set()).add((u, v))
     edge_degrees = {v: len(c) for v, c in degrees.items()}
     nearby = {}
     for v, c in degrees.items():

@@ -161,13 +161,15 @@ def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True)
 
 def marked_instants(p: ClosedPath) -> set[int]:
     """Instants whose edge has odd running multiplicity (1-based)."""
-    seen: Counter = Counter()
+    odd: set[tuple[int, int]] = set()  # edges traversed an odd number of times so far
     out: set[int] = set()
     vs = p.vertices
     for j in range(1, len(vs)):
         e = edge_key(vs[j - 1], vs[j])
-        seen[e] += 1
-        if seen[e] % 2 == 1:
+        if e in odd:
+            odd.remove(e)
+        else:
+            odd.add(e)
             out.add(j)
     return out
 

@@ -4,18 +4,11 @@ tail bounds, and the two spectrum experiments (edge exceedance and
 concentration of the top eigenvalue).
 
 Every Monte Carlo routine here, and the CLI's spectrum table, runs through
-one trial kernel, ``trial_values``.  It samples each trial from its own
-stream, taken from one ``ensemble._trial_streams`` run (seeded in vectorised
-passes), scales by 1/sqrt(n) (unless raw), and reduces each matrix to its
-statistic.  The route follows the matrix size:
-
-* n < DENSE_EIG_CUTOFF: trials are drawn in chunks of at most BATCH_BYTES
-  of matrix data, gathered into one (T, n, n) stack, and solved by one
-  batched ``eigvalsh`` (or one stacked ``matrix_power``).  The thread count
-  is ignored: a chunk is a single numpy call.
-* n >= DENSE_EIG_CUTOFF: each trial fills one normalized matrix row by row
-  and goes straight to Lanczos (ARPACK, imported on first use); trials run
-  on a pool of ``threads`` workers, each handed its trial's generator.
+one trial kernel, ``trial_values``: one loop over chunks of at most
+BATCH_BYTES of matrix data, at every matrix size.  A chunk draws each trial
+from its own stream (``ensemble._trial_streams``), scales by 1/sqrt(n)
+(unless raw), fills a (T, n, n) stack and reduces it in ``_stack_values``.
+``threads`` workers run whole chunks, one chunk per worker per round.
 
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
@@ -32,6 +25,7 @@ runs are reproducible and independent of thread count and scheduling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +37,7 @@ from .paths import catalan
 
 DENSE_EIG_CUTOFF = 64
 DEFAULT_TOLERANCE = 1e-10
-BATCH_BYTES = 1 << 23  # matrix data per batched solve on the small-n route
+BATCH_BYTES = 1 << 23  # matrix data per chunk of trials
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -141,9 +135,15 @@ def check_matrix_memory(n: int) -> None:
 
 
 def _stack_values(stack: np.ndarray, statistic: str, s: int, method: str) -> np.ndarray:
-    """The statistic of every matrix in a (T, n, n) stack, in one call."""
+    """The statistic of every matrix in a (T, n, n) stack: one batched numpy
+    call, except one Lanczos solve per matrix (ARPACK, imported on first use)
+    for an eigenvalue statistic from DENSE_EIG_CUTOFF up."""
     if statistic == "trace" and method == "power":
         return np.trace(np.linalg.matrix_power(stack, 2 * s), axis1=1, axis2=2)
+    if statistic == "lambda_max" and stack.shape[1] >= DENSE_EIG_CUTOFF:
+        return np.array([_top(a) for a in stack])
+    if statistic == "spectrum" and stack.shape[1] >= DENSE_EIG_CUTOFF:
+        return np.array([(_top(a), _norm(a)) for a in stack])
     vals = np.linalg.eigvalsh(stack)
     if statistic == "trace":
         return np.sum(vals ** (2 * s), axis=1)
@@ -165,15 +165,15 @@ def trial_values(
     threads: int = 1,
 ) -> np.ndarray:
     """The statistic of each of ``trials`` sampled matrices, as an array in
-    trial order; trial i draws from stream i of ``ensemble._trial_streams``.
+    trial order.
 
     ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s) by
     ``method``, "eig" or "power") or "spectrum" (one row of top eigenvalue
     and spectral norm per trial).  A is the 1/sqrt(n)-normalized matrix, or
     the raw one when normalized=False.  Values equal those of the public
     per-matrix functions on ``sample_symmetric_matrix``, called with ``seed``
-    for trial 0 and one more for each later trial.
-    ``threads`` is used on the n >= DENSE_EIG_CUTOFF route only.
+    for trial 0 and one more for each later trial.  ``threads`` workers, at
+    most one per CPU, run the chunks in rounds of one chunk per worker.
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
@@ -184,46 +184,40 @@ def trial_values(
             raise ValueError(f"unknown trace method {method!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     check_matrix_memory(n)
     support = np.asarray(dist.support)
     if normalized:
         support = support / np.sqrt(n)
     m = n * (n + 1) // 2
-    # per-trial streams make the values independent of execution order
-    streams = ensemble._trial_streams(seed, trials)
+    chunk = max(1, BATCH_BYTES // (8 * n * n))
 
-    if n < DENSE_EIG_CUTOFF:
-        # mirror[r, c] is the upper-triangle position of entry (r, c)
-        rows, cols = np.triu_indices(n)
-        mirror = np.empty((n, n), dtype=np.intp)
-        mirror[rows, cols] = mirror[cols, rows] = np.arange(m)
-        chunk = max(1, BATCH_BYTES // (8 * n * n))
-        parts = []
-        for first in range(0, trials, chunk):
-            u = np.empty((min(chunk, trials - first), m))
-            for row, rng in zip(u, streams):
-                rng.random(out=row)
-            stack = support[ensemble.support_index(dist, u)][:, mirror]
-            parts.append(_stack_values(stack, statistic, s, method))
-        return np.concatenate(parts)
-
-    def worker(rng: np.random.Generator):
-        vals = support[ensemble.support_index(dist, rng.random(m))]
-        a = np.empty((n, n))
+    def chunk_values(first: int) -> np.ndarray:
+        rows = min(chunk, trials - first)
+        u = np.empty((rows, m))
+        # per-trial streams make the values independent of execution order
+        for i, rng in enumerate(ensemble._trial_streams(seed + first, rows)):
+            rng.random(out=u[i])
+        vals = support[ensemble.support_index(dist, u)]
+        del u  # freed before the stack is allocated
+        stack = np.empty((rows, n, n))
         start = 0
-        for r in range(n):
-            a[r, r:] = a[r:, r] = vals[start:start + n - r]
+        for r in range(n):  # the upper triangle row by row, mirrored
+            stack[:, r, r:] = stack[:, r:, r] = vals[:, start:start + n - r]
             start += n - r
-        if statistic == "trace":
-            return _stack_values(a[None], statistic, s, method)[0]
-        if statistic == "lambda_max":
-            return _top(a)
-        return _top(a), _norm(a)
+        return _stack_values(stack, statistic, s, method)
 
-    if threads <= 1:
-        return np.array([worker(rng) for rng in streams])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(worker, streams)))  # draws every stream in this thread
+    firsts = range(0, trials, chunk)
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers == 1:
+        return np.concatenate([chunk_values(first) for first in firsts])
+    parts = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for at in range(0, len(firsts), workers):  # bounded rounds: one chunk per worker
+            parts.extend(pool.map(chunk_values, firsts[at:at + workers]))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -253,8 +247,7 @@ def mc_expected_trace(
         dist, n, trials, seed, "trace",
         s=s, method=method, normalized=normalized, threads=threads,
     )
-    mean = float(values.mean())
-    return TraceEstimate(mean=mean, stderr=_stderr(values), trials=trials, n=n, s=s)
+    return TraceEstimate(mean=float(values.mean()), stderr=_stderr(values), trials=trials, n=n, s=s)
 
 
 def _stderr(values: np.ndarray) -> float:

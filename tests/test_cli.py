@@ -720,6 +720,8 @@ def test_edge_threshold_past_the_float_range_is_inf(tmp_path):
     (["edge-exceed", "--trials", "2", "--epsilon=-inf"], "epsilon must be finite, got -inf"),
     (["concentration", "--trials", "3", "--t-values", "nan,1"], "t must be finite, got nan"),
     (["concentration", "--trials", "3", "--t-values", "1,inf"], "t must be finite, got inf"),
+    (["trace-mc", "--s", "2", "--threads", "0"], "threads must be at least 1, got 0"),
+    (["concentration", "--trials", "3", "--threads", "-4"], "threads must be at least 1, got -4"),
 ])
 def test_non_finite_spectral_parameters_exit_1(tmp_path, capsys, case, message):
     argv = [case[0], "--dist", "skew12", "--n", "4", *case[1:], "--output-dir", str(tmp_path)]

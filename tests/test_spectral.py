@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -335,6 +336,48 @@ def test_kernel_chunking_does_not_change_values(monkeypatch):
     assert np.array_equal(trial_values(d, 10, 50, 3, "trace", s=3), whole)
 
 
+def test_threads_run_bounded_rounds_on_at_most_the_cpus(monkeypatch):
+    # a huge thread count neither asks for that many workers nor queues every chunk at once
+    workers, batches = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            batches.append(len(items))
+            return [fn(item) for item in items]
+
+    d, n = skew12(), 70
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk
+    expected = trial_values(d, n, 9, 0, "lambda_max", threads=1)
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", SerialPool)
+    got = trial_values(d, n, 9, 0, "lambda_max", threads=10**6)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert all(w <= cpus for w in workers) and all(b <= cpus for b in batches)
+    assert sum(batches) == (9 if cpus > 1 else 0)
+    assert np.array_equal(got, expected)
+
+
+def test_large_n_peak_memory_stays_below_two_matrices():
+    d, n = skew12(), 1200
+    trial_values(d, n, 2, 11, "lambda_max")  # warm: scipy and ARPACK load outside the trace
+    tracemalloc.start()
+    try:
+        trial_values(d, n, 2, 11, "lambda_max")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n, peak / (8 * n * n)
+
+
 def test_kernel_rejects_bad_arguments():
     d = rademacher()
     with pytest.raises(ValueError):
@@ -347,6 +390,8 @@ def test_kernel_rejects_bad_arguments():
         trial_values(d, 4, 0, 0, "lambda_max")
     with pytest.raises(ValueError):
         trial_values(d, 0, 2, 0, "lambda_max")
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        trial_values(d, 4, 2, 0, "lambda_max", threads=0)
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
