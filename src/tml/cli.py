@@ -227,6 +227,9 @@ def _cmd_verify_gluing(args):
 def _cmd_bounds_table(args):
     from . import gluing
 
+    for name in ("max_odd_pairs", "max_merges"):  # a negative count would drop a family silently
+        if getattr(args, name) < 0:
+            raise ValueError(f"{name} must be at least 0, got {getattr(args, name)}")
     s, n = args.s, args.n
     sigma, bound_k = args.sigma, args.entry_bound
     rows: list[list] = []

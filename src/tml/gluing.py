@@ -1006,9 +1006,10 @@ def run_invariant_suite(
 ) -> InvariantReport:
     """Check every structural invariant of the surgery over all n^(2s)
     closed vertex sequences (exhaustive=True) and/or random_walks uniformly
-    random closed walks of length 2s on n vertices.  n < 1, s < 1 and a
-    negative ``random_walks`` are refused before any walk is drawn, and so
-    is an exhaustive sweep past the enumeration guard.
+    random closed walks of length 2s on n vertices.  n < 1, s < 1, a
+    negative ``random_walks`` and a run that would check no walk at all
+    (exhaustive=False, random_walks=0) are refused before any walk is drawn,
+    and so is an exhaustive sweep past the enumeration guard.
 
     No check reads the vertex labels, so the exhaustive sweep checks one
     representative per first-occurrence relabeling class (labels 1..v in
@@ -1025,6 +1026,8 @@ def run_invariant_suite(
         _check_walk_shape(n, s)
     if random_walks < 0:
         raise ValueError(f"random_walks must be at least 0, got {random_walks}")
+    if not exhaustive and not random_walks:
+        raise ValueError("nothing to check: the exhaustive sweep is skipped and random_walks is 0")
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0

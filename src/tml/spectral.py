@@ -12,10 +12,14 @@ from its own stream (``ensemble._trial_streams``), scales by 1/sqrt(n)
 
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
-(``largest_eigenvalue``, ``spectral_norm``, ``trace_power``).  The public
+(``largest_eigenvalue``, ``spectral_norm``, ``trace_power``).  Each matrix
+gets one eigenvalue solve, and ``_stack_values`` alone chooses dense or
+Lanczos for it; the public functions make their own choice.  The public
 route ``sample_symmetric_matrix`` -> ``normalized_view`` ->
-``largest_eigenvalue`` / ``trace_power`` stays as the kernel's test oracle;
-the two agree bit for bit.
+``largest_eigenvalue`` / ``spectral_norm`` / ``trace_power`` stays as the
+kernel's test oracle; the two agree bit for bit, except that "spectrum"
+reads its top eigenvalue from the end of its own two-ended Lanczos run
+from DENSE_EIG_CUTOFF up, within DEFAULT_TOLERANCE of ``largest_eigenvalue``.
 
 Determinism contract: every randomized routine takes one integer seed and
 derives each trial's stream from it through ``ensemble._trial_streams``, so
@@ -52,8 +56,11 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
-    """k eigenvalues of symmetric a by ARPACK Lanczos, from a fixed all-ones
-    starting vector so the result is bit-reproducible."""
+    """The top eigenvalue (k=1, "LA") or both ends of the spectrum (k=2,
+    "BE") of symmetric a, ascending, by ARPACK Lanczos from a fixed all-ones
+    starting vector so the result is bit-reproducible.  ARPACK cannot start
+    where a @ v0 is exactly zero (the zero matrix, or rows that all sum to
+    zero); there dense eigvalsh gives the same ends."""
     # scipy.sparse.linalg takes about 0.35 s to import; only this route needs it
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
@@ -62,6 +69,8 @@ def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
     try:
         return eigsh(a, k=k, which=which, v0=v0, tol=DEFAULT_TOLERANCE, return_eigenvectors=False)
     except ArpackError as exc:
+        if not np.any(a @ v0):
+            return np.linalg.eigvalsh(a)[[0, -1]][-k:]
         residual = math.nan
         message = f"Lanczos iteration failed: {exc}"
         if isinstance(exc, ArpackNoConvergence):  # it carries the best pair found
@@ -73,20 +82,6 @@ def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
         raise EigensolverError(message, residual=residual) from exc
 
 
-def _top(a: np.ndarray) -> float:
-    if a.shape[0] < DENSE_EIG_CUTOFF:
-        return float(np.linalg.eigvalsh(a)[-1])
-    return float(_lanczos(a, 1, "LA")[-1])
-
-
-def _norm(a: np.ndarray) -> float:
-    if a.shape[0] < DENSE_EIG_CUTOFF:
-        ends = np.linalg.eigvalsh(a)[[0, -1]]
-    else:
-        ends = _lanczos(a, 2, "BE")
-    return float(np.max(np.abs(ends)))
-
-
 def largest_eigenvalue(a: np.ndarray) -> float:
     """Top eigenvalue of a symmetric matrix.
 
@@ -95,14 +90,23 @@ def largest_eigenvalue(a: np.ndarray) -> float:
     result is bit-reproducible.  Non-convergence raises EigensolverError
     with the residual of the best available pair.
     """
-    return _top(_check_symmetric(a))
+    a = _check_symmetric(a)
+    if a.shape[0] < DENSE_EIG_CUTOFF:
+        return float(np.linalg.eigvalsh(a)[-1])
+    return float(_lanczos(a, 1, "LA")[-1])
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Operator norm of a symmetric matrix: max |lambda| over both ends of
     the spectrum, from one solve (dense below DENSE_EIG_CUTOFF, one
-    two-ended Lanczos run above it)."""
-    return _norm(_check_symmetric(a))
+    two-ended Lanczos run from it up).  The trial kernel's "spectrum"
+    statistic reads its norm column from the same run, bit for bit."""
+    a = _check_symmetric(a)
+    if a.shape[0] < DENSE_EIG_CUTOFF:
+        ends = np.linalg.eigvalsh(a)[[0, -1]]
+    else:
+        ends = _lanczos(a, 2, "BE")
+    return float(np.max(np.abs(ends)))
 
 
 def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
@@ -120,31 +124,36 @@ def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
     raise ValueError(f"unknown trace method {method!r}")
 
 
-def check_matrix_memory(n: int) -> None:
-    """Refuse, before anything is allocated, a size whose n x n float64
-    matrix alone would not fit in physical memory."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    need = 8 * n * n
+def check_matrix_memory(n: int, trials: int = 1) -> None:
+    """Refuse, before anything is allocated, a size at which ``trials``
+    trials held at once would not fit in physical memory.  A trial counts
+    24 bytes per upper-triangle entry: its uniforms, their support indices
+    and the values are alive together while it is drawn.  That is the peak
+    of an eigenvalue trial; a trace by "power" holds its matrix powers on
+    top and peaks near twice that."""
+    need = trials * 24 * (n * (n + 1) // 2)
     have = ensemble._physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
-            f"n={n} needs {need} bytes for one n x n float64 matrix, "
+            f"n={n} needs {need} bytes for {trials} trial(s) held at once, "
             f"more than the {have} bytes of physical memory"
         )
 
 
 def _stack_values(stack: np.ndarray, statistic: str, s: int, method: str) -> np.ndarray:
-    """The statistic of every matrix in a (T, n, n) stack: one batched numpy
-    call, except one Lanczos solve per matrix (ARPACK, imported on first use)
-    for an eigenvalue statistic from DENSE_EIG_CUTOFF up."""
+    """The statistic of every matrix in a (T, n, n) stack, read from one
+    eigenvalue solve per matrix (or one batched matrix power for "trace" by
+    "power").  The ascending values come from one batched eigvalsh for
+    "trace" and below DENSE_EIG_CUTOFF; from the cutoff up, from one Lanczos
+    run per matrix: the top end for "lambda_max", both ends for "spectrum".
+    This is the only place the kernel chooses between the two solvers."""
     if statistic == "trace" and method == "power":
         return np.trace(np.linalg.matrix_power(stack, 2 * s), axis1=1, axis2=2)
-    if statistic == "lambda_max" and stack.shape[1] >= DENSE_EIG_CUTOFF:
-        return np.array([_top(a) for a in stack])
-    if statistic == "spectrum" and stack.shape[1] >= DENSE_EIG_CUTOFF:
-        return np.array([(_top(a), _norm(a)) for a in stack])
-    vals = np.linalg.eigvalsh(stack)
+    if statistic == "trace" or stack.shape[1] < DENSE_EIG_CUTOFF:
+        vals = np.linalg.eigvalsh(stack)
+    else:
+        k, which = (1, "LA") if statistic == "lambda_max" else (2, "BE")
+        vals = np.array([_lanczos(a, k, which) for a in stack])
     if statistic == "trace":
         return np.sum(vals ** (2 * s), axis=1)
     if statistic == "lambda_max":
@@ -169,11 +178,16 @@ def trial_values(
 
     ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s) by
     ``method``, "eig" or "power") or "spectrum" (one row of top eigenvalue
-    and spectral norm per trial).  A is the 1/sqrt(n)-normalized matrix, or
-    the raw one when normalized=False.  Values equal those of the public
-    per-matrix functions on ``sample_symmetric_matrix``, called with ``seed``
-    for trial 0 and one more for each later trial.  ``threads`` workers, at
-    most one per CPU, run the chunks in rounds of one chunk per worker.
+    and spectral norm per trial, both ends of one solve).  A is the
+    1/sqrt(n)-normalized matrix, or the raw one when normalized=False.
+    Values equal those of the public per-matrix functions on
+    ``sample_symmetric_matrix``, called with ``seed`` for trial 0 and one
+    more for each later trial; from DENSE_EIG_CUTOFF up, "spectrum"'s top
+    eigenvalue is the top end of its two-ended Lanczos run, which agrees
+    with ``largest_eigenvalue`` within DEFAULT_TOLERANCE, not bit for bit.
+    ``threads`` workers, at most one per CPU, run the chunks in rounds of
+    one chunk per worker.  Before sampling, ``check_matrix_memory`` refuses
+    a run whose chunks in flight would not fit in physical memory.
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
@@ -182,16 +196,21 @@ def trial_values(
             raise ValueError("s must be at least 1")
         if method not in ("eig", "power"):
             raise ValueError(f"unknown trace method {method!r}")
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    check_matrix_memory(n)
+    chunk = max(1, BATCH_BYTES // (8 * n * n))
+    firsts = range(0, trials, chunk)
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
+    workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    check_matrix_memory(n, min(chunk, trials) * min(workers, len(firsts)))
     support = np.asarray(dist.support)
     if normalized:
         support = support / np.sqrt(n)
     m = n * (n + 1) // 2
-    chunk = max(1, BATCH_BYTES // (8 * n * n))
 
     def chunk_values(first: int) -> np.ndarray:
         rows = min(chunk, trials - first)
@@ -206,11 +225,9 @@ def trial_values(
         for r in range(n):  # the upper triangle row by row, mirrored
             stack[:, r, r:] = stack[:, r:, r] = vals[:, start:start + n - r]
             start += n - r
+        del vals  # the stack holds every entry now
         return _stack_values(stack, statistic, s, method)
 
-    firsts = range(0, trials, chunk)
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers == 1:
         return np.concatenate([chunk_values(first) for first in firsts])
     parts = []

@@ -216,14 +216,23 @@ def test_trace_mc(tmp_path):
 
 
 def test_spectrum(tmp_path):
-    code, rows, _ = run(
-        tmp_path, "spectrum", "--dist", "rademacher", "--n", "12", "--trials", "2"
-    )
+    for n in ("12", "64", "70"):  # a dense solve, then one two-ended Lanczos run per matrix
+        code, rows, _ = run(
+            tmp_path, "spectrum", "--dist", "rademacher", "--n", n, "--trials", "2"
+        )
+        assert code == 0
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            assert int(row["trial"]) == i
+            assert float(row["lambda_max"]) <= float(row["spectral_norm"])
+
+
+def test_spectrum_of_a_zero_matrix_exits_0(tmp_path):
+    # trial 0 of this law at n = 64 is the zero matrix, where Lanczos cannot start
+    law = "support=-1,0,1;probs=0.0001,0.9998,0.0001"
+    code, rows, _ = run(tmp_path, "spectrum", "--dist", law, "--n", "64", "--trials", "3")
     assert code == 0
-    assert len(rows) == 2
-    for i, row in enumerate(rows):
-        assert int(row["trial"]) == i
-        assert float(row["lambda_max"]) <= float(row["spectral_norm"]) + 1e-9
+    assert (rows[0]["lambda_max"], rows[0]["spectral_norm"]) == ("0", "0")
 
 
 def test_edge_exceed(tmp_path, capsys):
@@ -322,6 +331,16 @@ def test_verify_gluing_rejects_bad_shapes_in_one_line(tmp_path, capsys):
         code, rows, _ = run(tmp_path, "verify-gluing", *argv)
         assert code == 1 and rows is None
         assert capsys.readouterr().err.splitlines() == [f"tml verify-gluing: {message}"]
+
+
+def test_verify_gluing_refuses_a_run_that_checks_nothing(tmp_path, capsys):
+    code, rows, _ = run(tmp_path, "verify-gluing", "--n", "3", "--s", "2", "--skip-exhaustive")
+    assert code == 1 and rows is None
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "tml verify-gluing: nothing to check: the exhaustive sweep is skipped and random_walks is 0"
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):
@@ -478,6 +497,19 @@ def test_bounds_table_rejects_non_finite_parameters(tmp_path, capsys, flag, valu
     assert code == 1 and rows is None
     err = capsys.readouterr().err
     assert err.splitlines() == [f"tml bounds-table: {name} must be finite, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--max-odd-pairs", "-3", "max_odd_pairs"),
+    ("--max-merges", "-1", "max_merges"),
+])
+def test_bounds_table_refuses_negative_counts(tmp_path, capsys, flag, value, name):
+    # a negative count used to drop the cycle-refined or mixed-parity rows and exit 0
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", "8", "--n", "1000", flag, value)
+    assert code == 1 and rows is None
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"tml bounds-table: {name} must be at least 0, got {value}"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -776,10 +808,10 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     ["concentration", "--dist", "rademacher", "--n", "100000000", "--trials", "2"],
 ])
 def test_matrix_size_guard_exits_1(tmp_path, capsys, case):
-    # one 10^8 x 10^8 float64 matrix is 8e16 bytes; the guard refuses it up front
+    # one trial's draw at n = 10^8 is 1.2e17 bytes; the guard refuses it up front
     assert cli.main([*case, "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "needs 80000000000000000 bytes" in err
+    assert err.count("\n") == 1 and "needs 120000001200000000 bytes" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -787,4 +819,4 @@ def test_matrix_size_guard_uses_physical_memory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
     code, _, _ = run(tmp_path, "spectrum", "--dist", "rademacher", "--n", "12")
     assert code == 1
-    assert "needs 1152 bytes" in capsys.readouterr().err
+    assert "needs 1872 bytes" in capsys.readouterr().err

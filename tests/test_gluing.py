@@ -744,6 +744,11 @@ def test_invariant_suite_rejects_bad_shapes_before_any_walk(
         run_invariant_suite(n, s, exhaustive=exhaustive, random_walks=random_walks)
 
 
+def test_invariant_suite_refuses_a_run_that_checks_nothing():
+    with pytest.raises(ValueError, match="nothing to check"):
+        run_invariant_suite(3, 2, exhaustive=False, random_walks=0)
+
+
 def test_invariant_suite_random_only():
     report = run_invariant_suite(5, 4, exhaustive=False, random_walks=300, seed=2)
     assert report.ok

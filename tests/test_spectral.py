@@ -85,6 +85,39 @@ def test_lanczos_maps_every_arpack_error(monkeypatch):
     assert isinstance(info.value.__cause__, linalg.ArpackError)
 
 
+def zero_row_sum_matrix(n):
+    # rows summing to zero make a @ v0 = 0 for the all-ones start vector
+    a = np.zeros((n, n))
+    a[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]  # eigenvalues 0 and 2
+    a[2:4, 2:4] = [[-1.0, 1.0], [1.0, -1.0]]  # eigenvalues -2 and 0
+    return a
+
+
+@pytest.mark.parametrize("a", [np.zeros((64, 64)), zero_row_sum_matrix(80)],
+                         ids=["zero-64", "zero-row-sums-80"])
+def test_lanczos_null_start_vector_falls_back_to_dense(a):
+    ends = np.linalg.eigvalsh(a)[[0, -1]]
+    assert largest_eigenvalue(a) == ends[1]
+    assert spectral_norm(a) == np.max(np.abs(ends))
+    stack = a[None]
+    assert spectral._stack_values(stack, "lambda_max", 1, "eig").tolist() == [ends[1]]
+    lam, norm = spectral._stack_values(stack, "spectrum", 1, "eig")[0]
+    assert (lam, norm) == (ends[1], np.max(np.abs(ends)))
+    if a.any():
+        assert ends.tolist() == pytest.approx([-2.0, 2.0], abs=1e-12)
+
+
+def test_lanczos_null_start_vector_in_the_kernel():
+    # trial 0 of this law at n = 64 draws the zero matrix; trials 1 and 2 one +-1/8 pair
+    d = ensemble.parse_distribution("support=-1,0,1;probs=0.0001,0.9998,0.0001")
+    top = trial_values(d, 64, 3, 0, "lambda_max")
+    got = trial_values(d, 64, 3, 0, "spectrum")
+    assert top[0] == got[0, 0] == got[0, 1] == 0.0
+    assert np.all(got[:, 0] <= got[:, 1])
+    assert top[1:] == pytest.approx([0.125, 0.125], rel=spectral.DEFAULT_TOLERANCE)
+    assert got[1:].ravel() == pytest.approx([0.125] * 4, rel=spectral.DEFAULT_TOLERANCE)
+
+
 def test_spectral_norm():
     a = np.diag([2.0, -5.0])
     assert spectral_norm(a) == pytest.approx(5.0)
@@ -295,8 +328,22 @@ def public_route(dist, n, trials, seed, statistic, s=2, method="eig", normalized
         elif statistic == "lambda_max":
             out.append(largest_eigenvalue(a))
         else:
-            out.append((largest_eigenvalue(a), spectral_norm(a)))
+            out.append((two_ended_top(a), spectral_norm(a)))
     return np.array(out)
+
+
+def two_ended_top(a):
+    """The top end of one two-ended Lanczos run with the kernel's start
+    vector and tolerance; the dense top eigenvalue below the cutoff."""
+    n = a.shape[0]
+    if n < spectral.DENSE_EIG_CUTOFF:
+        return largest_eigenvalue(a)
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    ends = eigsh(a, k=2, which="BE", v0=v0, tol=spectral.DEFAULT_TOLERANCE,
+                 return_eigenvectors=False)
+    return float(max(ends))
 
 
 SIZES = [1, 3, 63, 64, 100]  # both sides of DENSE_EIG_CUTOFF = 64
@@ -327,6 +374,26 @@ def test_eigenvalue_kernel_matches_public_route(n, statistic, monkeypatch):
         for threads in (1, 3):
             got = trial_values(d, n, 5, seed, statistic, threads=threads)
             assert np.array_equal(got, expected)
+        if statistic == "spectrum":  # one two-ended run: lambda_max <= norm exactly
+            assert np.all(got[:, 0] <= got[:, 1])
+            top = public_route(d, n, 5, seed, "lambda_max")
+            assert np.all(np.abs(got[:, 0] - top) <= spectral.DEFAULT_TOLERANCE * np.abs(top))
+
+
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_one_lanczos_run_per_matrix(n, monkeypatch):
+    calls = []
+    solve = spectral._lanczos
+
+    def counted(a, k, which):
+        calls.append((k, which))
+        return solve(a, k, which)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    for statistic, run in (("lambda_max", (1, "LA")), ("spectrum", (2, "BE"))):
+        calls.clear()
+        trial_values(rademacher(), n, 3, 8, statistic)
+        assert calls == ([] if n < spectral.DENSE_EIG_CUTOFF else [run] * 3)
 
 
 def test_kernel_chunking_does_not_change_values(monkeypatch):
@@ -396,11 +463,25 @@ def test_kernel_rejects_bad_arguments():
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
     check_matrix_memory(100)
-    with pytest.raises(ValueError, match="needs 80000000000000000 bytes"):
-        check_matrix_memory(10**8)  # 8e16 bytes, beyond any machine
+    with pytest.raises(ValueError, match="needs 120000001200000000 bytes"):
+        check_matrix_memory(10**8)  # 24 bytes per upper-triangle entry, beyond any machine
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
-    with pytest.raises(ValueError, match="needs 1152 bytes"):
+    with pytest.raises(ValueError, match="needs 1872 bytes"):
         trial_values(rademacher(), 12, 1, 0, "lambda_max")
+
+
+def test_memory_guard_counts_every_trial_in_flight(monkeypatch):
+    # 4 MB holds two n = 500 matrices, but not the draws of two trials (3006000 bytes each)
+    n, one = 500, 24 * (500 * 501 // 2)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 4_000_000)
+    assert len(trial_values(rademacher(), n, 1, 0, "lambda_max")) == 1
+    with pytest.raises(ValueError, match=f"needs {2 * one} bytes for 2 trial"):
+        trial_values(rademacher(), n, 2, 0, "lambda_max")  # one chunk of two rows
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk
+    assert len(trial_values(rademacher(), n, 2, 0, "lambda_max")) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(ValueError, match=f"needs {2 * one} bytes for 2 trial"):
+        trial_values(rademacher(), n, 2, 0, "lambda_max", threads=2)  # two chunks at once
 
 
 def test_import_leaves_scipy_unloaded():
