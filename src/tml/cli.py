@@ -9,11 +9,11 @@ wall-clock data lives only in the manifest.
 Each handler imports the one kernel module it calls (``paths``, ``gluing``,
 ``spectral`` or ``dyck``) and calls through it, so a subcommand loads only
 its own kernel: trace-exact, bounds-table and an exhaustive verify-gluing
-start without numpy or scipy, and the Monte Carlo subcommands without
-``gluing``.
+start without numpy, and the Monte Carlo subcommands without ``gluing``.
+No subcommand loads scipy.
 
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
-over its guard, eigensolver non-convergence, an unwritable output), 2
+over its guard, an eigensolver failure, an unwritable output), 2
 invariant-suite failure.
 """
 

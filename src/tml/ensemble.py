@@ -35,6 +35,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _ONE_WORD_SEEDS = 1 << 32  # a seed below this is one entropy word
 _SEED_BLOCK = 1 << 10  # seeds hashed per vectorised pass
+_MAP_BLOCK = 1 << 16  # uniforms mapped to support points per block
 
 
 class DistributionError(ValueError):
@@ -42,14 +43,10 @@ class DistributionError(ValueError):
 
 
 class EigensolverError(RuntimeError):
-    """Iterative eigensolver failed to converge; carries the residual.
+    """An eigenvalue solve failed.
 
     Raised by ``tml.spectral``; defined here so the CLI can catch it without
     loading numpy."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -261,19 +258,37 @@ def _trial_streams(seed: int, count: int):
         s = end
 
 
-def support_index(dist: EntryDistribution, u: np.ndarray) -> np.ndarray:
-    """Index into ``dist.support`` of each uniform draw in ``u`` (any shape):
-    the k with cum[k-1] <= u < cum[k] over the cumulative probabilities.
+def map_to_support(dist: EntryDistribution, u: np.ndarray, support=None) -> None:
+    """Overwrite each uniform draw in ``u`` (a float64 array of any shape, or a
+    view of one) with the support point it selects: the k-th, where
+    cum[k-1] <= u < cum[k] over the cumulative probabilities.  ``support``
+    gives the value written for each point, ``dist.support`` by default; the
+    trial kernel passes it scaled by 1/sqrt(n).
 
-    Applied to the first n(n+1)/2 uniforms of a trial's PCG64 stream, this
-    is the one definition of the sampling stream; every symmetric-matrix
-    sampler in the package goes through it.
+    The draws are mapped in blocks of at most ``_MAP_BLOCK``, so no index
+    array as long as ``u`` is held.  A two-point law takes one comparison
+    with cum[0] per draw and writes the bit pattern of the point it selects
+    without a branch; any other law takes ``searchsorted``.  Applied to the
+    first n(n+1)/2 uniforms of a trial's PCG64 stream, this is the one
+    definition of the sampling stream; every symmetric-matrix sampler in
+    the package goes through it.
     """
     import numpy as np
 
     cum = np.cumsum(np.asarray(dist.probabilities))
     cum[-1] = 1.0  # guard the top bin against rounding
-    return np.searchsorted(cum, u, side="right")
+    values = np.array(dist.support if support is None else support, dtype=float)
+    low, high = values.view(np.uint64)[:2]
+    flags = ["external_loop", "buffered", "zerosize_ok"]
+    with np.nditer(u, flags=flags, op_flags=[["readwrite"]], buffersize=_MAP_BLOCK) as blocks:
+        for block in blocks:
+            if len(values) == 2:  # u < 1 = cum[1], so cum[0] alone splits the draws
+                bits = block.view(np.uint64)
+                np.copyto(bits, block >= cum[0])  # 1 where the draw selects values[1]
+                bits *= low ^ high
+                bits ^= low
+            else:
+                block[...] = values[np.searchsorted(cum, block, side="right")]
 
 
 def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> MatrixSample:
@@ -288,8 +303,8 @@ def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> Matri
         raise ValueError("matrix size must be at least 1")
     import numpy as np
 
-    u = np.random.default_rng(seed).random(n * (n + 1) // 2)
-    vals = np.asarray(dist.support)[support_index(dist, u)]
+    vals = np.random.default_rng(seed).random(n * (n + 1) // 2)
+    map_to_support(dist, vals)
     a = np.zeros((n, n))
     iu = np.triu_indices(n)
     a[iu] = vals

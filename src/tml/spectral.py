@@ -6,9 +6,11 @@ concentration of the top eigenvalue).
 Every Monte Carlo routine here, and the CLI's spectrum table, runs through
 one trial kernel, ``trial_values``: one loop over chunks of at most
 BATCH_BYTES of matrix data, at every matrix size.  A chunk draws each trial
-from its own stream (``ensemble._trial_streams``), scales by 1/sqrt(n)
-(unless raw), fills a (T, n, n) stack and reduces it in ``_stack_values``.
-``threads`` workers run whole chunks, one chunk per worker per round.
+from its own stream (``ensemble._trial_streams``) into its own slot of a
+(T, n, n) stack, maps the draws to support values scaled by 1/sqrt(n)
+(unless raw) in place, unpacks them there and reduces the stack in
+``_stack_values``.  ``threads`` workers run whole chunks, one chunk per
+worker per round.
 
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
@@ -20,6 +22,7 @@ route ``sample_symmetric_matrix`` -> ``normalized_view`` ->
 kernel's test oracle; the two agree bit for bit, except that "spectrum"
 reads its top eigenvalue from the end of its own two-ended Lanczos run
 from DENSE_EIG_CUTOFF up, within DEFAULT_TOLERANCE of ``largest_eigenvalue``.
+The Lanczos solver, ``_lanczos``, is written in numpy; the package needs no scipy.
 
 Determinism contract: every randomized routine takes one integer seed and
 derives each trial's stream from it through ``ensemble._trial_streams``, so
@@ -42,6 +45,9 @@ from .paths import catalan
 DENSE_EIG_CUTOFF = 64
 DEFAULT_TOLERANCE = 1e-10
 BATCH_BYTES = 1 << 23  # matrix data per chunk of trials
+_BASIS_ROWS = 128  # Lanczos basis vectors per allocated block
+_CHECK_GAP = 32  # Lanczos steps to the first convergence check, and most between two
+_DGKS_RATIO = 0.1  # a second Gram-Schmidt pass below this share of the norm
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -55,57 +61,142 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lanczos(a: np.ndarray, k: int, which: str) -> np.ndarray:
-    """The top eigenvalue (k=1, "LA") or both ends of the spectrum (k=2,
-    "BE") of symmetric a, ascending, by ARPACK Lanczos from a fixed all-ones
-    starting vector so the result is bit-reproducible.  ARPACK cannot start
-    where a @ v0 is exactly zero (the zero matrix, or rows that all sum to
-    zero); there dense eigvalsh gives the same ends."""
-    # scipy.sparse.linalg takes about 0.35 s to import; only this route needs it
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+def _tridiagonal_ends(alpha: list, beta: list, m: int) -> np.ndarray:
+    """The ascending eigenvalues of the m x m Lanczos tridiagonal T_m, with
+    alpha on its diagonal and beta below it (eigvalsh reads the lower
+    triangle)."""
+    t = np.zeros((m, m))
+    t.flat[::m + 1] = alpha[:m]
+    t.flat[m::m + 1] = beta[:m - 1]
+    return np.linalg.eigvalsh(t)
 
+
+def _last_component(alpha: list, beta: list, theta: float, m: int) -> float:
+    """|s_m|, the last component of the unit eigenvector of T_m for its
+    eigenvalue theta, by back substitution from x_m = 1.  For an end of the
+    spectrum the components grow towards x_1, so the recurrence runs in its
+    stable direction; the running sum is rescaled before it can overflow."""
+    x_next, x, total, scale = 0.0, 1.0, 1.0, 1.0
+    for i in range(m - 1, 0, -1):
+        x_next, x = x, ((theta - alpha[i]) * x - beta[i] * x_next) / beta[i - 1]
+        total += x * x
+        if total > 1e200:
+            x_next, x, total, scale = x_next * 1e-100, x * 1e-100, total * 1e-200, scale * 1e-100
+    return scale / math.sqrt(total)
+
+
+def _krylov_ends(a: np.ndarray, k: int) -> np.ndarray | None:
+    """The wanted ends of ``_lanczos`` from the Lanczos iteration, or None
+    where it hands over to dense eigvalsh: the Krylov space closed, or
+    n // 2 steps did not converge.  Returning frees the basis before the
+    dense solve copies a."""
     n = a.shape[0]
-    v0 = np.full(n, 1.0 / math.sqrt(n))
+    steps, eps = n // 2, np.finfo(float).eps
+    floor = DEFAULT_TOLERANCE * eps ** (2.0 / 3.0)
+    alpha, beta, blocks = [], [], []
+    w, b = np.ones(n), math.sqrt(n)  # w / b is the first vector, the unit all-ones one
+    check, last = min(steps, _CHECK_GAP), (0, -math.log10(DEFAULT_TOLERANCE))
+    norm = 0.0  # running max column sum of T, a bound on its 2-norm
+    for j in range(steps):
+        if j % _BASIS_ROWS == 0:
+            blocks.append(np.empty((min(_BASIS_ROWS, steps - j), n)))
+        v = blocks[-1][j % _BASIS_ROWS]
+        np.divide(w, b, out=v)
+        basis = blocks[:-1] + [blocks[-1][:j % _BASIS_ROWS + 1]]
+        np.dot(a, v, out=w)
+        before = math.sqrt(w @ w)
+        coeffs = [q @ w for q in basis]  # classical Gram-Schmidt against all of it
+        for q, c in zip(basis, coeffs):
+            w -= c @ q
+        b = math.sqrt(w @ w)
+        if b < _DGKS_RATIO * before:  # cancellation: one more pass (DGKS)
+            again = [q @ w for q in basis]
+            for q, c in zip(basis, again):
+                w -= c @ q
+            coeffs[-1] += again[-1]
+            b = math.sqrt(w @ w)
+        alpha.append(float(coeffs[-1][-1]))
+        beta.append(b)
+        norm = max(norm, abs(alpha[j]) + b + (beta[j - 1] if j else 0.0))
+        if b <= n * eps * norm:
+            return None  # the Krylov space closed: it need not hold either end
+        m = j + 1
+        if m == check:
+            ends = _tridiagonal_ends(alpha, beta, m)[[0, -1]][-k:]
+            # ARPACK's rule: |beta_m s_m| <= tol * max(|theta|, eps^(2/3))
+            excess = max(
+                b * _last_component(alpha, beta, t, m) / max(DEFAULT_TOLERANCE * abs(t), floor)
+                for t in ends.tolist()
+            )
+            if excess <= 1.0:
+                return ends
+            # the next check comes where the residual would meet the tolerance,
+            # at the rate its logarithm fell since the last check
+            log_excess = math.log10(excess)
+            rate = (last[1] - log_excess) / (m - last[0])
+            gap = log_excess / rate if rate > 0 else _CHECK_GAP
+            check, last = min(steps, m + int(min(_CHECK_GAP, max(1.0, gap)))), (m, log_excess)
+    return None
+
+
+def _lanczos(a: np.ndarray, k: int) -> np.ndarray:
+    """The top eigenvalue (k=1) or both ends of the spectrum (k=2) of
+    symmetric a, ascending.
+
+    Lanczos with full reorthogonalization (Parlett, *The Symmetric Eigenvalue
+    Problem*): from the all-ones vector, every new vector is orthogonalized
+    against the whole stored basis by classical Gram-Schmidt, with a second
+    pass where the first cancels more than 1 - _DGKS_RATIO of the norm.  A
+    wanted Ritz value theta of T_m has converged by ARPACK's stopping rule,
+    |beta_m s_m| <= DEFAULT_TOLERANCE * max(|theta|, eps^(2/3)), with s_m the
+    last component of its eigenvector (Lehoucq, Sorensen & Yang, *ARPACK
+    Users' Guide*).  Convergence is checked on a schedule: first at step
+    _CHECK_GAP, then where the residual's recent rate of fall says it will
+    meet the tolerance, at most _CHECK_GAP steps later.
+
+    The ends come from dense eigvalsh instead where the Krylov space closes
+    (beta_m <= n * eps * ||T_m||_1: the zero matrix, rows that sum to zero, a
+    low-rank matrix) or n // 2 steps have not converged, where dense is the
+    cheaper solve.  Every step is a fixed function of a, so the result is
+    bit-reproducible.  The basis is held in blocks of _BASIS_ROWS vectors,
+    at most n // 2 of them; with T_m and the copy eigvalsh makes of it, or
+    the copy of a that a dense solve makes, a solve holds at most one more
+    n x n matrix and a few length-n vectors.  A LinAlgError raises
+    EigensolverError.
+    """
     try:
-        return eigsh(a, k=k, which=which, v0=v0, tol=DEFAULT_TOLERANCE, return_eigenvectors=False)
-    except ArpackError as exc:
-        if not np.any(a @ v0):
-            return np.linalg.eigvalsh(a)[[0, -1]][-k:]
-        residual = math.nan
-        message = f"Lanczos iteration failed: {exc}"
-        if isinstance(exc, ArpackNoConvergence):  # it carries the best pair found
-            message = f"Lanczos iteration did not converge at tol={DEFAULT_TOLERANCE}"
-            if len(exc.eigenvalues) and exc.eigenvectors.size:
-                lam = float(exc.eigenvalues[-1])
-                vec = exc.eigenvectors[:, -1]
-                residual = float(np.linalg.norm(a @ vec - lam * vec))
-        raise EigensolverError(message, residual=residual) from exc
+        ends = _krylov_ends(a, k)
+        if ends is None:
+            ends = np.linalg.eigvalsh(a)[[0, -1]][-k:]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"Lanczos iteration failed: {exc}") from exc
+    return ends
 
 
 def largest_eigenvalue(a: np.ndarray) -> float:
     """Top eigenvalue of a symmetric matrix.
 
     Small matrices go through the full dense solver; larger ones use the
-    iterative Lanczos solver with a fixed all-ones starting vector so the
-    result is bit-reproducible.  Non-convergence raises EigensolverError
-    with the residual of the best available pair.
+    Lanczos solver ``_lanczos``, which starts from a fixed all-ones vector
+    so the result is bit-reproducible.  A failed solve raises
+    EigensolverError.
     """
     a = _check_symmetric(a)
     if a.shape[0] < DENSE_EIG_CUTOFF:
         return float(np.linalg.eigvalsh(a)[-1])
-    return float(_lanczos(a, 1, "LA")[-1])
+    return float(_lanczos(a, 1)[-1])
 
 
 def spectral_norm(a: np.ndarray) -> float:
     """Operator norm of a symmetric matrix: max |lambda| over both ends of
     the spectrum, from one solve (dense below DENSE_EIG_CUTOFF, one
-    two-ended Lanczos run from it up).  The trial kernel's "spectrum"
+    two-ended ``_lanczos`` run from it up).  The trial kernel's "spectrum"
     statistic reads its norm column from the same run, bit for bit."""
     a = _check_symmetric(a)
     if a.shape[0] < DENSE_EIG_CUTOFF:
         ends = np.linalg.eigvalsh(a)[[0, -1]]
     else:
-        ends = _lanczos(a, 2, "BE")
+        ends = _lanczos(a, 2)
     return float(np.max(np.abs(ends)))
 
 
@@ -124,14 +215,30 @@ def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
     raise ValueError(f"unknown trace method {method!r}")
 
 
-def check_matrix_memory(n: int, trials: int = 1) -> None:
-    """Refuse, before anything is allocated, a size at which ``trials``
-    trials held at once would not fit in physical memory.  A trial counts
-    24 bytes per upper-triangle entry: its uniforms, their support indices
-    and the values are alive together while it is drawn.  That is the peak
-    of an eigenvalue trial; a trace by "power" holds its matrix powers on
-    top and peaks near twice that."""
-    need = trials * 24 * (n * (n + 1) // 2)
+def check_matrix_memory(
+    n: int, trials: int = 1, workers: int = 1, statistic: str = "lambda_max", method: str = "eig"
+) -> None:
+    """Refuse, before anything is allocated, a run that would not fit in
+    physical memory with ``trials`` trials held at once in ``workers``
+    chunks.
+
+    Each trial is one n x n matrix: its uniforms are drawn into its own slot
+    and unpacked there.  Each chunk maps its uniforms to support values in
+    blocks of at most 24 * ensemble._MAP_BLOCK bytes.  A trace by "power"
+    holds up to three matrix products per trial on top (numpy's
+    matrix_power).  Any other statistic solves one matrix of a chunk at a
+    time, and that solve holds at most one more n x n matrix: the copy dense
+    eigvalsh works on, or the Lanczos basis at its largest (see
+    ``_lanczos``).  A dense solve also keeps two length-n rows per trial,
+    its eigenvalues and their powers."""
+    matrix = 8 * n * n
+    need = workers * 24 * ensemble._MAP_BLOCK
+    if statistic == "trace" and method == "power":
+        need += 4 * matrix * trials
+    else:
+        need += matrix * (trials + workers)
+        if statistic == "trace" or n < DENSE_EIG_CUTOFF:
+            need += 16 * n * trials
     have = ensemble._physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
@@ -152,8 +259,7 @@ def _stack_values(stack: np.ndarray, statistic: str, s: int, method: str) -> np.
     if statistic == "trace" or stack.shape[1] < DENSE_EIG_CUTOFF:
         vals = np.linalg.eigvalsh(stack)
     else:
-        k, which = (1, "LA") if statistic == "lambda_max" else (2, "BE")
-        vals = np.array([_lanczos(a, k, which) for a in stack])
+        vals = np.array([_lanczos(a, 1 if statistic == "lambda_max" else 2) for a in stack])
     if statistic == "trace":
         return np.sum(vals ** (2 * s), axis=1)
     if statistic == "lambda_max":
@@ -185,9 +291,13 @@ def trial_values(
     more for each later trial; from DENSE_EIG_CUTOFF up, "spectrum"'s top
     eigenvalue is the top end of its two-ended Lanczos run, which agrees
     with ``largest_eigenvalue`` within DEFAULT_TOLERANCE, not bit for bit.
-    ``threads`` workers, at most one per CPU, run the chunks in rounds of
-    one chunk per worker.  Before sampling, ``check_matrix_memory`` refuses
-    a run whose chunks in flight would not fit in physical memory.
+    Each trial's n(n+1)/2 uniforms are drawn into the head of its own n x n
+    slot, overwritten there by their support values, and unpacked row by
+    row, last row first, each row mirrored as it lands; a trial holds one
+    matrix, and its solve the Lanczos basis.  ``threads`` workers, at most
+    one per CPU, run the chunks in rounds of one chunk per worker.  Before
+    sampling, ``check_matrix_memory`` refuses a run whose chunks in flight
+    would not fit in physical memory.
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
@@ -206,7 +316,8 @@ def trial_values(
     firsts = range(0, trials, chunk)
     affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
     workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    check_matrix_memory(n, min(chunk, trials) * min(workers, len(firsts)))
+    in_flight = min(workers, len(firsts))
+    check_matrix_memory(n, min(chunk, trials) * in_flight, in_flight, statistic, method)
     support = np.asarray(dist.support)
     if normalized:
         support = support / np.sqrt(n)
@@ -214,18 +325,21 @@ def trial_values(
 
     def chunk_values(first: int) -> np.ndarray:
         rows = min(chunk, trials - first)
-        u = np.empty((rows, m))
+        stack = np.empty((rows, n, n))
+        flat = stack.reshape(rows, n * n)
+        # each trial's upper triangle, packed row by row at the head of its own slot;
         # per-trial streams make the values independent of execution order
         for i, rng in enumerate(ensemble._trial_streams(seed + first, rows)):
-            rng.random(out=u[i])
-        vals = support[ensemble.support_index(dist, u)]
-        del u  # freed before the stack is allocated
-        stack = np.empty((rows, n, n))
-        start = 0
-        for r in range(n):  # the upper triangle row by row, mirrored
-            stack[:, r, r:] = stack[:, r:, r] = vals[:, start:start + n - r]
-            start += n - r
-        del vals  # the stack holds every entry now
+            rng.random(out=flat[i, :m])
+        ensemble.map_to_support(dist, flat[:, :m], support)
+        # unpack in place, last row first, mirroring each row as it lands: row r's
+        # packed source starts at or before its destination, so every source is
+        # read before any later row overwrites it
+        start = m
+        for r in range(n - 1, -1, -1):
+            start -= n - r
+            flat[:, r * n + r:(r + 1) * n] = flat[:, start:start + n - r]
+            stack[:, r + 1:, r] = stack[:, r, r + 1:]
         return _stack_values(stack, statistic, s, method)
 
     if workers == 1:

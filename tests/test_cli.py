@@ -708,6 +708,32 @@ def test_numpy_routes_import_their_handlers_names(tmp_path):
     )
 
 
+def test_spectral_subcommands_load_no_scipy(tmp_path):
+    _fresh_interpreter(
+        tmp_path,
+        [
+            ["edge-exceed", "--dist", "rademacher", "--n", "64", "--trials", "2",
+             "--epsilon", "0.05"],
+            ["spectrum", "--dist", "rademacher", "--n", "64", "--trials", "2"],
+        ],
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded",
+    )
+
+
+def test_low_rank_edge_exceed_reruns_are_byte_identical(tmp_path):
+    # a law that mostly draws zeros gives matrices of rank at most 2, whose
+    # Krylov space closes after a few steps
+    argv = ["edge-exceed", "--dist", "support=-1,0,1;probs=0.0001,0.9998,0.0001",
+            "--n", "64", "--trials", "2", "--seed", "1", "--epsilon", "0.1"]
+    tables = []
+    for rerun in range(3):
+        out = tmp_path / str(rerun)
+        assert cli.main([*argv, "--output-dir", str(out)]) == 0
+        tables.append((out / "edge-exceed.csv").read_bytes())
+    assert tables[0] == tables[1] == tables[2]
+
+
 def test_import_loads_only_cli_and_ensemble(tmp_path):
     _fresh_interpreter(
         tmp_path, [],
@@ -808,10 +834,11 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     ["concentration", "--dist", "rademacher", "--n", "100000000", "--trials", "2"],
 ])
 def test_matrix_size_guard_exits_1(tmp_path, capsys, case):
-    # one trial's draw at n = 10^8 is 1.2e17 bytes; the guard refuses it up front
+    # one trial at n = 10^8 and its Lanczos solve hold 1.6e17 bytes; the guard
+    # refuses it up front
     assert cli.main([*case, "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "needs 120000001200000000 bytes" in err
+    assert err.count("\n") == 1 and "needs 160000000001572864 bytes" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -819,4 +846,4 @@ def test_matrix_size_guard_uses_physical_memory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
     code, _, _ = run(tmp_path, "spectrum", "--dist", "rademacher", "--n", "12")
     assert code == 1
-    assert "needs 1872 bytes" in capsys.readouterr().err
+    assert "needs 1575360 bytes" in capsys.readouterr().err

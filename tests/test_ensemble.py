@@ -16,8 +16,8 @@ from tml.ensemble import (
     parse_distribution,
     rademacher,
     sample_symmetric_matrix,
+    map_to_support,
     skew12,
-    support_index,
 )
 
 NUMPY_PIN = "2.4.6"  # the numpy whose SeedSequence hash _seed_words mirrors
@@ -174,16 +174,46 @@ def test_two_point_law_variance_matches_sigma(dist):
     assert moment(dist, 1) == pytest.approx(0.0, abs=1e-9)
 
 
+def searchsorted_oracle(dist, u):
+    cum = np.cumsum(np.asarray(dist.probabilities))
+    cum[-1] = 1.0
+    return np.asarray(dist.support)[np.searchsorted(cum, u, side="right")]
+
+
 def test_sampling_stream_definition():
     # trial seeds index PCG64 streams exactly as np.random.default_rng does
     n, seed = 7, 123
     u = np.random.default_rng(seed).random(n * (n + 1) // 2)
     d = make_distribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
-    idx = support_index(d, np.array([[0.0, 0.2499], [0.25, 0.7499], [0.75, 0.9999]]))
-    assert idx.tolist() == [[0, 0], [1, 1], [2, 2]]
+    edges = np.array([[0.0, 0.2499], [0.25, 0.7499], [0.75, 0.9999]])
+    map_to_support(d, edges)
+    assert edges.tolist() == [[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]
     sample = sample_symmetric_matrix(d, n, seed)
     upper = sample.entries[np.triu_indices(n)]
-    assert np.array_equal(upper, np.asarray(d.support)[support_index(d, u)])
+    assert np.array_equal(upper, searchsorted_oracle(d, u))
+
+
+THREE_POINT = make_distribution([-1.0, 0.0, 1.0], [0.0001, 0.9998, 0.0001])
+
+
+@pytest.mark.parametrize("dist", [skew12(), rademacher(), THREE_POINT],
+                         ids=["skew12", "rademacher", "three-point"])
+def test_map_to_support_matches_searchsorted_bit_for_bit(dist, monkeypatch):
+    # the in-place mapper against the gather it replaced, at every bin edge
+    cum0 = float(np.cumsum(dist.probabilities)[0])
+    edges = [0.0, cum0, np.nextafter(cum0, 0.0), np.nextafter(1.0, 0.0)]
+    u = np.concatenate([edges, np.random.default_rng(5).random(1000)])
+    expected = searchsorted_oracle(dist, u)
+    monkeypatch.setattr(ensemble, "_MAP_BLOCK", 64)  # many blocks
+    got = u.copy()
+    map_to_support(dist, got)
+    assert np.array_equal(got, expected)
+    # a strided view, with a scaled support as the trial kernel passes it
+    grid = np.zeros((len(u), 3))
+    grid[:, 1] = u
+    map_to_support(dist, grid[:, 1], np.asarray(dist.support) / np.sqrt(7))
+    assert np.array_equal(grid[:, 1], expected / np.sqrt(7))
+    assert not grid[:, [0, 2]].any()
 
 
 # ---------- one seeding pass per call, against default_rng(seed + j) ----------

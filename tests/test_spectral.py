@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -72,17 +73,57 @@ def test_public_routines_reject_non_finite_entries(n, value):
             fn(bad)
 
 
-def test_lanczos_maps_every_arpack_error(monkeypatch):
-    import scipy.sparse.linalg as linalg
-
+def test_lanczos_failure_raises_eigensolver_error(monkeypatch):
     def broken(*args, **kwargs):
-        raise linalg.ArpackError(-9)  # "starting vector is zero"
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(linalg, "eigsh", broken)
-    with pytest.raises(spectral.EigensolverError) as info:
-        largest_eigenvalue(random_symmetric(64, seed=7))
-    assert math.isnan(info.value.residual)
-    assert isinstance(info.value.__cause__, linalg.ArpackError)
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    for solve in (largest_eigenvalue, spectral_norm):
+        with pytest.raises(spectral.EigensolverError, match="Lanczos iteration failed") as info:
+            solve(random_symmetric(64, seed=7))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("n", [64, 100, 300])
+@pytest.mark.parametrize("dist", [rademacher(), skew12()], ids=["rademacher", "skew12"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_lanczos_matches_eigsh_and_dense(n, dist, k):
+    from scipy.sparse.linalg import eigsh  # the replaced solver, kept as an oracle
+
+    a = sample_symmetric_matrix(dist, n, 17).normalized_view
+    got = spectral._lanczos(a, k)
+    dense = np.linalg.eigvalsh(a)[[0, -1]][-k:]
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    arpack = np.sort(eigsh(a, k=k, which="LA" if k == 1 else "BE", v0=v0,
+                           tol=spectral.DEFAULT_TOLERANCE, return_eigenvectors=False))
+    bound = spectral.DEFAULT_TOLERANCE * np.abs(dense)
+    for oracle in (dense, arpack):
+        assert np.all(np.abs(got - oracle) <= bound), (got - oracle, bound)
+    print(f"n={n} k={k}: largest |lanczos - dense| {np.max(np.abs(got - dense)):.1e}, "
+          f"|lanczos - eigsh| {np.max(np.abs(got - arpack)):.1e}")
+
+
+@pytest.mark.parametrize("m", [2, 5, 40, 120])
+def test_last_component_matches_eigh(m):
+    # the stopping rule's |s_m| for both ends of a Lanczos-like T_m (alpha near 0,
+    # beta near 1, as for a semicircle law), against dense eigenvectors
+    rng = np.random.default_rng(m)
+    alpha, beta = (0.1 * rng.normal(size=m)).tolist(), rng.uniform(0.9, 1.1, size=m).tolist()
+    t = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+    values, vectors = np.linalg.eigh(t)
+    assert np.array_equal(spectral._tridiagonal_ends(alpha, beta, m), np.linalg.eigvalsh(t))
+    for end in (0, -1):
+        got = spectral._last_component(alpha, beta, values[end], m)
+        assert got == pytest.approx(abs(vectors[-1, end]), rel=1e-8, abs=0.0)
+
+
+def test_last_component_rescales_instead_of_overflowing():
+    # a long T_m with random diagonal has localized eigenvectors: 1/|s_m| is past the float range
+    m = 800
+    rng = np.random.default_rng(m)
+    alpha, beta = rng.normal(size=m).tolist(), rng.uniform(0.5, 1.5, size=m).tolist()
+    theta = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:m - 1], -1))[-1]
+    assert 0.0 <= spectral._last_component(alpha, beta, theta, m) < 1e-30
 
 
 def zero_row_sum_matrix(n):
@@ -116,6 +157,15 @@ def test_lanczos_null_start_vector_in_the_kernel():
     assert np.all(got[:, 0] <= got[:, 1])
     assert top[1:] == pytest.approx([0.125, 0.125], rel=spectral.DEFAULT_TOLERANCE)
     assert got[1:].ravel() == pytest.approx([0.125] * 4, rel=spectral.DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("statistic", ["lambda_max", "spectrum"])
+def test_low_rank_trials_are_reproducible(statistic):
+    # rank <= 2 matrices: the Krylov space closes, and the ends come from dense eigvalsh
+    d = ensemble.parse_distribution("support=-1,0,1;probs=0.0001,0.9998,0.0001")
+    first = trial_values(d, 64, 2, 1, statistic)
+    for _ in range(5):
+        assert np.array_equal(trial_values(d, 64, 2, 1, statistic), first)
 
 
 def test_spectral_norm():
@@ -333,20 +383,22 @@ def public_route(dist, n, trials, seed, statistic, s=2, method="eig", normalized
 
 
 def two_ended_top(a):
-    """The top end of one two-ended Lanczos run with the kernel's start
-    vector and tolerance; the dense top eigenvalue below the cutoff."""
+    """The top end of the public route's own two-ended solve (the one
+    ``spectral_norm`` makes); the dense top eigenvalue below the cutoff."""
     n = a.shape[0]
     if n < spectral.DENSE_EIG_CUTOFF:
         return largest_eigenvalue(a)
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import eigsh  # the replaced solver, kept as an oracle
 
+    top = float(spectral._lanczos(a, 2)[-1])
     v0 = np.full(n, 1.0 / math.sqrt(n))
     ends = eigsh(a, k=2, which="BE", v0=v0, tol=spectral.DEFAULT_TOLERANCE,
                  return_eigenvectors=False)
-    return float(max(ends))
+    assert abs(top - max(ends)) <= spectral.DEFAULT_TOLERANCE * abs(top)
+    return top
 
 
-SIZES = [1, 3, 63, 64, 100]  # both sides of DENSE_EIG_CUTOFF = 64
+SIZES = [1, 3, 63, 64, 100, 200]  # both sides of DENSE_EIG_CUTOFF = 64; Lanczos converges at 200
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -385,12 +437,12 @@ def test_one_lanczos_run_per_matrix(n, monkeypatch):
     calls = []
     solve = spectral._lanczos
 
-    def counted(a, k, which):
-        calls.append((k, which))
-        return solve(a, k, which)
+    def counted(a, k):
+        calls.append(k)
+        return solve(a, k)
 
     monkeypatch.setattr(spectral, "_lanczos", counted)
-    for statistic, run in (("lambda_max", (1, "LA")), ("spectrum", (2, "BE"))):
+    for statistic, run in (("lambda_max", 1), ("spectrum", 2)):
         calls.clear()
         trial_values(rademacher(), n, 3, 8, statistic)
         assert calls == ([] if n < spectral.DENSE_EIG_CUTOFF else [run] * 3)
@@ -433,16 +485,52 @@ def test_threads_run_bounded_rounds_on_at_most_the_cpus(monkeypatch):
     assert np.array_equal(got, expected)
 
 
-def test_large_n_peak_memory_stays_below_two_matrices():
-    d, n = skew12(), 1200
-    trial_values(d, n, 2, 11, "lambda_max")  # warm: scipy and ARPACK load outside the trace
+def peak_matrices(n, *args, **kwargs):
+    """tracemalloc's peak over one trial_values call, in n x n matrices."""
+    trial_values(*args, **kwargs)  # warm: first-call allocations stay outside the trace
     tracemalloc.start()
     try:
-        trial_values(d, n, 2, 11, "lambda_max")
+        trial_values(*args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n * n, peak / (8 * n * n)
+    return peak / (8 * n * n)
+
+
+def test_large_n_peak_memory_stays_below_two_matrices():
+    d, n = skew12(), 1200
+    peak = peak_matrices(n, d, n, 2, 11, "lambda_max")
+    assert peak < 2, peak
+
+
+def test_large_n_trial_holds_one_matrix_and_the_basis():
+    # the uniforms are drawn and unpacked inside the trial's own matrix
+    d, n = skew12(), 1200
+    peak = peak_matrices(n, d, n, 2, 11, "lambda_max")
+    assert peak < 1.4, peak
+
+
+@pytest.mark.parametrize("statistic,method", [
+    ("lambda_max", "eig"), ("spectrum", "eig"), ("trace", "eig"), ("trace", "power"),
+])
+def test_peak_memory_stays_within_the_guard(statistic, method, monkeypatch):
+    # two trials in one chunk; the guard's figure bounds what tracemalloc sees
+    d, n, trials = skew12(), 200, 2
+    figures = []
+    guard = spectral.check_matrix_memory
+
+    def recorded(*args):
+        figures.append(args)
+        guard(*args)
+
+    monkeypatch.setattr(spectral, "check_matrix_memory", recorded)
+    peak = peak_matrices(n, d, n, trials, 3, statistic, s=2, method=method)
+    assert figures[-1] == (n, trials, 1, statistic, method)
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 0)
+    with pytest.raises(ValueError) as info:
+        guard(*figures[-1])
+    need = int(re.search(r"needs (\d+) bytes", str(info.value))[1])
+    assert peak <= need / (8 * n * n), (peak, need / (8 * n * n))
 
 
 def test_kernel_rejects_bad_arguments():
@@ -463,29 +551,30 @@ def test_kernel_rejects_bad_arguments():
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
     check_matrix_memory(100)
-    with pytest.raises(ValueError, match="needs 120000001200000000 bytes"):
-        check_matrix_memory(10**8)  # 24 bytes per upper-triangle entry, beyond any machine
+    with pytest.raises(ValueError, match="needs 160000000001572864 bytes"):
+        check_matrix_memory(10**8)  # the matrix and its Lanczos solve, beyond any machine
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 1000)
-    with pytest.raises(ValueError, match="needs 1872 bytes"):
-        trial_values(rademacher(), 12, 1, 0, "lambda_max")
+    with pytest.raises(ValueError, match="needs 1575360 bytes"):
+        trial_values(rademacher(), 12, 1, 0, "lambda_max")  # 2 matrices, 2 rows, the mapper
 
 
 def test_memory_guard_counts_every_trial_in_flight(monkeypatch):
-    # 4 MB holds two n = 500 matrices, but not the draws of two trials (3006000 bytes each)
-    n, one = 500, 24 * (500 * 501 // 2)
-    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 4_000_000)
+    # 6 MB holds one n = 500 trial, its Lanczos solve (2 MB each) and its mapper
+    # block, but not a second trial
+    n, one, mapper = 500, 8 * 500 * 500, 24 * ensemble._MAP_BLOCK
+    monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 6_000_000)
     assert len(trial_values(rademacher(), n, 1, 0, "lambda_max")) == 1
-    with pytest.raises(ValueError, match=f"needs {2 * one} bytes for 2 trial"):
+    with pytest.raises(ValueError, match=f"needs {3 * one + mapper} bytes for 2 trial"):
         trial_values(rademacher(), n, 2, 0, "lambda_max")  # one chunk of two rows
     monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk
     assert len(trial_values(rademacher(), n, 2, 0, "lambda_max")) == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with pytest.raises(ValueError, match=f"needs {2 * one} bytes for 2 trial"):
+    with pytest.raises(ValueError, match=f"needs {4 * one + 2 * mapper} bytes for 2 trial"):
         trial_values(rademacher(), n, 2, 0, "lambda_max", threads=2)  # two chunks at once
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.sparse.linalg costs about 0.35 s; only the Lanczos route imports it
+    # no module under tml imports scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(tml.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
