@@ -137,7 +137,7 @@ def _cmd_trace_mc(args):
     dist = parse_distribution(args.dist)
     est = spectral.mc_expected_trace(
         dist, args.n, args.s, args.trials, args.seed,
-        normalized=not args.raw, method=args.method, threads=args.threads,
+        normalized=not args.raw, method=args.method,
     )
     predictions = [
         spectral.wigner_trace_prediction(args.n, args.s, dist.sigma),
@@ -178,9 +178,7 @@ def _cmd_edge_exceed(args):
     from . import spectral
 
     dist = parse_distribution(args.dist)
-    result = spectral.edge_exceedance_experiment(
-        dist, args.n, args.trials, args.epsilon, args.seed, threads=args.threads
-    )
+    result = spectral.edge_exceedance_experiment(dist, args.n, args.trials, args.epsilon, args.seed)
     header = ["trial", "lambda_max", "threshold", "exceeded"]
     rows = [
         [i, v, result.threshold, v > result.threshold]
@@ -198,9 +196,7 @@ def _cmd_concentration(args):
 
     dist = parse_distribution(args.dist)
     t_values = [float(t) for t in args.t_values.split(",") if t]
-    rows_out = spectral.concentration_experiment(
-        dist, args.n, args.trials, t_values, args.seed, threads=args.threads
-    )
+    rows_out = spectral.concentration_experiment(dist, args.n, args.trials, t_values, args.seed)
     header = ["t", "deviation", "empirical_fraction", "bound"]
     rows = [[r.t, r.deviation, r.empirical_fraction, r.bound] for r in rows_out]
     return header, rows, 0
@@ -305,9 +301,9 @@ def _cmd_dyck_stats(args):
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads, at most one per CPU, each running whole chunks of "
-        "trials (at least 1); BLAS threads already parallelize each solve",
+        "--threads", type=int, choices=[1], default=1,
+        help="trial threads; only 1: the trials run one chunk after another, "
+        "and BLAS threads already parallelize each solve",
     )
 
 

@@ -7,8 +7,8 @@ so that exact path-sum computations can ask for any edge multiplicity.
 The normalized companion matrix is A = M / sqrt(n).
 
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
-derives its own seed as ``seed + t``, so results never depend on execution
-order or thread count.  Trial t's stream is that of
+derives its own seed as ``seed + t``, so results never depend on how the
+trials are chunked.  Trial t's stream is that of
 ``np.random.default_rng(seed + t)``.  Every trial kernel takes those streams
 from ``_trial_streams``, the one place the ``seed + t`` rule lives, which
 hashes the seeds of each run in vectorised passes and lets each trial's PCG64

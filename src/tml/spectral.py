@@ -9,8 +9,8 @@ BATCH_BYTES of matrix data, at every matrix size.  A chunk draws each trial
 from its own stream (``ensemble._trial_streams``) into its own slot of a
 (T, n, n) stack, maps the draws to support values scaled by 1/sqrt(n)
 (unless raw) in place, unpacks them there and reduces the stack in
-``_stack_values``.  ``threads`` workers run whole chunks, one chunk per
-worker per round.
+``_stack_values``.  The chunks run one after another on the calling thread;
+BLAS threads parallelize each solve.
 
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
@@ -25,15 +25,13 @@ from DENSE_EIG_CUTOFF up, within DEFAULT_TOLERANCE of ``largest_eigenvalue``.
 The Lanczos solver, ``_lanczos``, is written in numpy; the package needs no scipy.
 
 Determinism contract: every randomized routine takes one integer seed and
-derives each trial's stream from it through ``ensemble._trial_streams``, so
-runs are reproducible and independent of thread count and scheduling.
+derives each trial's stream from it through one ``ensemble._trial_streams``
+run per call, so runs are reproducible and independent of the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,27 +214,26 @@ def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
 
 
 def check_matrix_memory(
-    n: int, trials: int = 1, workers: int = 1, statistic: str = "lambda_max", method: str = "eig"
+    n: int, trials: int = 1, statistic: str = "lambda_max", method: str = "eig"
 ) -> None:
     """Refuse, before anything is allocated, a run that would not fit in
-    physical memory with ``trials`` trials held at once in ``workers``
-    chunks.
+    physical memory with one chunk of ``trials`` trials held at once.
 
     Each trial is one n x n matrix: its uniforms are drawn into its own slot
-    and unpacked there.  Each chunk maps its uniforms to support values in
+    and unpacked there.  The chunk maps its uniforms to support values in
     blocks of at most 24 * ensemble._MAP_BLOCK bytes.  A trace by "power"
     holds up to three matrix products per trial on top (numpy's
-    matrix_power).  Any other statistic solves one matrix of a chunk at a
+    matrix_power).  Any other statistic solves one matrix of the chunk at a
     time, and that solve holds at most one more n x n matrix: the copy dense
     eigvalsh works on, or the Lanczos basis at its largest (see
     ``_lanczos``).  A dense solve also keeps two length-n rows per trial,
     its eigenvalues and their powers."""
     matrix = 8 * n * n
-    need = workers * 24 * ensemble._MAP_BLOCK
+    need = 24 * ensemble._MAP_BLOCK
     if statistic == "trace" and method == "power":
         need += 4 * matrix * trials
     else:
-        need += matrix * (trials + workers)
+        need += matrix * (trials + 1)
         if statistic == "trace" or n < DENSE_EIG_CUTOFF:
             need += 16 * n * trials
     have = ensemble._physical_memory_bytes()
@@ -277,7 +274,6 @@ def trial_values(
     s: int = 1,
     method: str = "eig",
     normalized: bool = True,
-    threads: int = 1,
 ) -> np.ndarray:
     """The statistic of each of ``trials`` sampled matrices, as an array in
     trial order.
@@ -291,13 +287,13 @@ def trial_values(
     more for each later trial; from DENSE_EIG_CUTOFF up, "spectrum"'s top
     eigenvalue is the top end of its two-ended Lanczos run, which agrees
     with ``largest_eigenvalue`` within DEFAULT_TOLERANCE, not bit for bit.
-    Each trial's n(n+1)/2 uniforms are drawn into the head of its own n x n
-    slot, overwritten there by their support values, and unpacked row by
-    row, last row first, each row mirrored as it lands; a trial holds one
-    matrix, and its solve the Lanczos basis.  ``threads`` workers, at most
-    one per CPU, run the chunks in rounds of one chunk per worker.  Before
-    sampling, ``check_matrix_memory`` refuses a run whose chunks in flight
-    would not fit in physical memory.
+    One ``ensemble._trial_streams`` run feeds every chunk.  Each trial's
+    n(n+1)/2 uniforms are drawn into the head of its own n x n slot,
+    overwritten there by their support values, and unpacked row by row,
+    last row first, each row mirrored as it lands; a trial holds one
+    matrix, and its solve the Lanczos basis.  Before sampling,
+    ``check_matrix_memory`` refuses a run whose chunk would not fit in
+    physical memory.
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
@@ -310,27 +306,21 @@ def trial_values(
         raise ValueError("matrix size must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     chunk = max(1, BATCH_BYTES // (8 * n * n))
-    firsts = range(0, trials, chunk)
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on some platforms
-    workers = min(threads, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    in_flight = min(workers, len(firsts))
-    check_matrix_memory(n, min(chunk, trials) * in_flight, in_flight, statistic, method)
+    check_matrix_memory(n, min(chunk, trials), statistic, method)
     support = np.asarray(dist.support)
     if normalized:
         support = support / np.sqrt(n)
     m = n * (n + 1) // 2
+    streams = ensemble._trial_streams(seed, trials)
 
-    def chunk_values(first: int) -> np.ndarray:
-        rows = min(chunk, trials - first)
+    def chunk_values(rows: int) -> np.ndarray:
+        # a function, so each chunk's stack is freed before the next is allocated
         stack = np.empty((rows, n, n))
         flat = stack.reshape(rows, n * n)
-        # each trial's upper triangle, packed row by row at the head of its own slot;
-        # per-trial streams make the values independent of execution order
-        for i, rng in enumerate(ensemble._trial_streams(seed + first, rows)):
-            rng.random(out=flat[i, :m])
+        # each trial's upper triangle, packed row by row at the head of its own slot
+        for packed, rng in zip(flat[:, :m], streams):
+            rng.random(out=packed)
         ensemble.map_to_support(dist, flat[:, :m], support)
         # unpack in place, last row first, mirroring each row as it lands: row r's
         # packed source starts at or before its destination, so every source is
@@ -342,13 +332,8 @@ def trial_values(
             stack[:, r + 1:, r] = stack[:, r, r + 1:]
         return _stack_values(stack, statistic, s, method)
 
-    if workers == 1:
-        return np.concatenate([chunk_values(first) for first in firsts])
-    parts = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for at in range(0, len(firsts), workers):  # bounded rounds: one chunk per worker
-            parts.extend(pool.map(chunk_values, firsts[at:at + workers]))
-    return np.concatenate(parts)
+    firsts = range(0, trials, chunk)
+    return np.concatenate([chunk_values(min(chunk, trials - first)) for first in firsts])
 
 
 @dataclass(frozen=True)
@@ -370,14 +355,10 @@ def mc_expected_trace(
     seed: int,
     normalized: bool = True,
     method: str = "eig",
-    threads: int = 1,
 ) -> TraceEstimate:
     """Estimate E[Tr A^(2s)] (A the 1/sqrt(n)-normalized matrix, or the raw
     matrix when normalized=False) over independent samples."""
-    values = trial_values(
-        dist, n, trials, seed, "trace",
-        s=s, method=method, normalized=normalized, threads=threads,
-    )
+    values = trial_values(dist, n, trials, seed, "trace", s=s, method=method, normalized=normalized)
     return TraceEstimate(mean=float(values.mean()), stderr=_stderr(values), trials=trials, n=n, s=s)
 
 
@@ -459,14 +440,13 @@ def edge_exceedance_experiment(
     trials: int,
     epsilon: float,
     seed: int,
-    threads: int = 1,
 ) -> EdgeExceedanceResult:
     """Sample matrices and count how often the top eigenvalue of the
     normalized matrix exceeds the threshold 2*sigma + n^(-6/11 + epsilon),
     inf past the float range.  A non-finite epsilon is refused before sampling."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads).tolist()
+    values = trial_values(dist, n, trials, seed, "lambda_max").tolist()
     try:
         threshold = 2.0 * dist.sigma + float(n) ** (EDGE_EXPONENT + epsilon)
     except OverflowError:
@@ -509,7 +489,6 @@ def concentration_experiment(
     trials: int,
     t_values: list[float] | tuple[float, ...],
     seed: int,
-    threads: int = 1,
 ) -> list[ConcentrationRow]:
     """Tail of the top normalized eigenvalue around its mean.
 
@@ -525,7 +504,7 @@ def concentration_experiment(
     if not ts:
         raise ValueError("need at least one t value")
     bounds = [concentration_bound(t) for t in ts]
-    values = trial_values(dist, n, trials, seed, "lambda_max", threads=threads)
+    values = trial_values(dist, n, trials, seed, "lambda_max")
     center = float(values.mean())
     scale = dist.bound_K / math.sqrt(n)
     rows = []

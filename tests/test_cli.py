@@ -204,7 +204,7 @@ def test_trace_mc(tmp_path):
         tmp_path,
         "trace-mc",
         "--dist", "skew12", "--n", "3", "--s", "2",
-        "--trials", "400", "--seed", "5", "--threads", "2",
+        "--trials", "400", "--seed", "5", "--threads", "1",
     )
     assert code == 0
     row = rows[0]
@@ -632,14 +632,27 @@ def test_csv_float_format_round_trips(tmp_path):
     assert float(rows[0]["value"]) == 102.44444444444444
 
 
+TRIAL_LOOPS = [
+    ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2"],
+    ["edge-exceed", "--dist", "skew12", "--n", "9", "--trials", "2", "--epsilon", "0.1"],
+    ["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"],
+]
+
+
 def test_trial_loops_default_to_one_thread():
+    # --threads 1 still parses: the benchmark harness passes it
     parser = cli.build_parser()
-    for case in (
-        ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2"],
-        ["edge-exceed", "--dist", "skew12", "--n", "9", "--trials", "2", "--epsilon", "0.1"],
-        ["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"],
-    ):
+    for case in TRIAL_LOOPS:
         assert parser.parse_args(case).threads == 1
+        assert parser.parse_args([*case, "--threads", "1"]).threads == 1
+
+
+@pytest.mark.parametrize("threads", ["2", "0", "-4"])
+@pytest.mark.parametrize("case", TRIAL_LOOPS, ids=lambda case: case[0])
+def test_trial_loops_refuse_other_thread_counts(tmp_path, capsys, case, threads):
+    assert cli.main([*case, "--threads", threads, "--output-dir", str(tmp_path)]) == 1
+    assert f"argument --threads: invalid choice: {threads}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_eigensolver_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -778,8 +791,6 @@ def test_edge_threshold_past_the_float_range_is_inf(tmp_path):
     (["edge-exceed", "--trials", "2", "--epsilon=-inf"], "epsilon must be finite, got -inf"),
     (["concentration", "--trials", "3", "--t-values", "nan,1"], "t must be finite, got nan"),
     (["concentration", "--trials", "3", "--t-values", "1,inf"], "t must be finite, got inf"),
-    (["trace-mc", "--s", "2", "--threads", "0"], "threads must be at least 1, got 0"),
-    (["concentration", "--trials", "3", "--threads", "-4"], "threads must be at least 1, got -4"),
 ])
 def test_non_finite_spectral_parameters_exit_1(tmp_path, capsys, case, message):
     argv = [case[0], "--dist", "skew12", "--n", "4", *case[1:], "--output-dir", str(tmp_path)]

@@ -209,14 +209,6 @@ def test_mc_expected_trace_deterministic():
     assert a.trials == 200 and a.n == 4 and a.s == 2
 
 
-def test_mc_expected_trace_thread_invariance():
-    d = skew12()
-    serial = mc_expected_trace(d, 6, 2, trials=64, seed=11, threads=1)
-    pooled = mc_expected_trace(d, 6, 2, trials=64, seed=11, threads=4)
-    assert serial.mean == pooled.mean
-    assert serial.stderr == pooled.stderr
-
-
 def test_mc_expected_trace_degenerate_case():
     # n=1 rademacher: Tr A^(2s) = x^(2s) = 1 identically
     est = mc_expected_trace(rademacher(), 1, 3, trials=50, seed=0)
@@ -324,8 +316,6 @@ def test_edge_exceedance_experiment():
     count = sum(1 for v in result.lambda_max_values if v > result.threshold)
     assert result.exceed_count == count
     assert result.exceed_fraction == pytest.approx(count / 6.0)
-    rerun = edge_exceedance_experiment(d, 40, trials=6, epsilon=0.05, seed=13, threads=3)
-    assert rerun.lambda_max_values == result.lambda_max_values
     with pytest.raises(ValueError):
         edge_exceedance_experiment(d, 40, trials=0, epsilon=0.05, seed=0)
 
@@ -409,11 +399,8 @@ def test_trace_kernel_matches_public_route(n, method, normalized, monkeypatch):
     monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
     d = skew12()
     expected = public_route(d, n, 7, 5, "trace", method=method, normalized=normalized)
-    for threads in (1, 3):
-        got = trial_values(
-            d, n, 7, 5, "trace", s=2, method=method, normalized=normalized, threads=threads
-        )
-        assert np.array_equal(got, expected)
+    got = trial_values(d, n, 7, 5, "trace", s=2, method=method, normalized=normalized)
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -423,9 +410,8 @@ def test_eigenvalue_kernel_matches_public_route(n, statistic, monkeypatch):
     d = rademacher()
     for seed in (31, 2**32 - 2):  # the second run's five seeds cross 2^32
         expected = public_route(d, n, 5, seed, statistic)
-        for threads in (1, 3):
-            got = trial_values(d, n, 5, seed, statistic, threads=threads)
-            assert np.array_equal(got, expected)
+        got = trial_values(d, n, 5, seed, statistic)
+        assert np.array_equal(got, expected)
         if statistic == "spectrum":  # one two-ended run: lambda_max <= norm exactly
             assert np.all(got[:, 0] <= got[:, 1])
             top = public_route(d, n, 5, seed, "lambda_max")
@@ -455,34 +441,26 @@ def test_kernel_chunking_does_not_change_values(monkeypatch):
     assert np.array_equal(trial_values(d, 10, 50, 3, "trace", s=3), whole)
 
 
-def test_threads_run_bounded_rounds_on_at_most_the_cpus(monkeypatch):
-    # a huge thread count neither asks for that many workers nor queues every chunk at once
-    workers, batches = [], []
+@pytest.mark.parametrize("seed", [31, 2**32 - 2])  # the second run's five seeds cross 2^32
+def test_one_seeding_run_feeds_every_chunk(seed, monkeypatch):
+    calls = {"_trial_streams": 0, "_seed_words": 0}
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
+    def counted(name):
+        original = getattr(ensemble, name)
 
-        def __enter__(self):
-            return self
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
 
-        def __exit__(self, *exc):
-            return False
+        monkeypatch.setattr(ensemble, name, call)
 
-        def map(self, fn, items):
-            items = list(items)
-            batches.append(len(items))
-            return [fn(item) for item in items]
-
+    counted("_trial_streams")
+    counted("_seed_words")
     d, n = skew12(), 70
-    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk
-    expected = trial_values(d, n, 9, 0, "lambda_max", threads=1)
-    monkeypatch.setattr(spectral, "ThreadPoolExecutor", SerialPool)
-    got = trial_values(d, n, 9, 0, "lambda_max", threads=10**6)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert all(w <= cpus for w in workers) and all(b <= cpus for b in batches)
-    assert sum(batches) == (9 if cpus > 1 else 0)
-    assert np.array_equal(got, expected)
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk: 5 chunks
+    got = trial_values(d, n, 5, seed, "lambda_max")
+    assert calls == {"_trial_streams": 1, "_seed_words": 1}
+    assert np.array_equal(got, public_route(d, n, 5, seed, "lambda_max"))
 
 
 def peak_matrices(n, *args, **kwargs):
@@ -525,7 +503,7 @@ def test_peak_memory_stays_within_the_guard(statistic, method, monkeypatch):
 
     monkeypatch.setattr(spectral, "check_matrix_memory", recorded)
     peak = peak_matrices(n, d, n, trials, 3, statistic, s=2, method=method)
-    assert figures[-1] == (n, trials, 1, statistic, method)
+    assert figures[-1] == (n, trials, statistic, method)
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 0)
     with pytest.raises(ValueError) as info:
         guard(*figures[-1])
@@ -545,8 +523,6 @@ def test_kernel_rejects_bad_arguments():
         trial_values(d, 4, 0, 0, "lambda_max")
     with pytest.raises(ValueError):
         trial_values(d, 0, 2, 0, "lambda_max")
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        trial_values(d, 4, 2, 0, "lambda_max", threads=0)
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
@@ -568,18 +544,16 @@ def test_memory_guard_counts_every_trial_in_flight(monkeypatch):
         trial_values(rademacher(), n, 2, 0, "lambda_max")  # one chunk of two rows
     monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * n * n)  # one matrix per chunk
     assert len(trial_values(rademacher(), n, 2, 0, "lambda_max")) == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with pytest.raises(ValueError, match=f"needs {4 * one + 2 * mapper} bytes for 2 trial"):
-        trial_values(rademacher(), n, 2, 0, "lambda_max", threads=2)  # two chunks at once
 
 
 def test_import_leaves_scipy_unloaded():
-    # no module under tml imports scipy
+    # no module under tml imports scipy, nor a thread pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(tml.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
-        "import sys, tml.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, tml.cli, tml.spectral, tml.dyck, tml.gluing; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
