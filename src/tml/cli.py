@@ -2,15 +2,18 @@
 
 One binary, eight subcommands, every run reproducible from its seed.  Each
 invocation writes a CSV (or JSON) table plus a JSON manifest recording the
-subcommand, parameters, seed, build id, timestamps, and output files.  The
-table body is a pure function of the arguments, so reruns are byte-identical;
-wall-clock data lives only in the manifest.
+subcommand, parameters, seed, build id, timestamps, output files and BLAS
+thread settings.  The table body is a pure function of the arguments, so
+reruns are byte-identical; wall-clock data lives only in the manifest.
 
 Each handler imports the one kernel module it calls (``paths``, ``gluing``,
 ``spectral`` or ``dyck``) and calls through it, so a subcommand loads only
 its own kernel: trace-exact, bounds-table and an exhaustive verify-gluing
 start without numpy, and the Monte Carlo subcommands without ``gluing``.
-No subcommand loads scipy.
+No subcommand loads scipy.  Before numpy loads, ``main`` asks BLAS for one
+thread (``OMP_NUM_THREADS=1``) unless the caller set a BLAS thread variable
+or the call is a spectral one at n >= DENSE_EIG_CUTOFF, whose solves BLAS
+threads speed up; anywhere else an idle BLAS worker would only burn CPU.
 
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
 over its guard, an eigensolver failure, an unwritable output), 2
@@ -28,7 +31,10 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .ensemble import RNG_ALGORITHM, EigensolverError, parse_distribution
+from .ensemble import DENSE_EIG_CUTOFF, RNG_ALGORITHM, EigensolverError, parse_distribution
+
+_BLAS_THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+_SPECTRAL_SUBCOMMANDS = ("trace-mc", "spectrum", "edge-exceed", "concentration")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +105,21 @@ def _write_table(args, header: list[str], rows: list[list]) -> list[str]:
     return [path]
 
 
-def _write_manifest(args, outputs: list[str], started: str, finished: str) -> str:
+def _pin_blas_threads(args) -> dict:
+    """Set OMP_NUM_THREADS=1 unless numpy is loaded, the caller set a BLAS
+    thread variable, or the call solves matrices of at least DENSE_EIG_CUTOFF;
+    returns the BLAS thread settings for the manifest."""
+    pin = not (
+        "numpy" in sys.modules
+        or any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+        or (args.subcommand in _SPECTRAL_SUBCOMMANDS and args.n >= DENSE_EIG_CUTOFF)
+    )
+    if pin:
+        os.environ["OMP_NUM_THREADS"] = "1"
+    return {**{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}, "set_by_cli": pin}
+
+
+def _write_manifest(args, outputs: list[str], started: str, finished: str, blas_threads: dict) -> str:
     out_dir = _output_dir(args)
     base = args.out or args.subcommand
     params = {
@@ -116,6 +136,7 @@ def _write_manifest(args, outputs: list[str], started: str, finished: str) -> st
         "finished": finished,
         "output_files": [os.path.basename(p) for p in outputs],
         "rng": RNG_ALGORITHM,
+        "blas_threads": blas_threads,
     }
     path = os.path.join(out_dir, f"{base}.manifest.json")
     with open(path, "w") as fh:
@@ -414,11 +435,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    blas_threads = _pin_blas_threads(args)
     started = _now()
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds only from integers >= 0
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         header, rows, code = args.func(args)
         outputs = _write_table(args, header, rows)
-        _write_manifest(args, outputs, started, _now())
+        _write_manifest(args, outputs, started, _now(), blas_threads)
     except (EigensolverError, OSError, ValueError) as exc:  # DistributionError is a ValueError
         print(f"tml {args.subcommand}: {exc}", file=sys.stderr)
         return 1

@@ -99,7 +99,7 @@ def _dyck_steps(s: int) -> np.ndarray:
     still return to 0 and then by -1 while its level is above 0.
     """
     if s < 0:
-        raise ValueError("negative order")
+        raise ValueError(f"s must be at least 0, got {s}")
     if s > ENUMERATION_LIMIT:
         raise DyckSizeError(f"enumeration and exact totals support s <= {ENUMERATION_LIMIT}")
     steps = np.zeros((1, 0), dtype=np.int8)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 MOMENT_CACHE_DEPTH = 64
 RNG_ALGORITHM = "numpy-PCG64"
+DENSE_EIG_CUTOFF = 64  # spectral solves go dense below this n, Lanczos from it up; the CLI reads it too
 
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-12

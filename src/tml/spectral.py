@@ -37,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble
-from .ensemble import EigensolverError, EntryDistribution
+from .ensemble import DENSE_EIG_CUTOFF, EigensolverError, EntryDistribution
 from .paths import catalan
 
-DENSE_EIG_CUTOFF = 64
 DEFAULT_TOLERANCE = 1e-10
 BATCH_BYTES = 1 << 23  # matrix data per chunk of trials
 _BASIS_ROWS = 128  # Lanczos basis vectors per allocated block

@@ -418,6 +418,18 @@ def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
+)
+def test_dyck_stats_exact_negative_s_names_s(tmp_path, capsys, functional):
+    code = cli.main([
+        "dyck-stats", "--functional", *functional, "--s", "-2", "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 0, got -2"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "functional, trials",
     [(["windows"], "14"), (["stay"], "14"), (["tensor", "--tensor-order", "3"], "14"),
      (["maxlevel"], "14"), (["beta"], "")],
@@ -669,23 +681,100 @@ def test_eigensolver_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "did not converge" in err
 
 
-def _fresh_interpreter(tmp_path, calls: list[list[str]], check: str = "") -> None:
+def _fresh_interpreter(tmp_path, calls: list[list[str]], check: str = "", blas_env=None) -> None:
     """Run tml.cli.main on each argv in a new interpreter, assert exit 0 for
-    each, then run ``check`` there."""
+    each, then run ``check`` there.  The child's BLAS thread variables are
+    ``blas_env`` alone."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "from tml.cli import main\n"
         f"for argv in {calls!r}:\n"
         f"    assert main([*argv, '--output-dir', {str(tmp_path)!r}]) == 0, argv\n"
         f"{check}\n"
     )
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
     done = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", script], env={**env, **(blas_env or {}), "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+SMALL_CALLS = [
+    ["dyck-stats", "--s", "16", "--mode", "mc", "--trials", "50", "--seed", "3"],
+    ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "50", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_CALLS, ids=lambda argv: argv[0])
+def test_small_calls_run_on_one_blas_thread(tmp_path, argv):
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads in")
+    unset = dict.fromkeys(cli._BLAS_THREAD_VARIABLES)
+    _fresh_interpreter(
+        tmp_path / "pinned", [argv],
+        "tasks = os.listdir('/proc/self/task')\n"
+        "assert len(tasks) == 1, tasks\n"
+        "assert os.environ['OMP_NUM_THREADS'] == '1'",
+    )
+    blas = json.loads((tmp_path / "pinned" / f"{argv[0]}.manifest.json").read_text())["blas_threads"]
+    assert blas == {**unset, "OMP_NUM_THREADS": "1", "set_by_cli": True}
+    # the caller's setting is kept, and the table does not depend on the thread count
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        out = tmp_path / name
+        caller = {**unset, name: "2"}
+        _fresh_interpreter(
+            out, [argv],
+            f"assert {{k: os.environ.get(k) for k in {cli._BLAS_THREAD_VARIABLES!r}}} == {caller!r}",
+            blas_env={name: "2"},
+        )
+        blas = json.loads((out / f"{argv[0]}.manifest.json").read_text())["blas_threads"]
+        assert blas == {**unset, name: "2", "set_by_cli": False}
+        table = f"{argv[0]}.csv"
+        assert (out / table).read_bytes() == (tmp_path / "pinned" / table).read_bytes()
+
+
+def test_large_spectral_calls_keep_the_blas_pool(tmp_path):
+    _fresh_interpreter(
+        tmp_path,
+        [["edge-exceed", "--dist", "rademacher", "--n", "64", "--trials", "2", "--epsilon", "0.05"]],
+        f"set_ = [k for k in {cli._BLAS_THREAD_VARIABLES!r} if k in os.environ]\n"
+        "assert not set_, set_",
+    )
+    blas = json.loads((tmp_path / "edge-exceed.manifest.json").read_text())["blas_threads"]
+    assert blas == {**dict.fromkeys(cli._BLAS_THREAD_VARIABLES), "set_by_cli": False}
+
+
+@pytest.mark.parametrize("argv,pinned", [
+    (["trace-mc", "--dist", "skew12", "--n", "63", "--s", "2"], True),
+    (["trace-mc", "--dist", "skew12", "--n", "64", "--s", "2", "--method", "power"], False),
+    (["spectrum", "--dist", "skew12", "--n", "63"], True),
+    (["spectrum", "--dist", "skew12", "--n", "64"], False),
+    (["edge-exceed", "--dist", "skew12", "--n", "2000", "--trials", "3", "--epsilon", "0.05"], False),
+    (["concentration", "--dist", "skew12", "--n", "64", "--trials", "3"], False),
+    (["dyck-stats", "--s", "256", "--mode", "mc"], True),
+    (["verify-gluing", "--n", "3", "--s", "4"], True),
+])
+def test_blas_pin_follows_the_matrix_size(monkeypatch, argv, pinned):
+    # the pin is decided before numpy loads; here numpy is hidden from the check
+    environ = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    monkeypatch.setattr(os, "environ", environ)
+    monkeypatch.delitem(sys.modules, "numpy")
+    blas = cli._pin_blas_threads(cli.build_parser().parse_args(argv))
+    assert blas["set_by_cli"] is pinned
+    assert environ.get("OMP_NUM_THREADS") == ("1" if pinned else None)
+
+
+def test_main_with_numpy_loaded_leaves_the_environment_alone(tmp_path, monkeypatch):
+    environ = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    monkeypatch.setattr(os, "environ", environ)
+    before = dict(environ)
+    code, _, manifest = run(tmp_path, *SMALL_CALLS[0])
+    assert code == 0 and "numpy" in sys.modules
+    assert environ == before
+    assert manifest["blas_threads"] == {**dict.fromkeys(cli._BLAS_THREAD_VARIABLES), "set_by_cli": False}
 
 
 def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):

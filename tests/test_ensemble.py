@@ -289,8 +289,12 @@ def test_negative_seed_is_refused_before_any_draw():
 @pytest.mark.parametrize("argv", [
     ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "4"],
     ["dyck-stats", "--s", "7", "--mode", "mc", "--trials", "4"],
+    ["spectrum", "--dist", "skew12", "--n", "3"],
+    ["edge-exceed", "--dist", "skew12", "--n", "3", "--trials", "2", "--epsilon", "0.05"],
+    ["concentration", "--dist", "skew12", "--n", "3", "--trials", "2"],
+    ["verify-gluing", "--n", "3", "--s", "2", "--random", "4"],
 ])
 def test_negative_seed_exits_1_in_one_line(tmp_path, capsys, argv):
     assert cli.main([*argv, "--seed", "-2", "--output-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"tml {argv[0]}: expected non-negative integer"]
+    assert capsys.readouterr().err.splitlines() == [f"tml {argv[0]}: --seed must be at least 0, got -2"]
     assert list(tmp_path.iterdir()) == []
