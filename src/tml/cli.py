@@ -10,10 +10,13 @@ Each handler imports the one kernel module it calls (``paths``, ``gluing``,
 ``spectral`` or ``dyck``) and calls through it, so a subcommand loads only
 its own kernel: trace-exact, bounds-table and an exhaustive verify-gluing
 start without numpy, and the Monte Carlo subcommands without ``gluing``.
-No subcommand loads scipy.  Before numpy loads, ``main`` asks BLAS for one
-thread (``OMP_NUM_THREADS=1``) unless the caller set a BLAS thread variable
-or the call is a spectral one at n >= DENSE_EIG_CUTOFF, whose solves BLAS
-threads speed up; anywhere else an idle BLAS worker would only burn CPU.
+The spectral subcommands read every statistic, a trace too, from one
+eigenvalue solve per matrix in ``spectral.trial_values``, which alone
+chooses the solver.  No subcommand loads scipy.  Before numpy loads,
+``main`` asks BLAS for one thread (``OMP_NUM_THREADS=1``) unless the caller
+set a BLAS thread variable or the call is a spectral one at n >=
+DENSE_EIG_CUTOFF, whose solves BLAS threads speed up; anywhere else an idle
+BLAS worker would only burn CPU.
 
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
 over its guard, an eigensolver failure, an unwritable output), 2
@@ -156,10 +159,7 @@ def _cmd_trace_mc(args):
     from . import spectral
 
     dist = parse_distribution(args.dist)
-    est = spectral.mc_expected_trace(
-        dist, args.n, args.s, args.trials, args.seed,
-        normalized=not args.raw, method=args.method,
-    )
+    est = spectral.mc_expected_trace(dist, args.n, args.s, args.trials, args.seed, normalized=not args.raw)
     predictions = [
         spectral.wigner_trace_prediction(args.n, args.s, dist.sigma),
         spectral.wigner_trace_prediction_refined(args.n, args.s, dist.sigma),
@@ -293,6 +293,8 @@ def _cmd_dyck_stats(args):
 
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
     if args.functional == "beta":  # a pure lgamma sum: the beta row loads no numpy
+        if args.s < 0:  # the sum never reads s, but the row writes it
+            raise ValueError(f"s must be at least 0, got {args.s}")
         value = paths.beta_sum(args.tensor_order)
         return header, [[args.s, "beta", "exact", args.tensor_order, "", "", "", value]], 0
     from . import dyck
@@ -344,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["eig", "power"], default="eig")
     p.add_argument("--raw", action="store_true", help="trace of the unnormalized matrix")
     _add_threads(p)
     _add_common(p)

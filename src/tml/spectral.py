@@ -15,13 +15,16 @@ BLAS threads parallelize each solve.
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
 (``largest_eigenvalue``, ``spectral_norm``, ``trace_power``).  Each matrix
-gets one eigenvalue solve, and ``_stack_values`` alone chooses dense or
-Lanczos for it; the public functions make their own choice.  The public
-route ``sample_symmetric_matrix`` -> ``normalized_view`` ->
-``largest_eigenvalue`` / ``spectral_norm`` / ``trace_power`` stays as the
-kernel's test oracle; the two agree bit for bit, except that "spectrum"
-reads its top eigenvalue from the end of its own two-ended Lanczos run
-from DENSE_EIG_CUTOFF up, within DEFAULT_TOLERANCE of ``largest_eigenvalue``.
+gets one eigenvalue solve, and every trace is read from its eigenvalues.
+``_stack_values`` alone turns a matrix into a statistic and chooses dense
+or Lanczos for it; the public functions check their input and read the same
+function on a stack of one.  The public route ``sample_symmetric_matrix`` ->
+``normalized_view`` -> ``largest_eigenvalue`` / ``spectral_norm`` /
+``trace_power(..., "eig")`` stays as the kernel's test oracle; the two agree
+bit for bit, except that "spectrum" reads its top eigenvalue from the end of
+its own two-ended Lanczos run from DENSE_EIG_CUTOFF up, within
+DEFAULT_TOLERANCE of ``largest_eigenvalue``.  ``trace_power(..., "power")``,
+by repeated squaring, is the independent per-matrix check on the traces.
 The Lanczos solver, ``_lanczos``, is written in numpy; the package needs no scipy.
 
 Determinism contract: every randomized routine takes one integer seed and
@@ -171,17 +174,12 @@ def _lanczos(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def largest_eigenvalue(a: np.ndarray) -> float:
-    """Top eigenvalue of a symmetric matrix.
-
-    Small matrices go through the full dense solver; larger ones use the
-    Lanczos solver ``_lanczos``, which starts from a fixed all-ones vector
-    so the result is bit-reproducible.  A failed solve raises
-    EigensolverError.
+    """Top eigenvalue of a symmetric matrix, from the solve ``_stack_values``
+    chooses: dense below DENSE_EIG_CUTOFF, the Lanczos solver ``_lanczos``
+    from it up, which starts from a fixed all-ones vector so the result is
+    bit-reproducible.  A failed solve raises EigensolverError.
     """
-    a = _check_symmetric(a)
-    if a.shape[0] < DENSE_EIG_CUTOFF:
-        return float(np.linalg.eigvalsh(a)[-1])
-    return float(_lanczos(a, 1)[-1])
+    return float(_stack_values(_check_symmetric(a)[None], "lambda_max")[0])
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -189,52 +187,37 @@ def spectral_norm(a: np.ndarray) -> float:
     the spectrum, from one solve (dense below DENSE_EIG_CUTOFF, one
     two-ended ``_lanczos`` run from it up).  The trial kernel's "spectrum"
     statistic reads its norm column from the same run, bit for bit."""
-    a = _check_symmetric(a)
-    if a.shape[0] < DENSE_EIG_CUTOFF:
-        ends = np.linalg.eigvalsh(a)[[0, -1]]
-    else:
-        ends = _lanczos(a, 2)
-    return float(np.max(np.abs(ends)))
+    return float(_stack_values(_check_symmetric(a)[None], "spectrum")[0, 1])
 
 
 def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
     """Tr a^(2s) for symmetric a, by repeated squaring ("power") or through
-    the full spectrum ("eig").  The two routes agree to rounding and are
-    kept separate on purpose as a cross-check."""
+    the full spectrum ("eig", the trial kernel's route).  The two routes
+    agree to rounding; "power" is kept as the kernel's independent oracle."""
     if s < 1:
         raise ValueError("s must be at least 1")
     a = _check_symmetric(a)
     if method == "power":
         return float(np.trace(np.linalg.matrix_power(a, 2 * s)))
     if method == "eig":
-        vals = np.linalg.eigvalsh(a)
-        return float(np.sum(vals ** (2 * s)))
+        return float(_stack_values(a[None], "trace", s)[0])
     raise ValueError(f"unknown trace method {method!r}")
 
 
-def check_matrix_memory(
-    n: int, trials: int = 1, statistic: str = "lambda_max", method: str = "eig"
-) -> None:
+def check_matrix_memory(n: int, trials: int = 1, statistic: str = "lambda_max") -> None:
     """Refuse, before anything is allocated, a run that would not fit in
     physical memory with one chunk of ``trials`` trials held at once.
 
     Each trial is one n x n matrix: its uniforms are drawn into its own slot
     and unpacked there.  The chunk maps its uniforms to support values in
-    blocks of at most 24 * ensemble._MAP_BLOCK bytes.  A trace by "power"
-    holds up to three matrix products per trial on top (numpy's
-    matrix_power).  Any other statistic solves one matrix of the chunk at a
-    time, and that solve holds at most one more n x n matrix: the copy dense
-    eigvalsh works on, or the Lanczos basis at its largest (see
+    blocks of at most 24 * ensemble._MAP_BLOCK bytes.  It solves one matrix
+    at a time, and that solve holds at most one more n x n matrix: the copy
+    dense eigvalsh works on, or the Lanczos basis at its largest (see
     ``_lanczos``).  A dense solve also keeps two length-n rows per trial,
     its eigenvalues and their powers."""
-    matrix = 8 * n * n
-    need = 24 * ensemble._MAP_BLOCK
-    if statistic == "trace" and method == "power":
-        need += 4 * matrix * trials
-    else:
-        need += matrix * (trials + 1)
-        if statistic == "trace" or n < DENSE_EIG_CUTOFF:
-            need += 16 * n * trials
+    need = 24 * ensemble._MAP_BLOCK + 8 * n * n * (trials + 1)
+    if statistic == "trace" or n < DENSE_EIG_CUTOFF:
+        need += 16 * n * trials
     have = ensemble._physical_memory_bytes()
     if have is not None and need > have:
         raise ValueError(
@@ -243,15 +226,14 @@ def check_matrix_memory(
         )
 
 
-def _stack_values(stack: np.ndarray, statistic: str, s: int, method: str) -> np.ndarray:
+def _stack_values(stack: np.ndarray, statistic: str, s: int = 1) -> np.ndarray:
     """The statistic of every matrix in a (T, n, n) stack, read from one
-    eigenvalue solve per matrix (or one batched matrix power for "trace" by
-    "power").  The ascending values come from one batched eigvalsh for
-    "trace" and below DENSE_EIG_CUTOFF; from the cutoff up, from one Lanczos
-    run per matrix: the top end for "lambda_max", both ends for "spectrum".
-    This is the only place the kernel chooses between the two solvers."""
-    if statistic == "trace" and method == "power":
-        return np.trace(np.linalg.matrix_power(stack, 2 * s), axis1=1, axis2=2)
+    eigenvalue solve per matrix.  The ascending values come from one batched
+    eigvalsh for "trace" (Tr A^(2s) = sum of lambda^(2s)) and below
+    DENSE_EIG_CUTOFF; from the cutoff up, from one Lanczos run per matrix:
+    the top end for "lambda_max", both ends for "spectrum".  This is the
+    only place a matrix becomes a statistic, for the kernel and the public
+    functions alike, and so the only place the solver is chosen."""
     if statistic == "trace" or stack.shape[1] < DENSE_EIG_CUTOFF:
         vals = np.linalg.eigvalsh(stack)
     else:
@@ -271,14 +253,13 @@ def trial_values(
     statistic: str,
     *,
     s: int = 1,
-    method: str = "eig",
     normalized: bool = True,
 ) -> np.ndarray:
     """The statistic of each of ``trials`` sampled matrices, as an array in
     trial order.
 
-    ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s) by
-    ``method``, "eig" or "power") or "spectrum" (one row of top eigenvalue
+    ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s),
+    from the eigenvalues) or "spectrum" (one row of top eigenvalue
     and spectral norm per trial, both ends of one solve).  A is the
     1/sqrt(n)-normalized matrix, or the raw one when normalized=False.
     Values equal those of the public per-matrix functions on
@@ -296,17 +277,14 @@ def trial_values(
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
-    if statistic == "trace":
-        if s < 1:
-            raise ValueError("s must be at least 1")
-        if method not in ("eig", "power"):
-            raise ValueError(f"unknown trace method {method!r}")
+    if statistic == "trace" and s < 1:
+        raise ValueError("s must be at least 1")
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     chunk = max(1, BATCH_BYTES // (8 * n * n))
-    check_matrix_memory(n, min(chunk, trials), statistic, method)
+    check_matrix_memory(n, min(chunk, trials), statistic)
     support = np.asarray(dist.support)
     if normalized:
         support = support / np.sqrt(n)
@@ -329,7 +307,7 @@ def trial_values(
             start -= n - r
             flat[:, r * n + r:(r + 1) * n] = flat[:, start:start + n - r]
             stack[:, r + 1:, r] = stack[:, r, r + 1:]
-        return _stack_values(stack, statistic, s, method)
+        return _stack_values(stack, statistic, s)
 
     firsts = range(0, trials, chunk)
     return np.concatenate([chunk_values(min(chunk, trials - first)) for first in firsts])
@@ -353,11 +331,10 @@ def mc_expected_trace(
     trials: int,
     seed: int,
     normalized: bool = True,
-    method: str = "eig",
 ) -> TraceEstimate:
     """Estimate E[Tr A^(2s)] (A the 1/sqrt(n)-normalized matrix, or the raw
     matrix when normalized=False) over independent samples."""
-    values = trial_values(dist, n, trials, seed, "trace", s=s, method=method, normalized=normalized)
+    values = trial_values(dist, n, trials, seed, "trace", s=s, normalized=normalized)
     return TraceEstimate(mean=float(values.mean()), stderr=_stderr(values), trials=trials, n=n, s=s)
 
 

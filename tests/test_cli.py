@@ -418,7 +418,7 @@ def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
+    "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"], ["beta"]]
 )
 def test_dyck_stats_exact_negative_s_names_s(tmp_path, capsys, functional):
     code = cli.main([
@@ -749,7 +749,7 @@ def test_large_spectral_calls_keep_the_blas_pool(tmp_path):
 
 @pytest.mark.parametrize("argv,pinned", [
     (["trace-mc", "--dist", "skew12", "--n", "63", "--s", "2"], True),
-    (["trace-mc", "--dist", "skew12", "--n", "64", "--s", "2", "--method", "power"], False),
+    (["trace-mc", "--dist", "skew12", "--n", "64", "--s", "2", "--raw"], False),
     (["spectrum", "--dist", "skew12", "--n", "63"], True),
     (["spectrum", "--dist", "skew12", "--n", "64"], False),
     (["edge-exceed", "--dist", "skew12", "--n", "2000", "--trials", "3", "--epsilon", "0.05"], False),

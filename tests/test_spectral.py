@@ -141,8 +141,8 @@ def test_lanczos_null_start_vector_falls_back_to_dense(a):
     assert largest_eigenvalue(a) == ends[1]
     assert spectral_norm(a) == np.max(np.abs(ends))
     stack = a[None]
-    assert spectral._stack_values(stack, "lambda_max", 1, "eig").tolist() == [ends[1]]
-    lam, norm = spectral._stack_values(stack, "spectrum", 1, "eig")[0]
+    assert spectral._stack_values(stack, "lambda_max").tolist() == [ends[1]]
+    lam, norm = spectral._stack_values(stack, "spectrum")[0]
     assert (lam, norm) == (ends[1], np.max(np.abs(ends)))
     if a.any():
         assert ends.tolist() == pytest.approx([-2.0, 2.0], abs=1e-12)
@@ -241,15 +241,6 @@ def test_stderr_keeps_its_bits_in_range():
     est = mc_expected_trace(skew12(), 4, 2, trials=200, seed=7)
     assert est.stderr == float(values.std(ddof=1) / math.sqrt(200))
     assert mc_expected_trace(skew12(), 4, 2, trials=1, seed=7).stderr == math.inf
-
-
-def test_mc_methods_agree():
-    d = rademacher()
-    via_eig = mc_expected_trace(d, 5, 3, trials=40, seed=5, method="eig")
-    via_power = mc_expected_trace(d, 5, 3, trials=40, seed=5, method="power")
-    assert via_eig.mean == pytest.approx(via_power.mean, rel=1e-9)
-    with pytest.raises(ValueError):
-        mc_expected_trace(d, 5, 3, trials=0, seed=0)
 
 
 # ---------- predictions and tail bounds ----------
@@ -399,8 +390,26 @@ def test_trace_kernel_matches_public_route(n, method, normalized, monkeypatch):
     monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
     d = skew12()
     expected = public_route(d, n, 7, 5, "trace", method=method, normalized=normalized)
-    got = trial_values(d, n, 7, 5, "trace", s=2, method=method, normalized=normalized)
-    assert np.array_equal(got, expected)
+    got = trial_values(d, n, 7, 5, "trace", s=2, normalized=normalized)
+    if method == "eig":  # the kernel's own route, bit for bit
+        assert np.array_equal(got, expected)
+    else:  # repeated squaring of the same sampled matrices: the independent per-matrix check
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 63, 64, 100])
+def test_public_routines_read_their_solver_bit_for_bit(n):
+    # below the cutoff the dense eigvalsh, from it up the Lanczos solver
+    a = sample_symmetric_matrix(skew12(), n, 9).normalized_view
+    if n < spectral.DENSE_EIG_CUTOFF:
+        ends = np.linalg.eigvalsh(a)[[0, -1]]
+        top = ends[1]
+    else:
+        ends, top = spectral._lanczos(a, 2), spectral._lanczos(a, 1)[-1]
+    assert largest_eigenvalue(a) == top
+    assert spectral_norm(a) == np.max(np.abs(ends))
+    for s in (1, 2, 5):
+        assert trace_power(a, s, "eig") == np.sum(np.linalg.eigvalsh(a) ** (2 * s))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -488,10 +497,8 @@ def test_large_n_trial_holds_one_matrix_and_the_basis():
     assert peak < 1.4, peak
 
 
-@pytest.mark.parametrize("statistic,method", [
-    ("lambda_max", "eig"), ("spectrum", "eig"), ("trace", "eig"), ("trace", "power"),
-])
-def test_peak_memory_stays_within_the_guard(statistic, method, monkeypatch):
+@pytest.mark.parametrize("statistic", ["lambda_max", "spectrum", "trace"])
+def test_peak_memory_stays_within_the_guard(statistic, monkeypatch):
     # two trials in one chunk; the guard's figure bounds what tracemalloc sees
     d, n, trials = skew12(), 200, 2
     figures = []
@@ -502,8 +509,8 @@ def test_peak_memory_stays_within_the_guard(statistic, method, monkeypatch):
         guard(*args)
 
     monkeypatch.setattr(spectral, "check_matrix_memory", recorded)
-    peak = peak_matrices(n, d, n, trials, 3, statistic, s=2, method=method)
-    assert figures[-1] == (n, trials, statistic, method)
+    peak = peak_matrices(n, d, n, trials, 3, statistic, s=2)
+    assert figures[-1] == (n, trials, statistic)
     monkeypatch.setattr(ensemble, "_physical_memory_bytes", lambda: 0)
     with pytest.raises(ValueError) as info:
         guard(*figures[-1])
@@ -515,12 +522,14 @@ def test_kernel_rejects_bad_arguments():
     d = rademacher()
     with pytest.raises(ValueError):
         trial_values(d, 4, 2, 0, "determinant")
-    with pytest.raises(ValueError):
-        trial_values(d, 4, 2, 0, "trace", method="det")
+    with pytest.raises(TypeError):  # the trace has one route, from the eigenvalues
+        trial_values(d, 4, 2, 0, "trace", method="power")
     with pytest.raises(ValueError):
         trial_values(d, 4, 2, 0, "trace", s=0)
     with pytest.raises(ValueError):
         trial_values(d, 4, 0, 0, "lambda_max")
+    with pytest.raises(ValueError):
+        mc_expected_trace(d, 5, 3, trials=0, seed=0)
     with pytest.raises(ValueError):
         trial_values(d, 0, 2, 0, "lambda_max")
 
