@@ -83,24 +83,23 @@ def _build_id() -> str:
     return f"tml-{__version__}"
 
 
-def _output_dir(args) -> str:
-    out = getattr(args, "output_dir", None) or os.environ.get("TML_OUTPUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _output_stem(args) -> str:
+    """The path every output file starts with: --out or the subcommand name, in the output directory."""
+    out_dir = args.output_dir or os.environ.get("TML_OUTPUT_DIR") or "."
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, args.out or args.subcommand)
 
 
-def _write_table(args, header: list[str], rows: list[list]) -> list[str]:
+def _write_table(stem: str, fmt: str, header: list[str], rows: list[list]) -> list[str]:
     """Write the rows in the chosen format; returns the written file paths."""
-    out_dir = _output_dir(args)
-    base = args.out or args.subcommand
-    if args.format == "json":
-        path = os.path.join(out_dir, f"{base}.json")
+    if fmt == "json":
+        path = f"{stem}.json"
         payload = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return [path]
-    path = os.path.join(out_dir, f"{base}.csv")
+    path = f"{stem}.csv"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -122,9 +121,9 @@ def _pin_blas_threads(args) -> dict:
     return {**{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}, "set_by_cli": pin}
 
 
-def _write_manifest(args, outputs: list[str], started: str, finished: str, blas_threads: dict) -> str:
-    out_dir = _output_dir(args)
-    base = args.out or args.subcommand
+def _write_manifest(
+    args, stem: str, outputs: list[str], started: str, finished: str, blas_threads: dict
+) -> str:
     params = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -141,7 +140,7 @@ def _write_manifest(args, outputs: list[str], started: str, finished: str, blas_
         "rng": RNG_ALGORITHM,
         "blas_threads": blas_threads,
     }
-    path = os.path.join(out_dir, f"{base}.manifest.json")
+    path = f"{stem}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -442,8 +441,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from integers >= 0
             raise ValueError(f"--seed must be at least 0, got {args.seed}")
         header, rows, code = args.func(args)
-        outputs = _write_table(args, header, rows)
-        _write_manifest(args, outputs, started, _now(), blas_threads)
+        stem = _output_stem(args)
+        outputs = _write_table(stem, args.format, header, rows)
+        _write_manifest(args, stem, outputs, started, _now(), blas_threads)
     except (EigensolverError, OSError, ValueError) as exc:  # DistributionError is a ValueError
         print(f"tml {args.subcommand}: {exc}", file=sys.stderr)
         return 1

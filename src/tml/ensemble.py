@@ -9,8 +9,9 @@ The normalized companion matrix is A = M / sqrt(n).
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
 derives its own seed as ``seed + t``, so results never depend on how the
 trials are chunked.  Trial t's stream is that of
-``np.random.default_rng(seed + t)``.  Every trial kernel takes those streams
-from ``_trial_streams``, the one place the ``seed + t`` rule lives, which
+``np.random.default_rng(seed + t)``.  Every trial kernel, and the gluing
+suite's random walks, take those streams from ``_trial_streams``, the one
+place the ``seed + t`` rule lives, which
 hashes the seeds of each run in vectorised passes and lets each trial's PCG64
 seed itself from its hashed words.  The public ``sample_symmetric_matrix``
 calls ``default_rng(seed)`` directly and stays the oracle.

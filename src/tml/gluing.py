@@ -31,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from .ensemble import _trial_streams
 from .paths import (
     ClosedPath,
     _canonical_sequences,
@@ -1019,7 +1020,9 @@ def run_invariant_suite(
     reported once, by its representative.  A walk visits at most 2s labels,
     so every n >= 2s has the classes of n = 2s, and the guard counts
     min(n, 2s)^(2s) walks.  Random walks are checked one by one, with their
-    own labels."""
+    own labels: walk j is drawn from the stream of seed + j, which
+    ``ensemble._trial_streams`` gives it as it gives every Monte Carlo
+    trial."""
     if exhaustive:
         _check_enumeration_size(min(n, 2 * s), s)
     else:
@@ -1036,14 +1039,10 @@ def run_invariant_suite(
             p = ClosedPath(vertices=verts, n=n)
             histogram[_check_one(p, found)] += math.perm(n, v)
         checked = n ** (2 * s)
-    if random_walks:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        for _ in range(random_walks):
-            p = random_closed_path(n, s, rng)
-            histogram[_check_one(p, found)] += 1
-            checked += 1
+    if random_walks:  # the streams load numpy, which an exhaustive sweep never does
+        for rng in _trial_streams(seed, random_walks):
+            histogram[_check_one(random_closed_path(n, s, rng), found)] += 1
+        checked += random_walks
     return InvariantReport(
         walks_checked=checked,
         violations=tuple(found[:100]),

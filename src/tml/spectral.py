@@ -17,14 +17,14 @@ the symmetry and finiteness check runs only at the public boundary
 (``largest_eigenvalue``, ``spectral_norm``, ``trace_power``).  Each matrix
 gets one eigenvalue solve, and every trace is read from its eigenvalues.
 ``_stack_values`` alone turns a matrix into a statistic and chooses dense
-or Lanczos for it; the public functions check their input and read the same
-function on a stack of one.  The public route ``sample_symmetric_matrix`` ->
-``normalized_view`` -> ``largest_eigenvalue`` / ``spectral_norm`` /
-``trace_power(..., "eig")`` stays as the kernel's test oracle; the two agree
-bit for bit, except that "spectrum" reads its top eigenvalue from the end of
-its own two-ended Lanczos run from DENSE_EIG_CUTOFF up, within
-DEFAULT_TOLERANCE of ``largest_eigenvalue``.  ``trace_power(..., "power")``,
-by repeated squaring, is the independent per-matrix check on the traces.
+or Lanczos for it; ``largest_eigenvalue`` and ``spectral_norm`` check their
+input and read the same function on a stack of one.  The public route
+``sample_symmetric_matrix`` -> ``normalized_view`` -> ``largest_eigenvalue``
+/ ``spectral_norm`` stays as the kernel's test oracle; the two agree bit for
+bit, except that "spectrum" reads its top eigenvalue from the end of its own
+two-ended Lanczos run from DENSE_EIG_CUTOFF up, within DEFAULT_TOLERANCE of
+``largest_eigenvalue``.  ``trace_power``, by repeated squaring, is the
+independent per-matrix check on the traces.
 The Lanczos solver, ``_lanczos``, is written in numpy; the package needs no scipy.
 
 Determinism contract: every randomized routine takes one integer seed and
@@ -190,18 +190,13 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(_stack_values(_check_symmetric(a)[None], "spectrum")[0, 1])
 
 
-def trace_power(a: np.ndarray, s: int, method: str = "power") -> float:
-    """Tr a^(2s) for symmetric a, by repeated squaring ("power") or through
-    the full spectrum ("eig", the trial kernel's route).  The two routes
-    agree to rounding; "power" is kept as the kernel's independent oracle."""
+def trace_power(a: np.ndarray, s: int) -> float:
+    """Tr a^(2s) for symmetric a, by repeated squaring.  It reads no
+    eigenvalue, so it is the trial kernel's independent per-matrix oracle
+    for the trace; the two agree to rounding."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    a = _check_symmetric(a)
-    if method == "power":
-        return float(np.trace(np.linalg.matrix_power(a, 2 * s)))
-    if method == "eig":
-        return float(_stack_values(a[None], "trace", s)[0])
-    raise ValueError(f"unknown trace method {method!r}")
+    return float(np.trace(np.linalg.matrix_power(_check_symmetric(a), 2 * s)))
 
 
 def check_matrix_memory(n: int, trials: int = 1, statistic: str = "lambda_max") -> None:
@@ -239,7 +234,8 @@ def _stack_values(stack: np.ndarray, statistic: str, s: int = 1) -> np.ndarray:
     else:
         vals = np.array([_lanczos(a, 1 if statistic == "lambda_max" else 2) for a in stack])
     if statistic == "trace":
-        return np.sum(vals ** (2 * s), axis=1)
+        with np.errstate(over="ignore"):  # past the float range the trace is inf
+            return np.sum(vals ** (2 * s), axis=1)
     if statistic == "lambda_max":
         return vals[:, -1]
     return np.stack([vals[:, -1], np.max(np.abs(vals[:, [0, -1]]), axis=1)], axis=1)
@@ -345,7 +341,7 @@ def _stderr(values: np.ndarray) -> float:
     if len(values) < 2:
         return math.inf
     root = math.sqrt(len(values))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         spread = float(values.std(ddof=1))
     if math.isinf(spread):  # only finite values overflow; an inf one gives nan
         peak = float(np.max(np.abs(values)))

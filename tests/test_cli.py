@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -863,6 +864,18 @@ def test_predictions_past_the_float_range_are_written_as_inf(tmp_path):
     )
     assert code == 0
     assert (rows[0]["prediction"], rows[0]["prediction_refined"]) == ("inf", "inf")
+
+
+def test_a_trace_past_the_float_range_is_written_without_warnings(tmp_path, capsys):
+    # every trial's trace overflows to inf, so the mean is inf and the spread nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, _ = run(
+            tmp_path, "trace-mc", "--dist", "skew12", "--n", "3", "--s", "100000", "--trials", "3"
+        )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (rows[0]["mean"], rows[0]["stderr"]) == ("inf", "nan")
 
 
 def test_edge_threshold_past_the_float_range_is_inf(tmp_path):

@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,7 @@ from tml.paths import (
     edge_multiplicities,
     is_even_path,
     marked_instants,
+    random_closed_path,
 )
 
 
@@ -755,6 +757,20 @@ def test_invariant_suite_random_only():
     assert report.walks_checked == 300
     outcomes = {key[4] for key in report.histogram}
     assert "single-even" in outcomes or "multi-even" in outcomes
+
+
+def test_random_walk_j_comes_from_seed_plus_j(monkeypatch):
+    drawn = []
+
+    def spy(n, s, rng):
+        drawn.append(random_closed_path(n, s, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(gluing, "random_closed_path", spy)
+    report = run_invariant_suite(4, 3, exhaustive=False, random_walks=40, seed=7)
+    assert report.walks_checked == 40
+    expected = [random_closed_path(4, 3, np.random.default_rng(7 + j)) for j in range(40)]
+    assert drawn == expected
 
 
 def test_invariant_suite_reassembles_each_walk_once(monkeypatch):

@@ -187,15 +187,15 @@ def test_public_routines_reject_asymmetric():
 
 
 def test_trace_power_two_routes_agree():
+    # repeated squaring against the sum of lambda^(2s) over the spectrum
     a = random_symmetric(10, seed=4)
     for s in (1, 2, 3, 5):
-        via_power = trace_power(a, s, method="power")
-        via_eig = trace_power(a, s, method="eig")
-        assert via_power == pytest.approx(via_eig, rel=1e-10)
+        via_eig = np.sum(np.linalg.eigvalsh(a) ** (2 * s))
+        assert trace_power(a, s) == pytest.approx(via_eig, rel=1e-10)
     with pytest.raises(ValueError):
         trace_power(a, 0)
-    with pytest.raises(ValueError):
-        trace_power(a, 1, method="det")
+    with pytest.raises(TypeError):  # one route: repeated squaring
+        trace_power(a, 1, method="eig")
 
 
 # ---------- Monte Carlo trace ----------
@@ -349,13 +349,13 @@ def test_concentration_experiment():
 # ---------- the trial kernel against the public per-matrix route ----------
 
 
-def public_route(dist, n, trials, seed, statistic, s=2, method="eig", normalized=True):
+def public_route(dist, n, trials, seed, statistic, s=2, normalized=True):
     out = []
     for i in range(trials):
         sample = sample_symmetric_matrix(dist, n, seed + i)
         a = sample.normalized_view if normalized else sample.entries
         if statistic == "trace":
-            out.append(trace_power(a, s, method=method))
+            out.append(trace_power(a, s))
         elif statistic == "lambda_max":
             out.append(largest_eigenvalue(a))
         else:
@@ -383,17 +383,19 @@ SIZES = [1, 3, 63, 64, 100, 200]  # both sides of DENSE_EIG_CUTOFF = 64; Lanczos
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("method", ["eig", "power"])
+@pytest.mark.parametrize("oracle", ["eig", "power"])
 @pytest.mark.parametrize("normalized", [True, False])
-def test_trace_kernel_matches_public_route(n, method, normalized, monkeypatch):
+def test_trace_kernel_matches_public_route(n, oracle, normalized, monkeypatch):
     # three matrices per batch, so seven trials cross two chunk boundaries
     monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
     d = skew12()
-    expected = public_route(d, n, 7, 5, "trace", method=method, normalized=normalized)
     got = trial_values(d, n, 7, 5, "trace", s=2, normalized=normalized)
-    if method == "eig":  # the kernel's own route, bit for bit
-        assert np.array_equal(got, expected)
+    if oracle == "eig":  # the kernel's own formula on the same sampled matrices, bit for bit
+        matrices = [sample_symmetric_matrix(d, n, 5 + i) for i in range(7)]
+        spectra = [np.linalg.eigvalsh(m.normalized_view if normalized else m.entries) for m in matrices]
+        assert np.array_equal(got, [np.sum(vals ** 4) for vals in spectra])
     else:  # repeated squaring of the same sampled matrices: the independent per-matrix check
+        expected = public_route(d, n, 7, 5, "trace", normalized=normalized)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -408,8 +410,6 @@ def test_public_routines_read_their_solver_bit_for_bit(n):
         ends, top = spectral._lanczos(a, 2), spectral._lanczos(a, 1)[-1]
     assert largest_eigenvalue(a) == top
     assert spectral_norm(a) == np.max(np.abs(ends))
-    for s in (1, 2, 5):
-        assert trace_power(a, s, "eig") == np.sum(np.linalg.eigvalsh(a) ** (2 * s))
 
 
 @pytest.mark.parametrize("n", SIZES)

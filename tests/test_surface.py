@@ -90,3 +90,27 @@ def test_every_import_is_used(path):
         tree = ast.parse(fh.read(), filename=path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert _imported_names(tree) - used == set()
+
+
+def _default_rng_callers() -> set[tuple[str, str]]:
+    """(module, function) for every call of ``default_rng`` in the package."""
+    callers = set()
+    for path in glob.glob(os.path.join(SRC_DIR, "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.basename(path)[:-3]
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                    if name == "default_rng":
+                        callers.add((module, func.name))
+    return callers
+
+
+def test_only_the_oracles_seed_their_own_generator():
+    # every other random draw takes trial j from seed + j through ensemble._trial_streams
+    assert _default_rng_callers() == {("dyck", "sample_dyck"), ("ensemble", "sample_symmetric_matrix")}
