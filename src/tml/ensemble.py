@@ -2,8 +2,8 @@
 
 A random symmetric matrix M of size n is filled with i.i.d. draws from a
 finite discrete law on the upper triangle (diagonal included) and mirrored
-below.  The law must be centered and is kept with its full moment sequence
-so that exact path-sum computations can ask for any edge multiplicity.
+below.  The law must be centered.  Its moments are computed on demand by
+``moment``; each exact path-sum call tabulates the orders 0..2s once.
 The normalized companion matrix is A = M / sqrt(n).
 
 Randomness: numpy's default PCG64 bit generator.  Every Monte Carlo trial t
@@ -23,7 +23,6 @@ import math
 import os
 from dataclasses import dataclass
 
-MOMENT_CACHE_DEPTH = 64
 RNG_ALGORITHM = "numpy-PCG64"
 DENSE_EIG_CUTOFF = 64  # spectral solves go dense below this n, Lanczos from it up; the CLI reads it too
 
@@ -53,16 +52,13 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """A centered finite discrete law with cached moments.
+    """A centered finite discrete law; ``moment`` computes its moments.
 
-    ``moment_cache[k]`` holds E[x^k] for k = 0..MOMENT_CACHE_DEPTH, or up to
-    the last order whose powers fit a float for laws with large support.
     ``bound_K`` is max |x| over the support, so |E[x^k]| <= bound_K**k.
     """
 
     support: tuple[float, ...]
     probabilities: tuple[float, ...]
-    moment_cache: tuple[float, ...]
     sigma: float
     bound_K: float
     name: str = "custom"
@@ -127,16 +123,9 @@ def make_distribution(
         raise DistributionError("law has zero variance")
     if math.isinf(var):
         raise DistributionError("law variance overflows a float")
-    cache = []
-    for k in range(MOMENT_CACHE_DEPTH + 1):
-        try:
-            cache.append(sum(p * x**k for p, x in zip(ps, xs)))
-        except OverflowError:  # |x|^k beyond the float range
-            break
     return EntryDistribution(
         support=xs,
         probabilities=ps,
-        moment_cache=tuple(cache),
         sigma=math.sqrt(var),
         bound_K=bound,
         name=name,
@@ -144,14 +133,13 @@ def make_distribution(
 
 
 def moment(dist: EntryDistribution, k: int) -> float:
-    """E[x^k].  Cached up to order MOMENT_CACHE_DEPTH, exact beyond it.
+    """E[x^k], summed over the support on each call: the one definition
+    of a moment.
 
     Raises DistributionError when a power x^k leaves the float range.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if k < len(dist.moment_cache):
-        return dist.moment_cache[k]
     try:
         return sum(p * x**k for p, x in zip(dist.probabilities, dist.support))
     except OverflowError:
@@ -175,19 +163,21 @@ def parse_distribution(token: str) -> EntryDistribution:
     """Parse a CLI distribution token.
 
     Accepts a preset name ("rademacher", "skew12") or an inline form
-    "support=-1,2;probs=0.5,0.5".
+    "support=-1,2;probs=0.5,0.5".  A ``;``-chunk that is not ``support=`` or
+    ``probs=``, or repeats one of them, is refused by name.
     """
     token = token.strip()
     if token in _PRESETS:
         return _PRESETS[token]()
-    parts = dict(
-        chunk.split("=", 1) for chunk in token.split(";") if "=" in chunk
-    )
-    if "support" not in parts or "probs" not in parts:
-        raise DistributionError(
-            f"unknown distribution {token!r}: expected a preset name "
-            "or 'support=...;probs=...'"
-        )
+    expected = "expected a preset name or 'support=...;probs=...'"
+    parts: dict[str, str] = {}
+    for chunk in token.split(";"):
+        key, sep, value = chunk.partition("=")
+        if not sep or key not in ("support", "probs") or key in parts:
+            raise DistributionError(f"bad chunk {chunk!r} in distribution {token!r}: {expected}")
+        parts[key] = value
+    if len(parts) < 2:
+        raise DistributionError(f"unknown distribution {token!r}: {expected}")
     try:
         xs = [float(v) for v in parts["support"].split(",") if v != ""]
         ps = [float(v) for v in parts["probs"].split(",") if v != ""]

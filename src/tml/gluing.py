@@ -553,10 +553,12 @@ def _logsumexp(values: list[float]) -> float:
 
 
 def _check_positive(**scales: float) -> None:
-    """Reject a scale argument whose log a bound would take, by name."""
+    """Reject a scale argument whose log a bound would take, by name, unless
+    it is positive and finite."""
     for name, x in scales.items():
         if not x > 0.0:
             raise ValueError(f"{name} must be positive, got {x!r}")
+    _check_finite(**scales)
 
 
 def _check_finite(**values: float) -> None:
@@ -633,7 +635,7 @@ def multi_walk_contribution_bound(
     Requires prefactor >= 1 so per-walk prefactors can be collapsed.
     """
     _check_depth(s, n)
-    _check_positive(sigma=sigma, entry_bound=entry_bound)
+    _check_positive(sigma=sigma, entry_bound=entry_bound, prefactor=prefactor)
     if prefactor < 1.0:
         raise ValueError("prefactor must be >= 1")
     log_4p = math.log(4) + math.log(prefactor)
@@ -772,6 +774,7 @@ def typed_vertex_contribution_log(
     large-type vertices.
     """
     _check_finite(growth_exponent=growth_exponent, large_type_weight=large_type_weight)
+    _check_positive(sigma=sigma)
     eta = growth_exponent
     r, k1, k2 = nonclosed_count, small_type_count, large_type_weight
     if min(r, k1) < 0 or k2 < 0:

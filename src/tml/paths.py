@@ -121,9 +121,9 @@ def _edge_counts(vs: tuple[int, ...]) -> Counter:
     return c
 
 
-def _moment_product(dist: EntryDistribution, multiplicities) -> tuple[float, bool]:
-    """(product of the entry moments at the given edge multiplicities,
-    whether every multiplicity is even).
+def _moment_product(moments: list[float], multiplicities) -> tuple[float, bool]:
+    """(product of the entry moments ``moments[k]`` at the given edge
+    multiplicities k, whether every multiplicity is even).
 
     Stops at the first zero product; the flag is then meaningless because
     the walk contributes nothing.
@@ -131,7 +131,7 @@ def _moment_product(dist: EntryDistribution, multiplicities) -> tuple[float, boo
     w = 1.0
     all_even = True
     for k in multiplicities:
-        w *= moment(dist, k)
+        w *= moments[k]
         if w == 0.0:
             return w, False
         if k % 2 == 1:
@@ -151,7 +151,8 @@ def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True)
     that edge's multiplicity.  With ``normalized`` each of the 2s factors
     carries 1/sqrt(n), i.e. the product is divided by n**s.
     """
-    w = _moment_product(dist, p._multiplicities.values())[0]
+    moments = [moment(dist, k) for k in range(p.length + 1)]
+    w = _moment_product(moments, p._multiplicities.values())[0]
     if normalized:
         if p.length % 2 != 0:
             raise ValueError("normalized weights are defined for even lengths only")
@@ -266,20 +267,35 @@ def exact_trace_sums(
 
     Walks all n^(2s) closed sequences in odometer order.  Guarded so the
     enumeration stays below 1e8 sequences; use the relabeling-class variant
-    for large n at small s.
+    for large n at small s.  Raises ValueError when the finished sum is not
+    finite.
     """
     _check_enumeration_size(n, s)
+    walks = ((1, _edge_counts(vs).values()) for vs in _closed_sequences(n, 2 * s))
+    return _weigh(dist, n, s, walks, normalized)
+
+
+def _weigh(dist: EntryDistribution, n: int, s: int, walks, normalized: bool) -> tuple[float, float]:
+    """(sum, even-walk share) of moment product * labelings over the
+    (labelings, edge multiplicities) pairs of ``walks`` of length 2s, over
+    n**s when ``normalized``.  E[x^k] is tabulated once, for k = 0..2s.
+
+    Raises ValueError when the pair is not finite.
+    """
+    moments = [moment(dist, k) for k in range(2 * s + 1)]
     total = 0.0
     even = 0.0
-    for vs in _closed_sequences(n, 2 * s):
-        w, all_even = _moment_product(dist, _edge_counts(vs).values())
+    for ways, multiplicities in walks:
+        w, all_even = _moment_product(moments, multiplicities)
         if w != 0.0:
-            total += w
+            total += w * ways
             if all_even:
-                even += w
+                even += w * ways
     if normalized:
         scale = float(n) ** s
-        return total / scale, even / scale
+        total, even = total / scale, even / scale
+    if not (math.isfinite(total) and math.isfinite(even)):
+        raise ValueError(f"the float trace sum at s={s} overflows for this n and law")
     return total, even
 
 
@@ -363,21 +379,8 @@ def exact_trace_sums_patterns(
             f"n is too large for the float pattern sum at s={s}: the falling"
             f" factorial n(n-1)... to {top} factors overflows a float"
         )
-    total = 0.0
-    even = 0.0
-    for _, v, counts in _canonical_sequences(n, length, prune):
-        w, all_even = _moment_product(dist, counts.values())
-        if w != 0.0:
-            ways = labelings[v]
-            total += w * ways
-            if all_even:
-                even += w * ways
-    if normalized:
-        scale = float(n) ** s
-        total, even = total / scale, even / scale
-    if not (math.isfinite(total) and math.isfinite(even)):
-        raise ValueError(f"the float pattern sum at s={s} overflows for this n and law")
-    return total, even
+    classes = _canonical_sequences(n, length, prune)
+    return _weigh(dist, n, s, ((labelings[v], counts.values()) for _, v, counts in classes), normalized)
 
 
 def exact_expected_trace_patterns(

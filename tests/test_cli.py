@@ -17,7 +17,8 @@ import tml.ensemble as ensemble
 import tml.gluing as gluing
 import tml.paths as paths
 import tml.spectral as spectral
-from tml.ensemble import parse_distribution
+from tml import __version__
+from tml.ensemble import DistributionError, parse_distribution
 from tml.gluing import InvariantReport
 from tml.spectral import EigensolverError
 
@@ -54,6 +55,19 @@ def test_trace_exact_small(tmp_path):
     assert manifest["output_files"] == ["trace-exact.csv"]
     assert manifest["build_id"]
     assert manifest["started"] <= manifest["finished"]
+
+
+@pytest.mark.parametrize("git", ["raises", "fails", "silent"])
+def test_build_id_falls_back_to_the_version(tmp_path, monkeypatch, git):
+    def describe(argv, **kwargs):
+        if git == "raises":
+            raise OSError("git not found")
+        return subprocess.CompletedProcess(argv, 128 if git == "fails" else 0, stdout="\n", stderr="")
+
+    monkeypatch.setattr(cli.subprocess, "run", describe)
+    code, _, manifest = run(tmp_path, "trace-exact", "--dist", "skew12", "--n", "2", "--s", "1")
+    assert code == 0
+    assert manifest["build_id"] == f"tml-{__version__}"
 
 
 def test_trace_exact_patterns_route(tmp_path):
@@ -168,6 +182,32 @@ def test_trace_exact_rejects_n_beyond_float_range(tmp_path, capsys, n, s):
     assert code == 1
     assert "n is too large for the float pattern sum" in capsys.readouterr().err
     assert not (tmp_path / "trace-exact.csv").exists()
+
+
+@pytest.mark.parametrize("route", ["full", "patterns"])
+def test_trace_exact_refuses_a_sum_past_the_float_range(tmp_path, capsys, route):
+    # every moment fits a float (E[x^4] = 1e308), but the weight sum does not
+    law = "support=-1e77,1e77;probs=0.5,0.5"
+    code = cli.main([
+        "trace-exact", "--dist", law, "--n", "2", "--s", "2", "--route", route,
+        "--output-dir", str(tmp_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["tml trace-exact: the float trace sum at s=2 overflows for this n and law"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("chunk", ["support=-2,2", "sigma=3", "x"], ids=["repeated", "unknown-key", "no-equals"])
+def test_distribution_chunks_that_are_not_read_are_refused(tmp_path, capsys, chunk):
+    # each used to be dropped; a repeated support kept its last value
+    law = f"support=-1,1;probs=0.5,0.5;{chunk}"
+    with pytest.raises(DistributionError, match=f"chunk {chunk!r}"):
+        parse_distribution(law)
+    argv = ["trace-exact", "--dist", law, "--n", "2", "--s", "1", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -503,6 +543,9 @@ def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value,
         ("--nearby", "inf", "total_nearby"),
         ("--large-type", "nan", "large_type_weight"),
         ("--large-type", "inf", "large_type_weight"),
+        ("--sigma", "inf", "sigma"),
+        ("--entry-bound", "inf", "entry_bound"),
+        ("--prefactor", "inf", "prefactor"),
     ],
 )
 def test_bounds_table_rejects_non_finite_parameters(tmp_path, capsys, flag, value, name):

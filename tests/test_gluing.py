@@ -584,6 +584,21 @@ def test_bounds_reject_non_positive_scales_by_name(bad):
         cycle_refined_insertion_log_sum(5, 1, bad)
 
 
+def test_bounds_reject_infinite_scales_by_name():
+    # log(inf) = inf, and inf - inf made a nan table row
+    for name in ("sigma", "entry_bound", "prefactor"):
+        scales = {"sigma": 1.0, "entry_bound": 1.0, "prefactor": 1.0, name: math.inf}
+        for bound in (single_walk_contribution_bound, multi_walk_contribution_bound):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                bound(1, 10, **scales)
+    with pytest.raises(ValueError, match="^const must be finite"):
+        cycle_refined_insertion_log(5, 1, 1, 1, math.inf)
+    with pytest.raises(ValueError, match="^const must be finite"):
+        cycle_refined_insertion_log_sum(5, 1, math.inf)
+    with pytest.raises(ValueError, match="^sigma must be finite"):
+        typed_vertex_contribution_log(8, 100, 1, 0.01, 2, 1, 0.0, sigma=math.inf)
+
+
 def test_contribution_bounds_refuse_s_past_the_limit():
     for bound in (single_walk_contribution_bound, multi_walk_contribution_bound):
         with pytest.raises(ValueError, match=f"^s={gluing.BOUND_S_LIMIT + 1} exceeds"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tml.ensemble import make_distribution, parse_distribution, rademacher, skew12
+from tml.ensemble import make_distribution, moment, parse_distribution, rademacher, skew12
 from tml.paths import (
     ClosedPath,
     PathSizeError,
@@ -363,6 +363,7 @@ def _unpruned_pattern_sums(dist, n, s, normalized):
     """The pattern recursion as it was before the prune: every
     first-occurrence class weighed, in the same order."""
     length = 2 * s
+    moments = [moment(dist, k) for k in range(length + 1)]
     total = 0.0
     even = 0.0
 
@@ -371,7 +372,7 @@ def _unpruned_pattern_sums(dist, n, s, normalized):
         if len(seq) == length:
             c = counts.copy()
             c[edge_key(seq[-1], 1)] += 1
-            w, all_even = _moment_product(dist, c.values())
+            w, all_even = _moment_product(moments, c.values())
             if w == 0.0:
                 return
             ways = 1.0
