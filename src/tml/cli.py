@@ -241,7 +241,7 @@ def _cmd_verify_gluing(args):
 
 
 def _cmd_bounds_table(args):
-    from . import gluing
+    from . import gluing, paths
 
     for name in ("max_odd_pairs", "max_merges"):  # a negative count would drop a family silently
         if getattr(args, name) < 0:
@@ -251,11 +251,7 @@ def _cmd_bounds_table(args):
     rows: list[list] = []
 
     def put(family: str, parameter, log_value: float):
-        try:
-            value = math.exp(log_value)
-        except OverflowError:
-            value = math.inf
-        rows.append([family, parameter, log_value, value])
+        rows.append([family, parameter, log_value, paths._from_log(log_value)])
 
     single = gluing.single_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
     multi = gluing.multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=max(1.0, args.prefactor))

@@ -291,10 +291,13 @@ def k_functional_tensor(x: DyckPath, I: int) -> int:
 
 
 def _elementary_symmetric(values: list[int], I: int) -> int:
-    """e_I(values) by the one-pass recurrence, in Python integers."""
+    """e_I(values) by the one-pass recurrence, in Python integers; 0, with
+    no table built, when I exceeds the number of values."""
+    if I > len(values):
+        return 0
     e = [1] + [0] * I
     for v in values:
-        for j in range(min(I, len(values)), 0, -1):
+        for j in range(I, 0, -1):
             e[j] += v * e[j - 1]
     return e[I]
 

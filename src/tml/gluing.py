@@ -38,6 +38,8 @@ from .paths import (
     _check_enumeration_size,
     _check_walk_shape,
     _edge_counts,
+    _log_catalan,
+    _log_main_term,
     catalan,
     edge_key,
     edge_multiplicities,
@@ -533,15 +535,6 @@ def single_walk_insertion_bound(half_length: int, odd_pairs: int, run_count: int
         * math.comb(2 * l, j)
         * math.perm(2 * m, 2 * l - j)
     )
-
-
-def _log_catalan(s: int) -> float:
-    return math.lgamma(2 * s + 1) - math.lgamma(s + 1) - math.lgamma(s + 2)
-
-
-def _log_main_term(s: int, n: int, sigma: float) -> float:
-    """Natural log of the even-walk budget n * catalan(s) * sigma^(2s)."""
-    return math.log(n) + _log_catalan(s) + 2 * s * math.log(sigma)
 
 
 def _logsumexp(values: list[float]) -> float:

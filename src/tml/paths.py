@@ -12,9 +12,10 @@ the structural path notions the combinatorial analysis is built on:
   has been seen an odd number of times up to and including j;
 * an edge with odd total multiplicity is an *odd edge*; the instant of its
   last occurrence is *non-returned*;
-* a path is *even* when it has no odd edges;
-* the detour lift reroutes each non-returned step through a fresh vertex
-  n+1, producing an even closed path of length 2s + 2l.
+* a path is *even* when it has no odd edges.
+
+The semicircle budget n * catalan(s) * sigma^(2s) is defined here in log
+form (``_log_main_term``), with ``_from_log``, its one way back to a float.
 
 Closed paths arising from traces always have even length, but closed odd-
 length walks are legitimate objects here (weight bookkeeping and the gluing
@@ -86,6 +87,24 @@ def catalan(s: int) -> int:
     if s < 0:
         raise ValueError("negative order")
     return math.comb(2 * s, s) // (s + 1)
+
+
+def _log_catalan(s: int) -> float:
+    """Natural log of catalan(s) via lgamma, for any s >= 0."""
+    return math.lgamma(2 * s + 1) - math.lgamma(s + 1) - math.lgamma(s + 2)
+
+
+def _log_main_term(s: int, n: int, sigma: float) -> float:
+    """Natural log of the even-walk budget n * catalan(s) * sigma^(2s)."""
+    return math.log(n) + _log_catalan(s) + 2 * s * math.log(sigma)
+
+
+def _from_log(log_value: float) -> float:
+    """exp(log_value), or inf past the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def beta_sum(I: int) -> float:
@@ -191,23 +210,6 @@ def nonreturned_edges(p: ClosedPath) -> list[int]:
             out.append(j)
         j -= 1
     return out[::-1]
-
-
-def fk_lift(p: ClosedPath) -> ClosedPath:
-    """Reroute every non-returned step through the fresh vertex n+1.
-
-    Each non-returned step u -> v becomes u -> n+1 -> v.  The result is an
-    even closed path of length 2s + 2l on n+1 vertices in which the new
-    vertex occurs exactly 2l times.
-    """
-    bad = set(nonreturned_edges(p))
-    fresh = p.n + 1
-    out = [p.vertices[0]]
-    for j in range(1, len(p.vertices)):
-        if j in bad:
-            out.append(fresh)
-        out.append(p.vertices[j])
-    return ClosedPath(vertices=tuple(out), n=fresh)
 
 
 def _closed_sequences(n: int, length: int):

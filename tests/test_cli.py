@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -485,6 +486,18 @@ def test_dyck_stats_exact_rows_ignore_trials_and_seed(tmp_path, functional, tria
     assert {(r["trials"], r["seed"]) for r in rows} == {(trials, "")}
 
 
+@pytest.mark.parametrize("mode", [["--mode", "exact"], ["--mode", "mc", "--trials", "10"]])
+def test_dyck_stats_tensor_order_past_the_window_count_is_0(tmp_path, mode):
+    # e_I over the 2s - 1 interior windows is 0 for larger I; no table of
+    # I + 1 entries is built first
+    code, rows, _ = run(
+        tmp_path, "dyck-stats", "--s", "3", "--functional", "tensor",
+        "--tensor-order", str(10**22), *mode,
+    )
+    assert code == 0
+    assert [r["value"] for r in rows] == ["0"]
+
+
 @pytest.mark.parametrize(
     "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
 )
@@ -902,11 +915,23 @@ def test_a_subcommand_loads_only_its_kernel(tmp_path, argv, unloaded):
 
 
 def test_predictions_past_the_float_range_are_written_as_inf(tmp_path):
-    code, rows, _ = run(
-        tmp_path, "trace-mc", "--dist", "skew12", "--n", "3", "--s", "400", "--trials", "5"
-    )
-    assert code == 0
-    assert (rows[0]["prediction"], rows[0]["prediction_refined"]) == ("inf", "inf")
+    # an exact catalan(s) would hang at s = 2^62 and overflow math.comb at
+    # 10^22; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        pytest.fail("trace-mc did not finish in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for s in (400, 2**62, 10**22):
+            code, rows, _ = run(
+                tmp_path, "trace-mc", "--dist", "skew12", "--n", "3", "--s", str(s), "--trials", "5"
+            )
+            assert code == 0
+            assert (rows[0]["prediction"], rows[0]["prediction_refined"]) == ("inf", "inf")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_trace_past_the_float_range_is_written_without_warnings(tmp_path, capsys):

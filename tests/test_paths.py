@@ -22,7 +22,6 @@ from tml.paths import (
     exact_expected_trace_patterns,
     exact_trace_sums,
     exact_trace_sums_patterns,
-    fk_lift,
     is_even_path,
     marked_instants,
     nonreturned_edges,
@@ -103,17 +102,6 @@ def test_marked_count_identity(p):
     assert len(nonreturned_edges(p)) == odd
     assert odd % 2 == 0
     assert len(marked_instants(p)) == p.length // 2 + odd // 2
-
-
-def test_fk_lift():
-    p = cp(1, 1, 2, 2, 1)
-    lifted = fk_lift(p)
-    assert lifted.n == p.n + 1
-    assert is_even_path(lifted)
-    assert lifted.length == p.length + len(nonreturned_edges(p))
-    assert lifted.vertices.count(p.n + 1) == len(nonreturned_edges(p))
-    even = cp(1, 2, 1)
-    assert fk_lift(even).vertices == even.vertices
 
 
 def _first_occurrence(verts):

@@ -261,6 +261,10 @@ def test_predictions_survive_an_intermediate_overflow():
     # product is about 2e-5
     exact = Fraction(7 * catalan(600), 2**1200)
     assert wigner_trace_prediction(7, 600, 0.5) == pytest.approx(float(exact), rel=1e-12)
+    # catalan(300) fits, but 0.25**600 underflows to 0.0 without raising;
+    # abs=0, so that 0.0 is not within approx's default 1e-12 of 7.8e-185
+    exact = Fraction(3 * catalan(300), 4**600)
+    assert wigner_trace_prediction(3, 300, 0.25) == pytest.approx(float(exact), rel=1e-12, abs=0)
     # (2 sigma)^(2s) = 2^1024 overflows alone, and n times 2^1020 does so silently
     for n, sigma in ((3, 1.0), (2**10, 2.0 ** (1020 / 1024) / 2)):
         scale = math.sqrt(math.pi) * 512**1.5
