@@ -31,7 +31,7 @@ import math
 import os
 import subprocess
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .ensemble import DENSE_EIG_CUTOFF, RNG_ALGORITHM, EigensolverError, parse_distribution
@@ -148,7 +148,16 @@ def _write_manifest(
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The UTC time as ``datetime.now(timezone.utc).isoformat()`` writes it,
+    microseconds dropped when zero, formatted here so no call loads datetime."""
+    seconds, nanoseconds = divmod(time.time_ns(), 10**9)
+    t = time.gmtime(seconds)
+    micro = nanoseconds // 1000
+    fraction = f".{micro:06d}" if micro else ""
+    return (
+        f"{t.tm_year:04d}-{t.tm_mon:02d}-{t.tm_mday:02d}"
+        f"T{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}{fraction}+00:00"
+    )
 
 
 # ---------- subcommand handlers: return (header, rows, exit_code) ----------

@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,15 +65,18 @@ class DyckSizeError(ValueError):
     """Raised when an exhaustive or sampled Dyck computation is too large."""
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """A balanced nonnegative step sequence; steps are +1 or -1."""
-
+class _DyckPathFields(NamedTuple):
     steps: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class DyckPath(_DyckPathFields):
+    """A balanced nonnegative step sequence; steps are +1 or -1."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: tuple[int, ...]) -> DyckPath:
         level = 0
-        for st in self.steps:
+        for st in steps:
             if st not in (1, -1):
                 raise ValueError("steps must be +1 or -1")
             level += st
@@ -81,6 +84,7 @@ class DyckPath:
                 raise ValueError("level dips below zero")
         if level != 0:
             raise ValueError("path does not return to zero")
+        return super().__new__(cls, steps)
 
     @property
     def half_length(self) -> int:
@@ -385,8 +389,7 @@ def stay_above_full_window_expectation(
     return _mean(_batch_stay_above_total, s, mode, trials, seed)
 
 
-@dataclass(frozen=True)
-class MaxLevelTable:
+class MaxLevelTable(NamedTuple):
     """Empirical distribution of the maximum level, with a diagnostic
     Gaussian-decay fit P(max = k) ~ c1 * exp(-c2 * k^2 / s)."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 RNG_ALGORITHM = "numpy-PCG64"
 DENSE_EIG_CUTOFF = 64  # spectral solves go dense below this n, Lanczos from it up; the CLI reads it too
@@ -50,8 +50,7 @@ class EigensolverError(RuntimeError):
     loading numpy."""
 
 
-@dataclass(frozen=True)
-class EntryDistribution:
+class EntryDistribution(NamedTuple):
     """A centered finite discrete law; ``moment`` computes its moments.
 
     ``bound_K`` is max |x| over the support, so |E[x^k]| <= bound_K**k.
@@ -64,8 +63,7 @@ class EntryDistribution:
     name: str = "custom"
 
 
-@dataclass(frozen=True)
-class MatrixSample:
+class MatrixSample(NamedTuple):
     """One sampled symmetric matrix with its generating seed."""
 
     n: int

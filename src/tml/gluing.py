@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ensemble import _trial_streams
 from .paths import (
@@ -61,8 +61,7 @@ class EvenWalkError(GluingError):
 # ---------- odd-run structure ----------
 
 
-@dataclass(frozen=True)
-class OddRun:
+class OddRun(NamedTuple):
     """One maximal run of consecutive non-returned instants.
 
     Instants are 1-based; instant j is the step vertices[j-1] -> vertices[j].
@@ -83,8 +82,7 @@ class OddRun:
         return range(self.first_instant, self.last_instant + 1)
 
 
-@dataclass(frozen=True)
-class OddStructure:
+class OddStructure(NamedTuple):
     runs: tuple[OddRun, ...]
     odd_pairs: int  # half the number of non-returned instants
 
@@ -144,8 +142,7 @@ def _fragments(p: ClosedPath, runs: tuple[OddRun, ...]) -> list[tuple[int, ...]]
 # ---------- the reassembly ----------
 
 
-@dataclass(frozen=True)
-class GluedDecomposition:
+class GluedDecomposition(NamedTuple):
     """Closed walks produced by the reassembly, grouped by chain origin.
 
     origins[0] is the input walk's origin; later origins are arrival
@@ -307,8 +304,7 @@ def _pairing_count_by_search(p: ClosedPath) -> int:
 # ---------- cycle structure of the removed odd edges ----------
 
 
-@dataclass(frozen=True, repr=False)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """The removed odd edges organized into closed cycles.
 
     cycles holds, per cycle, the odd-edge keys in traversal order; sizes,
@@ -431,8 +427,7 @@ def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[l
 # ---------- complexity statistics of an even walk ----------
 
 
-@dataclass(frozen=True)
-class WalkStatistics:
+class WalkStatistics(NamedTuple):
     """Self-intersection bookkeeping for an even closed walk.
 
     events(v) counts marked arrivals at v, plus one for the walk origin;
@@ -573,8 +568,7 @@ def _check_depth(s: int, n: int) -> None:
         raise ValueError(f"s={s} exceeds the counting-bound limit {BOUND_S_LIMIT}")
 
 
-@dataclass(frozen=True)
-class BoundBreakdown:
+class BoundBreakdown(NamedTuple):
     """A positive bound kept in log space, with per-term diagnostics.
 
     log_terms[i] is the natural log of the term for odd-pair count i+1.
@@ -653,8 +647,7 @@ def log_trace_excess_ratio(bound: BoundBreakdown, s: int, n: int, sigma: float) 
     return bound.log_total - _log_main_term(s, n, sigma)
 
 
-@dataclass(frozen=True)
-class MixedParityBound:
+class MixedParityBound(NamedTuple):
     """Natural logs of the preimage ceilings for reconstructing walk
     collections that needed merge_count extra merges, and of their ratios to
     the choice budget C(2s, merge_count)."""
@@ -899,8 +892,7 @@ def enumerate_insertions(base: ClosedPath, max_odd_pairs: int) -> list[ClosedPat
 # ---------- the invariant suite ----------
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Outcome of running every structural check over a family of walks."""
 
     walks_checked: int

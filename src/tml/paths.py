@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ensemble import EntryDistribution, moment
 
@@ -40,28 +40,31 @@ class PathSizeError(ValueError):
     """Raised when an exact enumeration would exceed its size guard."""
 
 
-@dataclass(frozen=True)
-class ClosedPath:
+class _ClosedPathFields(NamedTuple):
+    vertices: tuple[int, ...]
+    n: int
+
+
+class ClosedPath(_ClosedPathFields):
     """A closed walk on vertices 1..n, stored as the full vertex sequence.
 
     ``vertices`` has length+1 entries, with the first equal to the last.
     Trace expansions only produce even lengths; odd-length closed walks are
-    allowed so decompositions can pass through them.
+    allowed so decompositions can pass through them.  Instances keep a
+    ``__dict__`` for the cached ``_multiplicities``.
     """
 
-    vertices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 1:
+    def __new__(cls, vertices: tuple[int, ...], n: int) -> ClosedPath:
+        if len(vertices) < 1:
             raise ValueError("a closed path needs at least its origin")
-        if self.vertices[0] != self.vertices[-1]:
+        if vertices[0] != vertices[-1]:
             raise ValueError("path is not closed")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        for v in self.vertices:
-            if not (1 <= v <= self.n):
-                raise ValueError(f"vertex {v} outside [1..{self.n}]")
+        for v in vertices:
+            if not (1 <= v <= n):
+                raise ValueError(f"vertex {v} outside [1..{n}]")
+        return super().__new__(cls, vertices, n)
 
     @property
     def length(self) -> int:
@@ -232,32 +235,71 @@ def _canonical_sequences(n: int, length: int, prune: bool = False):
     is skipped, since each step pairs off at most one single.  The closing
     step is the last step, with vertex 1 its only candidate and no steps
     left, so a walk it leaves with a single is skipped too.
+
+    A depth-first sweep on an explicit stack: depth d holds the open prefix
+    vertices[:d + 1] for d < length - 1, and the step that closes a walk is
+    taken inline from the last open prefix.
     """
     counts: Counter = Counter()  # edge -> traversals so far
-    vertices = [1]
-
-    def grow(v: int, singles: int):
-        last = vertices[-1]
-        steps_left = length - len(vertices)  # after the next; 0: it closes the walk
-        for nxt in range(1, (min(v + 1, n) if steps_left else 1) + 1):
-            e = edge_key(last, nxt)
-            k = counts[e]
-            child = singles + (k == 0) - (k == 1)
-            if prune and child > steps_left:
-                continue
-            counts[e] = k + 1
-            vertices.append(nxt)
-            if steps_left:
-                yield from grow(max(v, nxt), child)
-            else:
-                yield tuple(vertices), v, counts
-            vertices.pop()
+    get = counts.get
+    if length == 1:  # the closing loop at vertex 1 is the whole walk
+        counts[(1, 1)] = 1
+        if not prune:
+            yield (1, 1), 1, counts
+        return
+    vertices = [1] * (length + 1)
+    last = length - 2  # depth of the prefix whose next step is followed by the closing one
+    # per depth d: next candidate vertex, labels used, singles, and the
+    # (edge, count before) of the step that opened it
+    nexts = [1] * (last + 1)
+    labels = [1] * (last + 1)
+    singles = [0] * (last + 1)
+    opened: list = [None] * (last + 1)
+    d = 0
+    while True:
+        nxt = nexts[d]
+        v = labels[d]
+        if nxt > v + 1 or nxt > n:  # every candidate is tried: back up one step
+            if not d:
+                return
+            e, k = opened[d]
             if k:
                 counts[e] = k
             else:
                 del counts[e]
-
-    return grow(1, 0)
+            d -= 1
+            continue
+        nexts[d] = nxt + 1
+        u = vertices[d]
+        e = (u, nxt) if u <= nxt else (nxt, u)  # edge_key, inline
+        k = get(e, 0)
+        child = singles[d] + (k == 0) - (k == 1)
+        if prune and child > length - d - 1:
+            continue
+        counts[e] = k + 1
+        vertices[d + 1] = nxt
+        if nxt > v:
+            v = nxt
+        if d < last:
+            d += 1
+            nexts[d] = 1
+            labels[d] = v
+            singles[d] = child
+            opened[d] = (e, k)
+            continue
+        close = (1, nxt)
+        j = get(close, 0)
+        if not prune or child + (j == 0) - (j == 1) == 0:
+            counts[close] = j + 1
+            yield tuple(vertices), v, counts
+            if j:
+                counts[close] = j
+            else:
+                del counts[close]
+        if k:
+            counts[e] = k
+        else:
+            del counts[e]
 
 
 def exact_trace_sums(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,8 +311,7 @@ def trial_values(
     return np.concatenate([chunk_values(min(chunk, trials - first)) for first in firsts])
 
 
-@dataclass(frozen=True)
-class TraceEstimate:
+class TraceEstimate(NamedTuple):
     """Monte Carlo estimate of E[Tr A^(2s)] with its standard error."""
 
     mean: float
@@ -371,16 +370,17 @@ def wigner_trace_prediction(n: int, s: int, sigma: float) -> float:
 
 def wigner_trace_prediction_refined(n: int, s: int, sigma: float) -> float:
     """Stirling-refined budget n * (2 sigma)^(2s) / (sqrt(pi) * s^(3/2)),
-    the large-s shape of the leading prediction; inf past the float range."""
+    the large-s shape of the leading prediction; inf past the float range.
+
+    The direct quotient, while (2 sigma)^(2s) and n * (2 sigma)^(2s) are
+    both normal floats; otherwise the same quotient in logs.
+    """
     scale = math.sqrt(math.pi) * s**1.5
-    try:
-        value = n * (2.0 * sigma) ** (2 * s) / scale
-    except OverflowError:
-        value = math.inf
-    if value < math.inf:
-        return value
-    # the numerator may leave the float range where the quotient does not: use logs
-    return _from_log(math.log(n) + 2 * s * math.log(2.0 * sigma) - math.log(scale))
+    log_n = math.log(n)
+    log_power = 2 * s * math.log(2.0 * sigma)
+    if log_n < _LOG_HIGH and _LOG_LOW < log_power < _LOG_HIGH - log_n:
+        return n * (2.0 * sigma) ** (2 * s) / scale
+    return _from_log(log_n + log_power - math.log(scale))
 
 
 def markov_tail_bound(expected_trace: float, threshold: float, s: int) -> float:
@@ -396,8 +396,7 @@ def markov_tail_bound(expected_trace: float, threshold: float, s: int) -> float:
 EDGE_EXPONENT = -6.0 / 11.0
 
 
-@dataclass(frozen=True)
-class EdgeExceedanceResult:
+class EdgeExceedanceResult(NamedTuple):
     """Fraction of samples whose top normalized eigenvalue clears
     2*sigma + n^(-6/11 + epsilon)."""
 
@@ -439,8 +438,7 @@ def edge_exceedance_experiment(
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
+class ConcentrationRow(NamedTuple):
     """Empirical tail of |lambda_max - center| at deviation K*t/sqrt(n),
     next to the proved ceiling min(1, 4*exp(-t^2/32))."""
 

@@ -1,17 +1,22 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tml.cli as cli
 import tml.ensemble as ensemble
@@ -841,7 +846,8 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
             ["trace-exact", "--dist", "skew12", "--n", "5", "--s", "3", "--route", "patterns"],
             ["verify-gluing", "--n", "3", "--s", "3"],
         ],
-        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime')"
+        " if m in sys.modules]\n"
         "assert not loaded, loaded",
     )
 
@@ -898,9 +904,22 @@ def test_import_loads_only_cli_and_ensemble(tmp_path):
         tmp_path, [],
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'tml')\n"
         "assert loaded == ['tml', 'tml.cli', 'tml.ensemble'], loaded\n"
-        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime')"
+        " if m in sys.modules]\n"
         "assert not loaded, loaded",
     )
+
+
+# a whole second, nanoseconds below a microsecond, and 1 µs past a leap day
+@pytest.mark.parametrize(
+    "ns", [1_700_000_000 * 10**9, 1_700_000_000_123_456_789, 951_782_400_000_001_000]
+)
+def test_now_writes_what_datetime_writes(monkeypatch, ns):
+    from datetime import datetime, timezone
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    expected = datetime.fromtimestamp(ns // 1000 / 10**6, timezone.utc).isoformat()
+    assert cli._now() == expected
 
 
 @pytest.mark.parametrize("argv,unloaded", [
@@ -932,6 +951,78 @@ def test_predictions_past_the_float_range_are_written_as_inf(tmp_path):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# every subcommand at small sizes; one or two flags, not the choices, are
+# swapped for adversarial values.  Work counts of 10^22 are left out: nothing
+# refuses them, and they would run for ever.
+SMALL_ARGUMENTS = {
+    "trace-mc": {"--dist": "skew12", "--n": "3", "--s": "2", "--trials": "5", "--seed": "0"},
+    "trace-exact": {"--dist": "skew12", "--n": "3", "--s": "2", "--route": "auto"},
+    "spectrum": {"--dist": "rademacher", "--n": "3", "--trials": "2", "--seed": "0"},
+    "edge-exceed": {"--dist": "skew12", "--n": "4", "--trials": "2", "--epsilon": "0.05", "--seed": "0"},
+    "concentration": {"--dist": "rademacher", "--n": "4", "--trials": "3", "--t-values": "1,2", "--seed": "0"},
+    "verify-gluing": {"--n": "2", "--s": "2", "--random": "2", "--seed": "0"},
+    "bounds-table": {
+        "--s": "8", "--n": "100", "--sigma": "1.0", "--entry-bound": "1.0", "--prefactor": "1.0",
+        "--max-odd-pairs": "2", "--max-merges": "2", "--growth-exponent": "0.01", "--nonclosed": "2",
+        "--small-type": "1", "--large-type": "0.0", "--complexity": "2", "--nearby": "10.0",
+    },
+    "dyck-stats": {
+        "--s": "3", "--functional": "windows", "--mode": "exact", "--tensor-order": "2",
+        "--trials": "5", "--seed": "0",
+    },
+}
+CHOICES = {
+    "--route": ["auto", "full", "patterns"],
+    "--functional": ["windows", "stay", "tensor", "beta", "maxlevel"],
+    "--mode": ["exact", "mc"],
+}
+ADVERSARIAL_NUMBERS = ["0", "1", "-1", "-0", "2.5", "nan", "inf", "-inf", "1e308", "1e-320", ""]
+MALFORMED_DISTS = [
+    "", "nope", "support=", "probs=0.5,0.5", "support=-1,1", "support=-1,1;probs=0.5",
+    "support=-1,1;probs=0.5,0.5;probs=0.5,0.5", "support=-1,1;probs=0.5,0.5;mean=0",
+    "support=nan,1;probs=0.5,0.5", "support=-inf,inf;probs=0.5,0.5", "support=1,1;probs=0.5,0.5",
+    "support=-1,1;probs=1.5,-0.5", "support=-1e308,1e308;probs=0.5,0.5", "support=0;probs=1",
+    "support=-1e-320,1e-320;probs=0.5,0.5", "support=a,b;probs=0.5,0.5", ";", "=",
+]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_adversarial_arguments_exit_cleanly(data):
+    subcommand = data.draw(st.sampled_from(sorted(SMALL_ARGUMENTS)))
+    small = SMALL_ARGUMENTS[subcommand]
+    swapped = data.draw(st.sets(st.sampled_from([f for f in small if f not in CHOICES]), min_size=1, max_size=2))
+    argv = [subcommand]
+    for flag, value in small.items():
+        if flag in CHOICES:
+            value = data.draw(st.sampled_from(CHOICES[flag]))
+        elif flag in swapped:
+            value = data.draw(st.sampled_from(MALFORMED_DISTS if flag == "--dist" else ADVERSARIAL_NUMBERS))
+        argv += [flag, value]
+
+    def hang(signum, frame):
+        raise TimeoutError(f"no exit in 5 s: {argv}")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    err = io.StringIO()
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--output-dir", out])
+            written = os.listdir(out)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        # one message line; a usage error has argparse's usage block before it
+        *usage, message = [line for line in err.getvalue().splitlines() if not line.startswith(" ")]
+        assert message.startswith(f"tml {subcommand}: "), (argv, message)
+        assert len(usage) <= 1 and all(line.startswith("usage: ") for line in usage), (argv, usage)
+        assert written == [], argv
 
 
 def test_a_trace_past_the_float_range_is_written_without_warnings(tmp_path, capsys):

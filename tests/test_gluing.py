@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -886,11 +885,11 @@ def test_surgery_checks_flag_a_broken_reassembly(monkeypatch, extra_walks, cycle
             "fresh-edge": (*decomp.walks, ClosedPath(vertices=(3, 3, 3), n=3)),
             None: decomp.walks,
         }[extra_walks]
-        return dataclasses.replace(decomp, walks=walks), structure, partner
+        return decomp._replace(walks=walks), structure, partner
 
     def broken_cycles(q, structure, partner):
         cyc = find_cycles(q, structure, partner)
-        return cyc if cycles is None else dataclasses.replace(cyc, cycles=cycles)
+        return cyc if cycles is None else cyc._replace(cycles=cycles)
 
     found = []
     assert gluing._check_one(p, found)[-1] == "single-even" and not found

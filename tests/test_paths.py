@@ -138,6 +138,51 @@ def test_canonical_sequences_count_edges_and_prune_unpaired_classes(n, length):
     assert drawn(True) == [c for c in every if all(k >= 2 for _, k in c[2])]
 
 
+def _recursive_canonical_sequences(n, length, prune=False):
+    """The recursive generator the stack sweep replaced, kept as its oracle."""
+    counts = Counter()
+    vertices = [1]
+
+    def grow(v, singles):
+        last = vertices[-1]
+        steps_left = length - len(vertices)  # after the next; 0: it closes the walk
+        for nxt in range(1, (min(v + 1, n) if steps_left else 1) + 1):
+            e = edge_key(last, nxt)
+            k = counts[e]
+            child = singles + (k == 0) - (k == 1)
+            if prune and child > steps_left:
+                continue
+            counts[e] = k + 1
+            vertices.append(nxt)
+            if steps_left:
+                yield from grow(max(v, nxt), child)
+            else:
+                yield tuple(vertices), v, counts
+            vertices.pop()
+            if k:
+                counts[e] = k
+            else:
+                del counts[e]
+
+    return grow(1, 0)
+
+
+def _drawn(sweep, n, length, prune):
+    # counts is live: read it before the next item is drawn
+    return [(vs, v, list(counts.items())) for vs, v, counts in sweep(n, length, prune)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 100])
+def test_stack_sweep_matches_the_recursive_generator(n):
+    for length, prune in itertools.product(range(1, 11), (False, True)):
+        expected = _drawn(_recursive_canonical_sequences, n, length, prune)
+        assert _drawn(_canonical_sequences, n, length, prune) == expected, (length, prune)
+
+
+def test_stack_sweep_matches_the_recursive_generator_pruned_at_6_12():
+    assert _drawn(_canonical_sequences, 6, 12, True) == _drawn(_recursive_canonical_sequences, 6, 12, True)
+
+
 # ---------- weights ----------
 
 

@@ -270,6 +270,13 @@ def test_predictions_survive_an_intermediate_overflow():
         scale = math.sqrt(math.pi) * 512**1.5
         exact = n * Fraction(2 * sigma) ** 1024 / Fraction(scale)
         assert wigner_trace_prediction_refined(n, 512, sigma) == pytest.approx(float(exact), rel=1e-12)
+    # (2 sigma)^(2s) = 0.6^1420 is subnormal, but the quotient, about 2.8e-308,
+    # is normal; abs=0, as above
+    scale = math.sqrt(math.pi) * 710**1.5
+    exact = 10**12 * Fraction(2 * 0.3) ** 1420 / Fraction(scale)
+    assert wigner_trace_prediction_refined(10**12, 710, 0.3) == pytest.approx(
+        float(exact), rel=1e-12, abs=0
+    )
 
 
 def test_predictions_past_the_float_range_are_inf():
