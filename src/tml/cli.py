@@ -19,8 +19,8 @@ DENSE_EIG_CUTOFF, whose solves BLAS threads speed up; anywhere else an idle
 BLAS worker would only burn CPU.
 
 Exit codes: 0 success, 1 usage or runtime error (bad arguments or law, a size
-over its guard, an eigensolver failure, an unwritable output), 2
-invariant-suite failure.
+over its guard, an eigensolver failure, numpy missing from a call that needs
+it, an unwritable output), 2 invariant-suite failure.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def _cmd_trace_mc(args):
     from . import spectral
 
     dist = parse_distribution(args.dist)
-    est = spectral.mc_expected_trace(dist, args.n, args.s, args.trials, args.seed, normalized=not args.raw)
+    est = spectral.mc_expected_trace(dist, args.n, args.s, args.trials, args.seed)
     predictions = [
         spectral.wigner_trace_prediction(args.n, args.s, dist.sigma),
         spectral.wigner_trace_prediction_refined(args.n, args.s, dist.sigma),
@@ -350,7 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--raw", action="store_true", help="trace of the unnormalized matrix")
     _add_threads(p)
     _add_common(p)
     p.set_defaults(func=_cmd_trace_mc)
@@ -387,7 +386,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--t-values", default="1,2,3,4,5,6,7,8")
     p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=_cmd_concentration)
 
@@ -449,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         stem = _output_stem(args)
         outputs = _write_table(stem, args.format, header, rows)
         _write_manifest(args, stem, outputs, started, _now(), blas_threads)
-    except (EigensolverError, OSError, ValueError) as exc:  # DistributionError is a ValueError
+    except (EigensolverError, ImportError, OSError, ValueError) as exc:  # DistributionError is a ValueError
         print(f"tml {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return code

@@ -406,8 +406,12 @@ def max_level_tail(s: int, trials: int, seed: int, mode: str = "mc") -> MaxLevel
 
     Rows cover every k in [1, s]; ``trials`` in the table is the number of
     paths counted.  The fit runs over rows with at least 10 paths; it is
-    diagnostic only.
+    diagnostic only.  s = 0, which would leave no row, is refused before
+    any path is built, in both modes; a negative s is refused where the
+    paths are drawn.
     """
+    if s == 0:
+        raise ValueError("s must be at least 1")
     chunks, trials = _level_chunks(s, mode, trials, seed)
     counts = sum(np.bincount(levels.max(axis=1), minlength=s + 1) for levels in chunks)
     rows = tuple((k, counts[k] / trials) for k in range(1, s + 1))

@@ -38,6 +38,7 @@ from .paths import (
     _check_enumeration_size,
     _check_walk_shape,
     _edge_counts,
+    _from_log,
     _log_catalan,
     _log_main_term,
     catalan,
@@ -766,10 +767,9 @@ def typed_vertex_contribution_log(
     if min(r, k1) < 0 or k2 < 0:
         raise ValueError("counts must be nonnegative")
     l = odd_pairs
-    try:
-        log_growth = math.exp(2 * eta * math.log(n))  # n^(2*eta), also for an int n past the float range
-    except OverflowError:
-        return math.inf  # exp(n^(2*eta)) alone leaves the float range: the ceiling is vacuous
+    # n^(2*eta), also for an int n past the float range; inf, the vacuous
+    # ceiling, once it leaves the float range
+    log_growth = _from_log(2 * eta * math.log(n))
     return (
         (2 * s - 2 * l) * math.log(sigma)
         + _log_catalan(s - l)

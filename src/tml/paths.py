@@ -166,20 +166,18 @@ def is_even_path(p: ClosedPath) -> bool:
     return all(k % 2 == 0 for k in p._multiplicities.values())
 
 
-def path_weight(p: ClosedPath, dist: EntryDistribution, normalized: bool = True) -> float:
-    """Expected product of the entry variables along the path.
+def path_weight(p: ClosedPath, dist: EntryDistribution) -> float:
+    """Expected product of the entries of A = M/sqrt(n) along the path.
 
     The weight is the product over non-oriented edges of the entry moment at
-    that edge's multiplicity.  With ``normalized`` each of the 2s factors
-    carries 1/sqrt(n), i.e. the product is divided by n**s.
+    that edge's multiplicity, divided by n**s: each of the 2s factors
+    carries 1/sqrt(n).  An odd-length walk has no such weight.
     """
+    if p.length % 2 != 0:
+        raise ValueError("path weights are defined for even lengths only")
     moments = [moment(dist, k) for k in range(p.length + 1)]
     w = _moment_product(moments, p._multiplicities.values())[0]
-    if normalized:
-        if p.length % 2 != 0:
-            raise ValueError("normalized weights are defined for even lengths only")
-        w /= float(p.n) ** (p.length // 2)
-    return w
+    return w / float(p.n) ** (p.length // 2)
 
 
 def marked_instants(p: ClosedPath) -> set[int]:
@@ -222,7 +220,7 @@ def _closed_sequences(n: int, length: int):
 
 
 def _canonical_sequences(n: int, length: int, prune: bool = False):
-    """One closed sequence of the given length (at least 1) per relabeling
+    """One closed sequence of the given length (at least 2) per relabeling
     class, as (vertices, v, counts): the labels 1..v appear in first-occurrence
     order, v <= n, and the walk closes at vertex 1.  Odometer order; each
     class has n(n-1)...(n-v+1) labeled members.  ``counts`` is the walk's
@@ -242,11 +240,6 @@ def _canonical_sequences(n: int, length: int, prune: bool = False):
     """
     counts: Counter = Counter()  # edge -> traversals so far
     get = counts.get
-    if length == 1:  # the closing loop at vertex 1 is the whole walk
-        counts[(1, 1)] = 1
-        if not prune:
-            yield (1, 1), 1, counts
-        return
     vertices = [1] * (length + 1)
     last = length - 2  # depth of the prefix whose next step is followed by the closing one
     # per depth d: next candidate vertex, labels used, singles, and the
@@ -302,12 +295,9 @@ def _canonical_sequences(n: int, length: int, prune: bool = False):
             del counts[e]
 
 
-def exact_trace_sums(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> tuple[float, float]:
+def exact_trace_sums(dist: EntryDistribution, n: int, s: int) -> tuple[float, float]:
     """(E[Tr A^(2s)], its even-path share Z_e) by brute enumeration, in one
-    pass; the odd-path share Z_o is their difference.  Raw E[Tr M^(2s)] sums
-    with ``normalized=False``.
+    pass; the odd-path share Z_o is their difference.
 
     Walks all n^(2s) closed sequences in odometer order.  Guarded so the
     enumeration stays below 1e8 sequences; use the relabeling-class variant
@@ -316,13 +306,13 @@ def exact_trace_sums(
     """
     _check_enumeration_size(n, s)
     walks = ((1, _edge_counts(vs).values()) for vs in _closed_sequences(n, 2 * s))
-    return _weigh(dist, n, s, walks, normalized)
+    return _weigh(dist, n, s, walks)
 
 
-def _weigh(dist: EntryDistribution, n: int, s: int, walks, normalized: bool) -> tuple[float, float]:
+def _weigh(dist: EntryDistribution, n: int, s: int, walks) -> tuple[float, float]:
     """(sum, even-walk share) of moment product * labelings over the
     (labelings, edge multiplicities) pairs of ``walks`` of length 2s, over
-    n**s when ``normalized``.  E[x^k] is tabulated once, for k = 0..2s.
+    n**s.  E[x^k] is tabulated once, for k = 0..2s.
 
     Raises ValueError when the pair is not finite.
     """
@@ -335,19 +325,16 @@ def _weigh(dist: EntryDistribution, n: int, s: int, walks, normalized: bool) -> 
             total += w * ways
             if all_even:
                 even += w * ways
-    if normalized:
-        scale = float(n) ** s
-        total, even = total / scale, even / scale
+    scale = float(n) ** s
+    total, even = total / scale, even / scale
     if not (math.isfinite(total) and math.isfinite(even)):
         raise ValueError(f"the float trace sum at s={s} overflows for this n and law")
     return total, even
 
 
-def exact_expected_trace(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """E[Tr A^(2s)] (or the raw E[Tr M^(2s)]) by brute enumeration."""
-    return exact_trace_sums(dist, n, s, normalized)[0]
+def exact_expected_trace(dist: EntryDistribution, n: int, s: int) -> float:
+    """E[Tr A^(2s)] by brute enumeration."""
+    return exact_trace_sums(dist, n, s)[0]
 
 
 def walk_count_exceeds(n: int, s: int, limit: int) -> bool:
@@ -378,9 +365,7 @@ def _check_enumeration_size(n: int, s: int) -> None:
         )
 
 
-def exact_trace_sums_patterns(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> tuple[float, float]:
+def exact_trace_sums_patterns(dist: EntryDistribution, n: int, s: int) -> tuple[float, float]:
     """(E[Tr A^(2s)], its even-path share Z_e) via first-occurrence
     relabeling classes, in one pass.
 
@@ -424,14 +409,12 @@ def exact_trace_sums_patterns(
             f" factorial n(n-1)... to {top} factors overflows a float"
         )
     classes = _canonical_sequences(n, length, prune)
-    return _weigh(dist, n, s, ((labelings[v], counts.values()) for _, v, counts in classes), normalized)
+    return _weigh(dist, n, s, ((labelings[v], counts.values()) for _, v, counts in classes))
 
 
-def exact_expected_trace_patterns(
-    dist: EntryDistribution, n: int, s: int, normalized: bool = True
-) -> float:
-    """E[Tr A^(2s)] (or the raw E[Tr M^(2s)]) by relabeling classes."""
-    return exact_trace_sums_patterns(dist, n, s, normalized)[0]
+def exact_expected_trace_patterns(dist: EntryDistribution, n: int, s: int) -> float:
+    """E[Tr A^(2s)] by relabeling classes."""
+    return exact_trace_sums_patterns(dist, n, s)[0]
 
 
 def random_closed_path(n: int, s: int, rng: np.random.Generator) -> ClosedPath:

@@ -9,9 +9,9 @@ one trial kernel, ``trial_values``: one loop over chunks of at most
 BATCH_BYTES of matrix data, at every matrix size.  A chunk draws each trial
 from its own stream (``ensemble._trial_streams``) into its own slot of a
 (T, n, n) stack, maps the draws to support values scaled by 1/sqrt(n)
-(unless raw) in place, unpacks them there and reduces the stack in
-``_stack_values``.  The chunks run one after another on the calling thread;
-BLAS threads parallelize each solve.
+in place, unpacks them there and reduces the stack in ``_stack_values``.
+The chunks run one after another on the calling thread; BLAS threads
+parallelize each solve.
 
 Matrices built by the kernel are symmetric and finite by construction, so
 the symmetry and finiteness check runs only at the public boundary
@@ -251,15 +251,13 @@ def trial_values(
     statistic: str,
     *,
     s: int = 1,
-    normalized: bool = True,
 ) -> np.ndarray:
     """The statistic of each of ``trials`` sampled matrices, as an array in
     trial order.
 
     ``statistic`` is "lambda_max" (top eigenvalue), "trace" (Tr A^(2s),
     from the eigenvalues) or "spectrum" (one row of top eigenvalue
-    and spectral norm per trial, both ends of one solve).  A is the
-    1/sqrt(n)-normalized matrix, or the raw one when normalized=False.
+    and spectral norm per trial, both ends of one solve) of A = M/sqrt(n).
     Values equal those of the public per-matrix functions on
     ``sample_symmetric_matrix``, called with ``seed`` for trial 0 and one
     more for each later trial; from DENSE_EIG_CUTOFF up, "spectrum"'s top
@@ -283,9 +281,7 @@ def trial_values(
         raise ValueError("need at least one trial")
     chunk = max(1, BATCH_BYTES // (8 * n * n))
     check_matrix_memory(n, min(chunk, trials), statistic)
-    support = np.asarray(dist.support)
-    if normalized:
-        support = support / np.sqrt(n)
+    support = np.asarray(dist.support) / np.sqrt(n)
     m = n * (n + 1) // 2
     streams = ensemble._trial_streams(seed, trials)
 
@@ -327,11 +323,9 @@ def mc_expected_trace(
     s: int,
     trials: int,
     seed: int,
-    normalized: bool = True,
 ) -> TraceEstimate:
-    """Estimate E[Tr A^(2s)] (A the 1/sqrt(n)-normalized matrix, or the raw
-    matrix when normalized=False) over independent samples."""
-    values = trial_values(dist, n, trials, seed, "trace", s=s, normalized=normalized)
+    """Estimate E[Tr A^(2s)], A = M/sqrt(n), over independent samples."""
+    values = trial_values(dist, n, trials, seed, "trace", s=s)
     return TraceEstimate(mean=float(values.mean()), stderr=_stderr(values), trials=trials, n=n, s=s)
 
 

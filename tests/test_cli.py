@@ -476,6 +476,23 @@ def test_dyck_stats_exact_negative_s_names_s(tmp_path, capsys, functional):
     assert not list(tmp_path.iterdir())
 
 
+def test_dyck_stats_exact_s0(tmp_path, capsys):
+    # the empty path has no window and stays above its one level; its
+    # maximum level has no row in [1, s], so maxlevel refuses s = 0 in both modes
+    for functional, value in (("windows", "0"), ("stay", "1")):
+        code, rows, _ = run(tmp_path, "dyck-stats", "--functional", functional, "--s", "0")
+        assert code == 0 and [r["value"] for r in rows] == [value]
+    for mode in ("exact", "mc"):
+        out = tmp_path / mode
+        code = cli.main([
+            "dyck-stats", "--functional", "maxlevel", "--mode", mode, "--s", "0",
+            "--output-dir", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 1"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "functional, trials",
     [(["windows"], "14"), (["stay"], "14"), (["tensor", "--tensor-order", "3"], "14"),
@@ -709,7 +726,6 @@ def test_csv_float_format_round_trips(tmp_path):
 TRIAL_LOOPS = [
     ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2"],
     ["edge-exceed", "--dist", "skew12", "--n", "9", "--trials", "2", "--epsilon", "0.1"],
-    ["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"],
 ]
 
 
@@ -726,6 +742,17 @@ def test_trial_loops_default_to_one_thread():
 def test_trial_loops_refuse_other_thread_counts(tmp_path, capsys, case, threads):
     assert cli.main([*case, "--threads", threads, "--output-dir", str(tmp_path)]) == 1
     assert f"argument --threads: invalid choice: {threads}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# every trace is of A = M/sqrt(n), and concentration has no trial-thread flag
+@pytest.mark.parametrize("argv,removed", [
+    (["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "3"], ["--raw"]),
+    (["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"], ["--threads", "1"]),
+], ids=["trace-mc", "concentration"])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, argv, removed):
+    assert cli.main([*argv, *removed, "--output-dir", str(tmp_path)]) == 1
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -811,7 +838,7 @@ def test_large_spectral_calls_keep_the_blas_pool(tmp_path):
 
 @pytest.mark.parametrize("argv,pinned", [
     (["trace-mc", "--dist", "skew12", "--n", "63", "--s", "2"], True),
-    (["trace-mc", "--dist", "skew12", "--n", "64", "--s", "2", "--raw"], False),
+    (["trace-mc", "--dist", "skew12", "--n", "64", "--s", "2"], False),
     (["spectrum", "--dist", "skew12", "--n", "63"], True),
     (["spectrum", "--dist", "skew12", "--n", "64"], False),
     (["edge-exceed", "--dist", "skew12", "--n", "2000", "--trials", "3", "--epsilon", "0.05"], False),
@@ -850,6 +877,32 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
         " if m in sys.modules]\n"
         "assert not loaded, loaded",
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "2"],
+    ["spectrum", "--dist", "skew12", "--n", "3"],
+    ["dyck-stats", "--s", "2", "--mode", "mc", "--trials", "2"],
+    ["verify-gluing", "--n", "2", "--s", "2", "--random", "3"],  # numpy loads after the sweep
+], ids=lambda argv: argv[0])
+def test_a_numpy_call_without_numpy_exits_1_in_one_line(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # import numpy now raises ImportError\n"
+        "from tml.cli import main\n"
+        f"sys.exit(main([*{argv!r}, '--output-dir', {str(tmp_path)!r}]))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith(f"tml {argv[0]}: ") and "numpy" in done.stderr
+    assert done.stdout == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_beta_row_loads_no_numpy(tmp_path):

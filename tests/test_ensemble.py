@@ -262,9 +262,9 @@ def test_trial_values_chunk_edge_follows_default_rng(monkeypatch, seed):
     # chunks of three matrices: four trials cross a chunk edge
     n, d = 3, skew12()
     monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
-    got = spectral.trial_values(d, n, 4, seed, "lambda_max", normalized=False)
+    got = spectral.trial_values(d, n, 4, seed, "lambda_max")
     oracle = [
-        spectral.largest_eigenvalue(sample_symmetric_matrix(d, n, seed + j).entries)
+        spectral.largest_eigenvalue(sample_symmetric_matrix(d, n, seed + j).normalized_view)
         for j in range(4)
     ]
     assert got.tolist() == oracle

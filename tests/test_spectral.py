@@ -360,11 +360,10 @@ def test_concentration_experiment():
 # ---------- the trial kernel against the public per-matrix route ----------
 
 
-def public_route(dist, n, trials, seed, statistic, s=2, normalized=True):
+def public_route(dist, n, trials, seed, statistic, s=2):
     out = []
     for i in range(trials):
-        sample = sample_symmetric_matrix(dist, n, seed + i)
-        a = sample.normalized_view if normalized else sample.entries
+        a = sample_symmetric_matrix(dist, n, seed + i).normalized_view
         if statistic == "trace":
             out.append(trace_power(a, s))
         elif statistic == "lambda_max":
@@ -395,18 +394,17 @@ SIZES = [1, 3, 63, 64, 100, 200]  # both sides of DENSE_EIG_CUTOFF = 64; Lanczos
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("oracle", ["eig", "power"])
-@pytest.mark.parametrize("normalized", [True, False])
-def test_trace_kernel_matches_public_route(n, oracle, normalized, monkeypatch):
+def test_trace_kernel_matches_public_route(n, oracle, monkeypatch):
     # three matrices per batch, so seven trials cross two chunk boundaries
     monkeypatch.setattr(spectral, "BATCH_BYTES", 3 * 8 * n * n)
     d = skew12()
-    got = trial_values(d, n, 7, 5, "trace", s=2, normalized=normalized)
+    got = trial_values(d, n, 7, 5, "trace", s=2)
     if oracle == "eig":  # the kernel's own formula on the same sampled matrices, bit for bit
         matrices = [sample_symmetric_matrix(d, n, 5 + i) for i in range(7)]
-        spectra = [np.linalg.eigvalsh(m.normalized_view if normalized else m.entries) for m in matrices]
+        spectra = [np.linalg.eigvalsh(m.normalized_view) for m in matrices]
         assert np.array_equal(got, [np.sum(vals ** 4) for vals in spectra])
     else:  # repeated squaring of the same sampled matrices: the independent per-matrix check
-        expected = public_route(d, n, 7, 5, "trace", normalized=normalized)
+        expected = public_route(d, n, 7, 5, "trace")
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
