@@ -737,11 +737,17 @@ def test_trial_loops_default_to_one_thread():
         assert parser.parse_args([*case, "--threads", "1"]).threads == 1
 
 
+# concentration has no --threads flag at all, so any count is unrecognized
 @pytest.mark.parametrize("threads", ["2", "0", "-4"])
-@pytest.mark.parametrize("case", TRIAL_LOOPS, ids=lambda case: case[0])
-def test_trial_loops_refuse_other_thread_counts(tmp_path, capsys, case, threads):
+@pytest.mark.parametrize("case,refusal", [
+    *[pytest.param(case, "argument --threads: invalid choice: {}", id=case[0])
+      for case in TRIAL_LOOPS],
+    pytest.param(["concentration", "--dist", "skew12", "--n", "9", "--trials", "2"],
+                 "unrecognized arguments: --threads {}", id="concentration"),
+])
+def test_trial_loops_refuse_other_thread_counts(tmp_path, capsys, case, refusal, threads):
     assert cli.main([*case, "--threads", threads, "--output-dir", str(tmp_path)]) == 1
-    assert f"argument --threads: invalid choice: {threads}" in capsys.readouterr().err
+    assert refusal.format(threads) in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
