@@ -4,7 +4,11 @@ One binary, eight subcommands, every run reproducible from its seed.  Each
 invocation writes a CSV (or JSON) table plus a JSON manifest recording the
 subcommand, parameters, seed, build id, timestamps, output files and BLAS
 thread settings.  The table body is a pure function of the arguments, so
-reruns are byte-identical; wall-clock data lives only in the manifest.
+reruns are byte-identical; wall-clock data lives only in the manifest.  The
+build id, ``tml-<version>+<8 hex digits>``, names the code that ran: the
+digits are a CRC-32 of the package's own ``*.py`` files, so it changes with
+any byte of them, reads the same from a checkout or an archive of one tree,
+and costs no git call.
 
 Each handler imports the one kernel module it calls (``paths``, ``gluing``,
 ``spectral`` or ``dyck``) and calls through it, so a subcommand loads only
@@ -29,9 +33,9 @@ import argparse
 import json
 import math
 import os
-import subprocess
 import sys
 import time
+import zlib
 
 from . import __version__
 from .ensemble import DENSE_EIG_CUTOFF, RNG_ALGORITHM, EigensolverError, parse_distribution
@@ -67,20 +71,13 @@ def _json_value(value):
 
 
 def _build_id() -> str:
+    """tml-<version>+<CRC-32 of each module's name and bytes, in name order>."""
     here = os.path.dirname(os.path.abspath(__file__))
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=here,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"tml-{__version__}"
+    crc = 0
+    for name in sorted(f for f in os.listdir(here) if f.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+    return f"tml-{__version__}+{crc:08x}"
 
 
 def _output_stem(args) -> str:

@@ -126,10 +126,10 @@ def enumerate_dyck(s: int):
 
 
 def _check_sample_size(s: int) -> None:
-    """Refuse, before anything is allocated, an s whose one sampled path
-    would not fit in physical memory."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    """Refuse, before anything is allocated, a negative s (s = 0 samples the
+    empty path) and an s whose one sampled path would not fit in physical memory."""
+    if s < 0:
+        raise ValueError(f"s must be at least 0, got {s}")
     if s > _MAX_SAMPLED_S:
         raise DyckSizeError(f"sampling supports s <= {_MAX_SAMPLED_S}")
     need = _INSTANT_BYTES * (2 * s + 1)

@@ -1022,15 +1022,18 @@ def run_invariant_suite(
     found: list[tuple[str, tuple[int, ...]]] = []
     histogram: Counter = Counter()
     checked = 0
+    walks = ()
+    if random_walks:  # the first stream loads numpy before the sweep: a missing numpy fails at once
+        streams = _trial_streams(seed, random_walks)
+        walks = itertools.chain([next(streams)], streams)
     if exhaustive:
         for verts, v, _ in _canonical_sequences(n, 2 * s):
             p = ClosedPath(vertices=verts, n=n)
             histogram[_check_one(p, found)] += math.perm(n, v)
         checked = n ** (2 * s)
-    if random_walks:  # the streams load numpy, which an exhaustive sweep never does
-        for rng in _trial_streams(seed, random_walks):
-            histogram[_check_one(random_closed_path(n, s, rng), found)] += 1
-        checked += random_walks
+    for rng in walks:
+        histogram[_check_one(random_closed_path(n, s, rng), found)] += 1
+    checked += random_walks
     return InvariantReport(
         walks_checked=checked,
         violations=tuple(found[:100]),

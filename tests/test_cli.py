@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -63,17 +64,29 @@ def test_trace_exact_small(tmp_path):
     assert manifest["started"] <= manifest["finished"]
 
 
-@pytest.mark.parametrize("git", ["raises", "fails", "silent"])
-def test_build_id_falls_back_to_the_version(tmp_path, monkeypatch, git):
-    def describe(argv, **kwargs):
-        if git == "raises":
-            raise OSError("git not found")
-        return subprocess.CompletedProcess(argv, 128 if git == "fails" else 0, stdout="\n", stderr="")
+def test_build_id_is_a_checksum_of_the_package_sources(tmp_path):
+    copy = tmp_path / "src" / "tml"
+    copy.mkdir(parents=True)
+    for source in Path(cli.__file__).parent.glob("*.py"):
+        (copy / source.name).write_bytes(source.read_bytes())
 
-    monkeypatch.setattr(cli.subprocess, "run", describe)
-    code, _, manifest = run(tmp_path, "trace-exact", "--dist", "skew12", "--n", "2", "--s", "1")
-    assert code == 0
-    assert manifest["build_id"] == f"tml-{__version__}"
+    def build_id(call):
+        out = tmp_path / "out" / str(call)
+        done = subprocess.run(
+            [sys.executable, "-m", "tml.cli", "trace-exact", "--dist", "skew12", "--n", "2", "--s", "1",
+             "--output-dir", str(out)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(copy.parent)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads((out / "trace-exact.manifest.json").read_text())["build_id"]
+
+    first = build_id(0)
+    assert re.fullmatch(rf"tml-{re.escape(__version__)}\+[0-9a-f]{{8}}", first), first
+    assert build_id(1) == first
+    with open(copy / "dyck.py", "ab") as fh:
+        fh.write(b"\n")
+    assert build_id(2) != first
 
 
 def test_trace_exact_patterns_route(tmp_path):
@@ -468,20 +481,27 @@ def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
     "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"], ["beta"]]
 )
 def test_dyck_stats_exact_negative_s_names_s(tmp_path, capsys, functional):
-    code = cli.main([
-        "dyck-stats", "--functional", *functional, "--s", "-2", "--output-dir", str(tmp_path),
-    ])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 0, got -2"]
-    assert not list(tmp_path.iterdir())
+    for mode in ("exact", "mc"):
+        code = cli.main([
+            "dyck-stats", "--functional", *functional, "--s", "-2", "--mode", mode,
+            "--output-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 0, got -2"]
+        assert not list(tmp_path.iterdir())
 
 
 def test_dyck_stats_exact_s0(tmp_path, capsys):
-    # the empty path has no window and stays above its one level; its
-    # maximum level has no row in [1, s], so maxlevel refuses s = 0 in both modes
-    for functional, value in (("windows", "0"), ("stay", "1")):
-        code, rows, _ = run(tmp_path, "dyck-stats", "--functional", functional, "--s", "0")
-        assert code == 0 and [r["value"] for r in rows] == [value]
+    # the empty path has no window and stays above its one level, sampled as
+    # enumerated; its maximum level has no row in [1, s], so maxlevel refuses
+    # s = 0 in both modes
+    for mode in ("exact", "mc"):
+        for functional, value in (("windows", "0"), ("stay", "1"), ("tensor", "0")):
+            code, rows, _ = run(
+                tmp_path, "dyck-stats", "--functional", functional, "--s", "0", "--mode", mode,
+                "--trials", "5",
+            )
+            assert code == 0 and [r["value"] for r in rows] == [value]
     for mode in ("exact", "mc"):
         out = tmp_path / mode
         code = cli.main([
@@ -879,7 +899,7 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
             ["trace-exact", "--dist", "skew12", "--n", "5", "--s", "3", "--route", "patterns"],
             ["verify-gluing", "--n", "3", "--s", "3"],
         ],
-        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime')"
+        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime', 'subprocess')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded",
     )
@@ -889,13 +909,17 @@ def test_exact_routes_load_neither_numpy_nor_scipy(tmp_path):
     ["trace-mc", "--dist", "skew12", "--n", "3", "--s", "2", "--trials", "2"],
     ["spectrum", "--dist", "skew12", "--n", "3"],
     ["dyck-stats", "--s", "2", "--mode", "mc", "--trials", "2"],
-    ["verify-gluing", "--n", "2", "--s", "2", "--random", "3"],  # numpy loads after the sweep
+    ["verify-gluing", "--n", "2", "--s", "2", "--random", "3"],  # numpy loads before the sweep
 ], ids=lambda argv: argv[0])
 def test_a_numpy_call_without_numpy_exits_1_in_one_line(tmp_path, argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None  # import numpy now raises ImportError\n"
+        "import tml.gluing\n"
+        "def sweep(*args):  # verify-gluing must fail before its exhaustive sweep\n"
+        "    raise AssertionError('the sweep started')\n"
+        "tml.gluing._canonical_sequences = sweep\n"
         "from tml.cli import main\n"
         f"sys.exit(main([*{argv!r}, '--output-dir', {str(tmp_path)!r}]))\n"
     )
@@ -963,7 +987,7 @@ def test_import_loads_only_cli_and_ensemble(tmp_path):
         tmp_path, [],
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'tml')\n"
         "assert loaded == ['tml', 'tml.cli', 'tml.ensemble'], loaded\n"
-        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime')"
+        "loaded = [m for m in ('numpy', 'scipy', 'dataclasses', 'inspect', 'datetime', 'subprocess')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded",
     )
