@@ -178,15 +178,10 @@ def _cmd_trace_exact(args):
     from . import paths
 
     dist = parse_distribution(args.dist)
-    route = args.route
-    if route == "auto":
-        # patterns covers every n at 2s <= 12; past that only a small full sweep fits
-        fits_full = not paths.walk_count_exceeds(args.n, args.s, paths.ENUMERATION_GUARD)
-        route = "full" if 2 * args.s > paths.PATTERN_LENGTH_GUARD and fits_full else "patterns"
-    sums = paths.exact_trace_sums_patterns if route == "patterns" else paths.exact_trace_sums
+    sums = paths.exact_trace_sums_patterns if args.route == "patterns" else paths.exact_trace_sums
     value, even = sums(dist, args.n, args.s)
     header = ["n", "s", "route", "value", "even_part", "odd_part"]
-    rows = [[args.n, args.s, route, value, even, value - even]]
+    rows = [[args.n, args.s, args.route, value, even, value - even]]
     return header, rows, 0
 
 
@@ -260,7 +255,7 @@ def _cmd_bounds_table(args):
         rows.append([family, parameter, log_value, paths._from_log(log_value)])
 
     single = gluing.single_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
-    multi = gluing.multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=max(1.0, args.prefactor))
+    multi = gluing.multi_walk_contribution_bound(s, n, sigma, bound_k, prefactor=args.prefactor)
     for family, bound in (("single-walk", single), ("multi-walk", multi)):
         for l, lv in enumerate(bound.log_terms, start=1):
             put(family, l, lv)
@@ -355,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--route", choices=["auto", "full", "patterns"], default="auto")
+    p.add_argument("--route", choices=["full", "patterns"], default="patterns")
     _add_common(p)
     p.set_defaults(func=_cmd_trace_exact)
 

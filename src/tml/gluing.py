@@ -1012,6 +1012,8 @@ def run_invariant_suite(
     ``ensemble._trial_streams`` gives it as it gives every Monte Carlo
     trial."""
     if exhaustive:
+        # walks, not classes as the trace sweep counts: a class's surgery
+        # costs about 25 times its weighing, and 10**8 classes would take hours
         _check_enumeration_size(min(n, 2 * s), s)
     else:
         _check_walk_shape(n, s)

@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .ensemble import EntryDistribution, moment
 
 ENUMERATION_GUARD = 10**8
-PATTERN_LENGTH_GUARD = 12
 
 
 class PathSizeError(ValueError):
@@ -299,10 +298,10 @@ def exact_trace_sums(dist: EntryDistribution, n: int, s: int) -> tuple[float, fl
     """(E[Tr A^(2s)], its even-path share Z_e) by brute enumeration, in one
     pass; the odd-path share Z_o is their difference.
 
-    Walks all n^(2s) closed sequences in odometer order.  Guarded so the
-    enumeration stays below 1e8 sequences; use the relabeling-class variant
-    for large n at small s.  Raises ValueError when the finished sum is not
-    finite.
+    Walks all n^(2s) closed sequences in odometer order: the walk-by-walk
+    oracle for ``exact_trace_sums_patterns``.  Guarded so the enumeration
+    stays below 1e8 sequences.  Raises ValueError when the finished sum is
+    not finite.
     """
     _check_enumeration_size(n, s)
     walks = ((1, _edge_counts(vs).values()) for vs in _closed_sequences(n, 2 * s))
@@ -365,6 +364,32 @@ def _check_enumeration_size(n: int, s: int) -> None:
         )
 
 
+def _check_class_count(n: int, s: int) -> int:
+    """The number of relabeling classes a sweep of length 2s on n labels
+    visits, unpruned; PathSizeError when it exceeds ENUMERATION_GUARD.
+
+    The classes on at most m labels number R = sum of S(2s, v) over v <= m,
+    with m = min(max(n, 2), 2s): n = 1 counts as 2, as the walk guard counts
+    it.  For m >= 2, R >= S(2s, 1) + S(2s, 2) = 2**(2s-1), so a length past
+    the guard's bit length is refused at once, and the Stirling recurrence
+    runs over at most 27 rows.
+    """
+    _check_walk_shape(n, s)
+    length = 2 * s
+    m = min(max(n, 2), length)
+    if length - 1 < ENUMERATION_GUARD.bit_length():
+        row = [1] + [0] * m  # S(i, v) for v = 0..m, from i = 0
+        for _ in range(length):
+            row = [0] + [v * row[v] + row[v - 1] for v in range(1, m + 1)]
+        count = sum(row)
+        if count <= ENUMERATION_GUARD:
+            return count
+    raise PathSizeError(
+        f"the relabeling-class count of {length}-step walks on {m} labels"
+        f" exceeds the enumeration guard {ENUMERATION_GUARD}"
+    )
+
+
 def exact_trace_sums_patterns(dist: EntryDistribution, n: int, s: int) -> tuple[float, float]:
     """(E[Tr A^(2s)], its even-path share Z_e) via first-occurrence
     relabeling classes, in one pass.
@@ -373,7 +398,8 @@ def exact_trace_sums_patterns(dist: EntryDistribution, n: int, s: int) -> tuple[
     same weight, and a class with v distinct vertices has
     n * (n-1) * ... * (n-v+1) labeled members.  Enumerating one canonical
     representative per class makes the sum affordable for any n at small s.
-    Guarded to path length 2s <= 12.
+    Refused, before enumerating, when the classes number more than
+    ENUMERATION_GUARD (``_check_class_count``).
 
     When ``moment(dist, 1) == 0.0`` exactly, a class with an edge traversed
     once weighs exactly 0.0, so only classes with every edge traversed twice
@@ -388,11 +414,7 @@ def exact_trace_sums_patterns(dist: EntryDistribution, n: int, s: int) -> tuple[
     float range for the largest vertex count v the sum can weigh, and when
     the finished sum is not finite.
     """
-    _check_walk_shape(n, s)
-    if 2 * s > PATTERN_LENGTH_GUARD:
-        raise PathSizeError(
-            f"pattern enumeration supports 2s <= {PATTERN_LENGTH_GUARD}"
-        )
+    _check_class_count(n, s)
     length = 2 * s
     prune = moment(dist, 1) == 0.0
     # labelings[v] = n(n-1)...(n-v+1), multiplied left to right in floats

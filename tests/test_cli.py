@@ -181,14 +181,55 @@ def test_trace_exact_residue_mean_weighs_every_pattern(tmp_path, monkeypatch):
     assert leaves == _pattern_count(8, 7)
 
 
-def test_trace_exact_auto_takes_patterns_within_its_guard(tmp_path):
-    # 4^8 walks: small enough for the full route, but auto takes patterns,
-    # and the full sweep gives the same bits on this dyadic law
+def test_trace_exact_default_route_takes_patterns(tmp_path):
+    # 4^8 walks: small enough for the full route, but the default takes
+    # patterns, and the full sweep gives the same bits on this dyadic law
     code, rows, _ = run(tmp_path, "trace-exact", "--dist", "skew12", "--n", "4", "--s", "4")
     assert code == 0
     assert rows[0]["route"] == "patterns"
     value, even = paths.exact_trace_sums(parse_distribution("skew12"), 4, 4)
     assert (float(rows[0]["value"]), float(rows[0]["even_part"])) == (value, even)
+
+
+@pytest.mark.parametrize("dist", ["skew12", "rademacher"])
+def test_trace_exact_default_route_takes_patterns_past_2s_12(tmp_path, dist):
+    # 2s = 14: the class sweep runs, and the full route gives the same bits
+    code, rows, _ = run(tmp_path, "trace-exact", "--dist", dist, "--n", "2", "--s", "7")
+    assert code == 0
+    assert rows[0]["route"] == "patterns"
+    code, full, _ = run(tmp_path, "trace-exact", "--dist", dist, "--n", "2", "--s", "7", "--route", "full")
+    assert code == 0
+    assert [rows[0][k] for k in ("value", "even_part")] == [full[0][k] for k in ("value", "even_part")]
+
+
+def test_trace_exact_refuses_the_auto_route(tmp_path, capsys):
+    argv = ["trace-exact", "--dist", "skew12", "--n", "3", "--s", "2", "--route", "auto"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# (4, 7) and (5, 7) hold 1.1e7 and 5.1e7 classes; (4, 8) and (100, 7)
+# hold 1.8e8 and Bell(14) = 1.9e8
+@pytest.mark.parametrize("n,s,accepted", [(4, 7, True), (5, 7, True), (4, 8, False), (100, 7, False)])
+def test_class_guard_counts_its_classes(n, s, accepted):
+    start = time.perf_counter()
+    if accepted:
+        assert paths._check_class_count(n, s) == _pattern_count(2 * s, n)
+    else:
+        with pytest.raises(paths.PathSizeError, match="exceeds the enumeration guard"):
+            paths._check_class_count(n, s)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_class_guard_counts_the_classes_the_sweep_yields():
+    for s in range(1, 5):
+        for n in range(2, 5):
+            count = paths._check_class_count(n, s)
+            assert count == _pattern_count(2 * s, n)
+            assert count == sum(1 for _ in paths._canonical_sequences(n, 2 * s))
+        # one vertex is counted as two, as the walk guard counts it
+        assert paths._check_class_count(1, s) == _pattern_count(2 * s, 2)
 
 
 @pytest.mark.parametrize("n,s", [(10**200, 2), (10**177, 1)], ids=["1e200-2", "1e177-1"])
@@ -232,7 +273,7 @@ def test_distribution_chunks_that_are_not_read_are_refused(tmp_path, capsys, chu
 @pytest.mark.parametrize(
     "route,message",
     [
-        ("auto", "pattern enumeration supports 2s <= 12"),
+        pytest.param(None, "exceeds the enumeration guard", id="default-exceeds the enumeration guard"),
         ("full", "exceeds the enumeration guard"),
     ],
 )
@@ -240,14 +281,14 @@ def test_trace_exact_size_guard_is_prompt(tmp_path, capsys, route, message):
     start = time.perf_counter()
     code = cli.main([
         "trace-exact", "--dist", "skew12", "--n", "3", "--s", "100000000",
-        "--route", route, "--output-dir", str(tmp_path),
+        *(["--route", route] if route else []), "--output-dir", str(tmp_path),
     ])
     assert code == 1
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("route", ["auto", "full"])
+@pytest.mark.parametrize("route", ["patterns", "full"])
 def test_trace_exact_one_vertex_guard_is_prompt(tmp_path, capsys, route):
     start = time.perf_counter()
     code = cli.main([
@@ -587,6 +628,13 @@ def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value,
     assert code == 1 and rows is None
     err = capsys.readouterr().err
     assert err.splitlines() == [f"tml bounds-table: {name} must be positive, got {float(value)!r}"]
+
+
+def test_bounds_table_refuses_a_prefactor_below_1(tmp_path, capsys):
+    # both families take the one prefactor, and the multi-walk bound needs it >= 1
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", "8", "--n", "1000", "--prefactor", "0.5")
+    assert code == 1 and rows is None
+    assert capsys.readouterr().err.splitlines() == ["tml bounds-table: prefactor must be >= 1"]
 
 
 @pytest.mark.parametrize(
@@ -1041,7 +1089,7 @@ def test_predictions_past_the_float_range_are_written_as_inf(tmp_path):
 # refuses them, and they would run for ever.
 SMALL_ARGUMENTS = {
     "trace-mc": {"--dist": "skew12", "--n": "3", "--s": "2", "--trials": "5", "--seed": "0"},
-    "trace-exact": {"--dist": "skew12", "--n": "3", "--s": "2", "--route": "auto"},
+    "trace-exact": {"--dist": "skew12", "--n": "3", "--s": "2", "--route": "patterns"},
     "spectrum": {"--dist": "rademacher", "--n": "3", "--trials": "2", "--seed": "0"},
     "edge-exceed": {"--dist": "skew12", "--n": "4", "--trials": "2", "--epsilon": "0.05", "--seed": "0"},
     "concentration": {"--dist": "rademacher", "--n": "4", "--trials": "3", "--t-values": "1,2", "--seed": "0"},
@@ -1057,7 +1105,7 @@ SMALL_ARGUMENTS = {
     },
 }
 CHOICES = {
-    "--route": ["auto", "full", "patterns"],
+    "--route": ["full", "patterns"],
     "--functional": ["windows", "stay", "tensor", "beta", "maxlevel"],
     "--mode": ["exact", "mc"],
 }

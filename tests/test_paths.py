@@ -303,7 +303,7 @@ def test_enumeration_guards():
     with pytest.raises(PathSizeError):
         exact_expected_trace(rademacher(), 30, 10)
     with pytest.raises(PathSizeError):
-        exact_expected_trace_patterns(rademacher(), 3, 7)  # 2s = 14 > 12
+        exact_expected_trace_patterns(rademacher(), 4, 8)  # 1.8e8 relabeling classes
     with pytest.raises(ValueError):
         exact_expected_trace(rademacher(), 2, 0)
     for n in (0, -3):
