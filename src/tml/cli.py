@@ -58,8 +58,6 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return "%.17g" % value
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -293,6 +291,8 @@ def _cmd_dyck_stats(args):
             raise ValueError(f"s must be at least 0, got {args.s}")
         value = paths.beta_sum(args.tensor_order)
         return header, [[args.s, "beta", "exact", args.tensor_order, "", "", "", value]], 0
+    if args.functional == "tensor" and args.tensor_order < 2:  # order 1 is E[K], the windows row
+        raise ValueError(f"tensor order must be at least 2, got {args.tensor_order}")
     from . import dyck
 
     rows = []
@@ -318,81 +318,69 @@ def _cmd_dyck_stats(args):
 # ---------- argument wiring ----------
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads", type=int, choices=[1], default=1,
-        help="trial threads; only 1: the trials run one chunk after another, "
-        "and BLAS threads already parallelize each solve",
-    )
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output base name (default: the subcommand name)")
-    p.add_argument("--output-dir", help="output directory (default: $TML_OUTPUT_DIR or .)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+def _option(flag: str, **kwargs) -> _Parser:
+    """A help-less parser declaring one option, for a subparser's ``parents``."""
+    parent = _Parser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tml", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    dist = _option("--dist", required=True)
+    n = _option("--n", type=int, required=True)
+    s = _option("--s", type=int, required=True)
+    seed = _option("--seed", type=int, default=0)
+    threads = _option(
+        "--threads", type=int, choices=[1], default=1,
+        help="trial threads; only 1: the trials run one chunk after another, "
+        "and BLAS threads already parallelize each solve",
+    )
+    output = _option("--out", help="output base name (default: the subcommand name)")
+    output.add_argument("--output-dir", help="output directory (default: $TML_OUTPUT_DIR or .)")
+    output.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("trace-mc", parents=[], help="Monte Carlo estimate of E[Tr A^(2s)]")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser(
+        "trace-mc", parents=[dist, n, s, seed, threads, output], help="Monte Carlo estimate of E[Tr A^(2s)]"
+    )
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_trace_mc)
 
-    p = sub.add_parser("trace-exact", help="exact E[Tr A^(2s)] by enumeration")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser("trace-exact", parents=[dist, n, s, output], help="exact E[Tr A^(2s)] by enumeration")
     p.add_argument("--route", choices=["full", "patterns"], default="patterns")
-    _add_common(p)
     p.set_defaults(func=_cmd_trace_exact)
 
-    p = sub.add_parser("spectrum", help="top eigenvalue and spectral norm per sample")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "spectrum", parents=[dist, n, seed, output], help="top eigenvalue and spectral norm per sample"
+    )
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("edge-exceed", help="how often lambda_max clears 2 sigma + n^(-6/11+eps)")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "edge-exceed", parents=[dist, n, seed, threads, output],
+        help="how often lambda_max clears 2 sigma + n^(-6/11+eps)",
+    )
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_edge_exceed)
 
-    p = sub.add_parser("concentration", help="tail of lambda_max about its mean vs the proved ceiling")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "concentration", parents=[dist, n, seed, output],
+        help="tail of lambda_max about its mean vs the proved ceiling",
+    )
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--t-values", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_concentration)
 
-    p = sub.add_parser("verify-gluing", help="run every surgery invariant over walk families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser(
+        "verify-gluing", parents=[n, s, seed, output], help="run every surgery invariant over walk families"
+    )
     p.add_argument("--skip-exhaustive", action="store_true")
     p.add_argument("--random", type=int, default=0, help="extra uniformly random walks")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_verify_gluing)
 
-    p = sub.add_parser("bounds-table", help="counting-bound sweeps in log space")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("bounds-table", parents=[s, n, output], help="counting-bound sweeps in log space")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--entry-bound", type=float, default=1.0)
     p.add_argument("--prefactor", type=float, default=1.0)
@@ -404,11 +392,11 @@ def build_parser() -> _Parser:
     p.add_argument("--large-type", type=float, default=0.0)
     p.add_argument("--complexity", type=int, default=2)
     p.add_argument("--nearby", type=float, default=10.0)
-    _add_common(p)
     p.set_defaults(func=_cmd_bounds_table)
 
-    p = sub.add_parser("dyck-stats", help="window functionals of uniform nonnegative bridges")
-    p.add_argument("--s", type=int, required=True)
+    p = sub.add_parser(
+        "dyck-stats", parents=[s, seed, output], help="window functionals of uniform nonnegative bridges"
+    )
     p.add_argument(
         "--functional",
         choices=["windows", "stay", "tensor", "beta", "maxlevel"],
@@ -417,8 +405,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--tensor-order", type=int, default=2)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_dyck_stats)
 
     return parser

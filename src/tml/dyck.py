@@ -327,29 +327,11 @@ def _batch_k_total(levels: np.ndarray, I: int) -> int:
     return sum(_elementary_symmetric(row, I) for row in counts[:, 1:-1].tolist())
 
 
-def _k_reducer(I: int):
-    """``_batch_k_total`` at order I, refusing I < 1 before any path is built."""
-    if I < 1:
-        raise ValueError("I must be at least 1")
-    return functools.partial(_batch_k_total, I=I)
-
-
 def _batch_stay_above_total(levels: np.ndarray) -> int:
     """Chunk total of the stay-above count: t1 <= s with next_below[t1] > t1 + s."""
     s = levels.shape[1] // 2
     head = _batch_next_below(levels)[:, : s + 1]
     return int(np.count_nonzero(head > np.arange(s, 2 * s + 1, dtype=np.int32)))
-
-
-def exact_k_functional_total(s: int, I: int = 1) -> int:
-    """Exact integer sum of the K functional (I = 1) or its ordered-tuple
-    tensor variant (I >= 2) over every Dyck path of half-length s."""
-    return sum(map(_k_reducer(I), _level_chunks(s)[0]))
-
-
-def exact_stay_above_total(s: int) -> int:
-    """Exact integer sum of the full-window stay-above count over all paths."""
-    return sum(map(_batch_stay_above_total, _level_chunks(s)[0]))
 
 
 def _mean(batch_total, s: int, mode: str, trials: int, seed: int) -> float:
@@ -372,7 +354,9 @@ def expected_k_functional(
     mode "exact" enumerates every path (s <= 12); mode "mc" averages over
     ``trials`` sampled paths with derived seeds seed + t.
     """
-    return _mean(_k_reducer(I), s, mode, trials, seed)
+    if I < 1:
+        raise ValueError("I must be at least 1")
+    return _mean(functools.partial(_batch_k_total, I=I), s, mode, trials, seed)
 
 
 def stay_above_full_window_expectation(

@@ -1029,8 +1029,9 @@ def run_invariant_suite(
         streams = _trial_streams(seed, random_walks)
         walks = itertools.chain([next(streams)], streams)
     if exhaustive:
-        for verts, v, _ in _canonical_sequences(n, 2 * s):
+        for verts, v, counts in _canonical_sequences(n, 2 * s):
             p = ClosedPath(vertices=verts, n=n)
+            p.__dict__["_multiplicities"] = Counter(counts)  # a copy: the sweep's counts are live
             histogram[_check_one(p, found)] += math.perm(n, v)
         checked = n ** (2 * s)
     for rng in walks:

@@ -331,11 +331,6 @@ def _weigh(dist: EntryDistribution, n: int, s: int, walks) -> tuple[float, float
     return total, even
 
 
-def exact_expected_trace(dist: EntryDistribution, n: int, s: int) -> float:
-    """E[Tr A^(2s)] by brute enumeration."""
-    return exact_trace_sums(dist, n, s)[0]
-
-
 def walk_count_exceeds(n: int, s: int, limit: int) -> bool:
     """True when n**(2s), the number of closed sequences, exceeds the
     positive ``limit``; False for n < 2 or s < 1.

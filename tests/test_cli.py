@@ -581,6 +581,22 @@ def test_dyck_stats_tensor_order_past_the_window_count_is_0(tmp_path, mode):
     assert [r["value"] for r in rows] == ["0"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_dyck_stats_tensor_order_below_2_is_refused(tmp_path, capsys, mode):
+    # order 1 would be E[K], the windows mean, not the interior tensor the
+    # per-path k_functional_tensor(p, 1) sums (E[K] - 2s)
+    for order in ("1", "0", "-1"):
+        code = cli.main([
+            "dyck-stats", "--s", "3", "--functional", "tensor", "--tensor-order", order,
+            "--mode", mode, "--output-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"tml dyck-stats: tensor order must be at least 2, got {order}"
+        ]
+        assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"]]
 )

@@ -13,8 +13,6 @@ from tml.dyck import (
     DyckSizeError,
     descent_window,
     enumerate_dyck,
-    exact_k_functional_total,
-    exact_stay_above_total,
     expected_k_functional,
     k_functional,
     k_functional_tensor,
@@ -145,9 +143,9 @@ def test_k_functional_two_routes_agree(s):
 
 def test_k_functional_totals_frozen():
     for s, total in enumerate(K_TOTALS, start=1):
-        assert exact_k_functional_total(s) == total
+        assert expected_k_functional(s) == total / catalan(s)
     for s, total in enumerate(TENSOR2_TOTALS, start=1):
-        assert exact_k_functional_total(s, I=2) == total
+        assert expected_k_functional(s, I=2) == total / catalan(s)
 
 
 def literal_tensor(x: DyckPath, I: int) -> int:
@@ -174,9 +172,8 @@ def test_tensor_two_routes_agree(s, I):
 def test_k_functional_equals_interior_tensor_plus_boundary():
     # t1 = 0 always contributes 2s, t1 = 2s contributes 0
     for s in range(1, 7):
-        lhs = exact_k_functional_total(s)
         rhs = sum(k_functional_tensor(p, 1) for p in enumerate_dyck(s))
-        assert lhs == rhs + 2 * s * catalan(s)
+        assert expected_k_functional(s) == (rhs + 2 * s * catalan(s)) / catalan(s)
 
 
 @given(sampled_paths)
@@ -209,10 +206,10 @@ def test_stay_above_sweep_matches_literal_sampled(p):
 
 def test_stay_above_totals_frozen_and_closed_form():
     for s, total in enumerate(STAY_TOTALS, start=1):
-        assert exact_stay_above_total(s) == total
+        assert stay_above_full_window_expectation(s) == total / catalan(s)
         assert total == math.comb(s, s // 2) ** 2
     for s in (11, 12):
-        assert exact_stay_above_total(s) == math.comb(s, s // 2) ** 2
+        assert stay_above_full_window_expectation(s) == math.comb(s, s // 2) ** 2 / catalan(s)
 
 
 def test_expected_values_frozen():
@@ -329,8 +326,6 @@ def test_kernel_exact_means_match_per_path_across_chunks(monkeypatch):
 
 
 def test_order_below_one_is_refused():
-    with pytest.raises(ValueError, match="I must be at least 1"):
-        exact_k_functional_total(3, 0)
     for mode in ("exact", "mc"):
         with pytest.raises(ValueError, match="I must be at least 1"):
             expected_k_functional(3, 0, mode=mode, trials=10)
@@ -395,9 +390,9 @@ def test_max_level_tail_exact():
 
 def test_exact_guards():
     with pytest.raises(DyckSizeError):
-        exact_k_functional_total(13)
+        expected_k_functional(13)
     with pytest.raises(DyckSizeError):
-        exact_stay_above_total(13)
+        stay_above_full_window_expectation(13)
 
 
 # ---------- beta sums ----------

@@ -18,7 +18,6 @@ from tml.paths import (
     _moment_product,
     edge_key,
     edge_multiplicities,
-    exact_expected_trace,
     exact_expected_trace_patterns,
     exact_trace_sums,
     exact_trace_sums_patterns,
@@ -211,15 +210,15 @@ def test_path_weight_skew12():
 
 def test_exact_trace_single_vertex():
     # n=1: the matrix is one entry, Tr A^(2s) = x^(2s)
-    assert exact_expected_trace(rademacher(), 1, 3) == pytest.approx(1.0)
-    assert exact_expected_trace(skew12(), 1, 2) == pytest.approx(6.0)
+    assert exact_trace_sums(rademacher(), 1, 3)[0] == pytest.approx(1.0)
+    assert exact_trace_sums(skew12(), 1, 2)[0] == pytest.approx(6.0)
 
 
 def test_exact_trace_s1_formula():
     # E[Tr A^2] = n * sigma^2 for any law; every step pairs with its reverse
     for d in (rademacher(), skew12()):
         for n in (1, 2, 3, 5):
-            assert exact_expected_trace(d, n, 1) == pytest.approx(
+            assert exact_trace_sums(d, n, 1)[0] == pytest.approx(
                 n * d.sigma**2, rel=1e-12
             )
 
@@ -234,17 +233,17 @@ FROZEN_SKEW12 = {
 
 @pytest.mark.parametrize("n,s", sorted(FROZEN_SKEW12))
 def test_exact_trace_skew12_frozen(n, s):
-    assert exact_expected_trace(skew12(), n, s) == pytest.approx(
+    assert exact_trace_sums(skew12(), n, s)[0] == pytest.approx(
         FROZEN_SKEW12[(n, s)], rel=1e-12
     )
 
 
 def test_exact_trace_rademacher_frozen():
-    assert exact_expected_trace(rademacher(), 3, 3) == pytest.approx(
+    assert exact_trace_sums(rademacher(), 3, 3)[0] == pytest.approx(
         9.88888888888889, rel=1e-12
     )
     # E[Tr M^4] = 198 at n = 3, and Tr A^4 = Tr M^4 / n^2
-    assert exact_expected_trace(skew12(), 3, 2) == pytest.approx(198.0 / 9, rel=1e-12)
+    assert exact_trace_sums(skew12(), 3, 2)[0] == pytest.approx(198.0 / 9, rel=1e-12)
 
 
 def test_even_odd_split():
@@ -272,7 +271,7 @@ def test_skew12_odd_share_first_appears_at_s4():
     assert total - even == pytest.approx(
         2.3703703703704377, rel=1e-9
     )
-    assert exact_expected_trace(d, 3, 4) == pytest.approx(
+    assert exact_trace_sums(d, 3, 4)[0] == pytest.approx(
         563.6296296296297, rel=1e-12
     )
 
@@ -280,7 +279,7 @@ def test_skew12_odd_share_first_appears_at_s4():
 def test_patterns_route_matches_full():
     for d in (rademacher(), skew12()):
         for n, s in [(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2)]:
-            full = exact_expected_trace(d, n, s)
+            full = exact_trace_sums(d, n, s)[0]
             pat = exact_expected_trace_patterns(d, n, s)
             assert pat == pytest.approx(full, rel=1e-12)
             even_full = exact_trace_sums(d, n, s)[1]
@@ -301,11 +300,11 @@ def test_patterns_route_large_n():
 
 def test_enumeration_guards():
     with pytest.raises(PathSizeError):
-        exact_expected_trace(rademacher(), 30, 10)
+        exact_trace_sums(rademacher(), 30, 10)
     with pytest.raises(PathSizeError):
         exact_expected_trace_patterns(rademacher(), 4, 8)  # 1.8e8 relabeling classes
     with pytest.raises(ValueError):
-        exact_expected_trace(rademacher(), 2, 0)
+        exact_trace_sums(rademacher(), 2, 0)
     for n in (0, -3):
         with pytest.raises(ValueError):
             exact_expected_trace_patterns(rademacher(), n, 2)
@@ -315,7 +314,7 @@ def test_enumeration_guard_builds_no_huge_power():
     # n**(2s) at s = 10**8 would take minutes to build
     start = time.perf_counter()
     with pytest.raises(PathSizeError):
-        exact_expected_trace(rademacher(), 3, 10**8)
+        exact_trace_sums(rademacher(), 3, 10**8)
     assert time.perf_counter() - start < 1.0
 
 
@@ -353,9 +352,6 @@ def test_pair_functions_match_their_views(law):
     for n, s in [(1, 3), (2, 4), (3, 5), (7, 4)]:
         total = exact_trace_sums_patterns(d, n, s)[0]
         assert exact_expected_trace_patterns(d, n, s) == total
-    for n, s in [(1, 3), (2, 4), (3, 4)]:
-        total, even = exact_trace_sums(d, n, s)
-        assert exact_expected_trace(d, n, s) == total
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -465,7 +461,7 @@ def test_trace_as_weight_sum():
     for head in itertools.product(range(1, n + 1), repeat=2 * s):
         p = ClosedPath(vertices=head + (head[0],), n=n)
         total += path_weight(p, d)
-    assert total == pytest.approx(exact_expected_trace(d, n, s), rel=1e-12)
+    assert total == pytest.approx(exact_trace_sums(d, n, s)[0], rel=1e-12)
 
 
 def test_random_closed_path():
