@@ -35,7 +35,7 @@ from .ensemble import _trial_streams
 from .paths import (
     ClosedPath,
     _canonical_sequences,
-    _check_enumeration_size,
+    _check_class_count,
     _check_walk_shape,
     _edge_counts,
     _from_log,
@@ -103,8 +103,6 @@ def odd_interval_decomposition(p: ClosedPath) -> OddStructure:
     instants = nonreturned_edges(p)
     if not instants:
         raise EvenWalkError("walk has no odd edges")
-    if len(instants) % 2 != 0:
-        raise GluingError("odd count of non-returned instants; walk malformed")
     runs = []
     start = prev = instants[0]
     for j in instants[1:] + [None]:
@@ -563,8 +561,7 @@ BOUND_S_LIMIT = 2000
 
 
 def _check_depth(s: int, n: int) -> None:
-    if s < 1 or n < 1:
-        raise ValueError("s and n must be positive")
+    _check_walk_shape(n, s)
     if s > BOUND_S_LIMIT:
         raise ValueError(f"s={s} exceeds the counting-bound limit {BOUND_S_LIMIT}")
 
@@ -973,14 +970,16 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
         if sum(w.length for w in evened) != p.length - 2 * l - 2 * merge_count:
             bad("merge-length")
 
-    if (
-        decomp.outcome == "single-even"
-        and l > 0
-        and all(mult[e] >= 3 for e in odd_edges)
-    ):
+    if decomp.outcome == "single-even" and l > 0 and all(mult[e] >= 3 for e in odd_edges):
+        # every odd edge stays in the glued walk W.  W marks len(W)/2 >= edges
+        # steps, and each vertex but its origin is first reached by one, so
+        # sum_v (events(v) - 1) >= edges - vertices + 1, the cycle rank of W's
+        # graph.  The cycles are edge-disjoint closed trails in that graph, so
+        # at most its rank.  One vertex can carry two of them (an odd loop at a
+        # triangle's corner): the count of vertices with 2 events is no floor
         stats = path_statistics(decomp.walks[0])
-        crossings = sum(stats.intersection_histogram.values())
-        if crossings < cyc.cycle_count:
+        excess = sum((k - 1) * c for k, c in stats.intersection_histogram.items())
+        if excess < cyc.cycle_count:
             bad("self-intersection-floor")
 
     return (l, run_count, decomp.walk_count, cyc.cycle_count, decomp.outcome)
@@ -1006,15 +1005,13 @@ def run_invariant_suite(
     with weight n(n-1)...(n-v+1), the number of labeled walks in the class.
     ``walks_checked`` still counts all n^(2s) of them.  A violating class is
     reported once, by its representative.  A walk visits at most 2s labels,
-    so every n >= 2s has the classes of n = 2s, and the guard counts
-    min(n, 2s)^(2s) walks.  Random walks are checked one by one, with their
-    own labels: walk j is drawn from the stream of seed + j, which
-    ``ensemble._trial_streams`` gives it as it gives every Monte Carlo
-    trial."""
+    so every n >= 2s has the classes of n = 2s.  The guard counts classes,
+    as the trace sweep's does (``_check_class_count``).  Random walks are
+    checked one by one, with their own labels: walk j is drawn from the
+    stream of seed + j, which ``ensemble._trial_streams`` gives it as it
+    gives every Monte Carlo trial."""
     if exhaustive:
-        # walks, not classes as the trace sweep counts: a class's surgery
-        # costs about 25 times its weighing, and 10**8 classes would take hours
-        _check_enumeration_size(min(n, 2 * s), s)
+        _check_class_count(n, s)
     else:
         _check_walk_shape(n, s)
     if random_walks < 0:

@@ -331,18 +331,6 @@ def _weigh(dist: EntryDistribution, n: int, s: int, walks) -> tuple[float, float
     return total, even
 
 
-def walk_count_exceeds(n: int, s: int, limit: int) -> bool:
-    """True when n**(2s), the number of closed sequences, exceeds the
-    positive ``limit``; False for n < 2 or s < 1.
-
-    Decided without building a huge power: for n >= 2 the count exceeds
-    ``limit`` as soon as 2s reaches its bit length.
-    """
-    if n < 2 or s < 1:
-        return False
-    return 2 * s >= limit.bit_length() or n ** (2 * s) > limit
-
-
 def _check_walk_shape(n: int, s: int) -> None:
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -352,11 +340,11 @@ def _check_walk_shape(n: int, s: int) -> None:
 
 def _check_enumeration_size(n: int, s: int) -> None:
     _check_walk_shape(n, s)
-    # n = 1 has one walk, but it is 2s steps long: count it as 2**(2s)
-    if walk_count_exceeds(max(n, 2), s, ENUMERATION_GUARD):
-        raise PathSizeError(
-            f"{max(n, 2)}**{2 * s} exceeds the enumeration guard {ENUMERATION_GUARD}"
-        )
+    # n = 1 has one walk, 2s steps long: count it as 2**(2s).  For m >= 2, m**(2s)
+    # exceeds the guard once 2s reaches its bit length, so no huge power is built
+    m = max(n, 2)
+    if 2 * s >= ENUMERATION_GUARD.bit_length() or m ** (2 * s) > ENUMERATION_GUARD:
+        raise PathSizeError(f"{m}**{2 * s} exceeds the enumeration guard {ENUMERATION_GUARD}")
 
 
 def _check_class_count(n: int, s: int) -> int:

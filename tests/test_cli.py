@@ -393,7 +393,11 @@ def test_verify_gluing_table_is_the_benchmark_frozen_body(tmp_path):
     [
         ("3", "12", "exceeds the enumeration guard"),
         ("0", "2", "n must be at least 1"),
-        ("7", "5", "7**10 exceeds the enumeration guard"),
+        (
+            "100",
+            "7",
+            "the relabeling-class count of 14-step walks on 14 labels exceeds the enumeration guard",
+        ),
     ],
 )
 def test_verify_gluing_size_guard_exits_1(tmp_path, capsys, n, s, message):
@@ -644,6 +648,16 @@ def test_bounds_table_rejects_non_positive_scales(tmp_path, capsys, flag, value,
     assert code == 1 and rows is None
     err = capsys.readouterr().err
     assert err.splitlines() == [f"tml bounds-table: {name} must be positive, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize(
+    "s,n,message", [("0", "100", "s must be at least 1"), ("8", "0", "n must be at least 1")]
+)
+def test_bounds_table_refuses_n_and_s_below_1(tmp_path, capsys, s, n, message):
+    # the rule trace-exact and verify-gluing apply
+    code, rows, _ = run(tmp_path, "bounds-table", "--s", s, "--n", n)
+    assert code == 1 and rows is None
+    assert capsys.readouterr().err.splitlines() == [f"tml bounds-table: {message}"]
 
 
 def test_bounds_table_refuses_a_prefactor_below_1(tmp_path, capsys):

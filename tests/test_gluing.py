@@ -373,6 +373,32 @@ def test_path_statistics_glued_double_loop():
     assert crossings >= cycle_decomposition(cp(1, 1, 1, 1, 2, 2, 2, 2, 1)).cycle_count
 
 
+# the s = 6 classes on which a glued walk carries two cycles at one vertex:
+# an odd loop at a corner of an odd triangle
+TWO_CYCLES_AT_ONE_VERTEX = [
+    "1213222231231", "1213222231321", "1213222232131", "1221322231231",
+    "1221322231321", "1221322232131", "1222132231231", "1222132231321",
+    "1222132232131", "1222213213231", "1222213231231", "1222213231321",
+    "1222213232131", "1232133331231", "1232133331321", "1233213331231",
+    "1233213331321", "1233321331231", "1233321331321", "1233332131231",
+    "1233332131321", "1233332132131", "1233332312131",
+]
+
+
+def test_self_intersection_floor_counts_events_with_multiplicity():
+    p = cp(1, 2, 1, 3, 2, 2, 2, 2, 3, 1, 2, 3, 1)
+    d = glue(p)
+    assert d.walks == (cp(1, 2, 1, 3, 2, 2, 2, 3, 1, n=3),)
+    assert cycle_decomposition(p).cycles == (((1, 2), (2, 3), (1, 3)), ((2, 2),))
+    # one vertex with 2 events or more, but two excess events at it
+    assert path_statistics(d.walks[0]).events == {1: 1, 2: 3, 3: 1}
+    for verts in TWO_CYCLES_AT_ONE_VERTEX:
+        found = []
+        key = gluing._check_one(ClosedPath(vertices=tuple(map(int, verts)), n=3), found)
+        assert key[-1] == "single-even" and key[3] == 2
+        assert not found, verts
+
+
 def test_path_statistics_rejects_odd_walks():
     with pytest.raises(GluingError):
         path_statistics(cp(1, 2, 3, 1))
@@ -737,6 +763,27 @@ def test_invariant_suite_guards_the_exhaustive_sweep():
             run_invariant_suite(n, s)
     report = run_invariant_suite(3, 12, exhaustive=False, random_walks=5, seed=1)
     assert report.walks_checked == 5
+
+
+def test_invariant_suite_guard_counts_classes(monkeypatch):
+    # no sweep runs: only the guard decides
+    monkeypatch.setattr(gluing, "_canonical_sequences", lambda n, length: iter(()))
+    for n, s in [(7, 5), (100, 5), (100, 6), (4, 7), (3, 9)]:
+        assert run_invariant_suite(n, s).walks_checked == n ** (2 * s)
+    for n, s, m in [(5, 8, 5), (100, 7, 14), (3, 12, 3)]:
+        start = time.perf_counter()
+        with pytest.raises(
+            PathSizeError,
+            match=f"^the relabeling-class count of {2 * s}-step walks on {m} labels"
+            " exceeds the enumeration guard 100000000$",
+        ):
+            run_invariant_suite(n, s)
+        assert time.perf_counter() - start < 1.0
+    # every size the min(n, 2s)**(2s) walk count let through is still accepted
+    for n in [*range(1, 41), 100, 10**6]:
+        for s in range(1, 15):
+            if max(min(n, 2 * s), 2) ** (2 * s) <= 10**8:
+                run_invariant_suite(n, s)
 
 
 @pytest.mark.parametrize(

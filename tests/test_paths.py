@@ -13,6 +13,7 @@ from tml.paths import (
     ClosedPath,
     PathSizeError,
     _canonical_sequences,
+    _check_enumeration_size,
     _closed_sequences,
     _edge_counts,
     _moment_product,
@@ -26,7 +27,6 @@ from tml.paths import (
     nonreturned_edges,
     path_weight,
     random_closed_path,
-    walk_count_exceeds,
 )
 
 
@@ -329,13 +329,22 @@ def test_enumeration_guard_counts_one_vertex_as_two():
         assert time.perf_counter() - start < 1.0
 
 
-def test_walk_count_exceeds_matches_the_power():
-    for limit in (1, 2**26 - 1, 2**26, 10**7, 10**8):
-        for n in range(1, 40):
-            for s in range(1, 30):
-                assert walk_count_exceeds(n, s, limit) == (n ** (2 * s) > limit)
-        for n, s in [(0, 3), (-5, 3), (3, 0), (3, -2)]:
-            assert not walk_count_exceeds(n, s, limit)
+def test_walk_guard_refuses_exactly_past_the_power():
+    for n in range(1, 41):
+        for s in range(1, 30):
+            if max(n, 2) ** (2 * s) <= 10**8:
+                _check_enumeration_size(n, s)
+                continue
+            times = []
+            for _ in range(3):  # the fastest of three: a preempted call is not the guard's cost
+                start = time.perf_counter()
+                with pytest.raises(PathSizeError, match=f"^{max(n, 2)}\\*\\*{2 * s} exceeds"):
+                    _check_enumeration_size(n, s)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 1e-3
+    for n, s, message in [(0, 3, "n must"), (-5, 3, "n must"), (3, 0, "s must"), (3, -2, "s must")]:
+        with pytest.raises(ValueError, match=message):
+            _check_enumeration_size(n, s)
 
 
 def _three_point():
