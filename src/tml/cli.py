@@ -38,7 +38,7 @@ import time
 import zlib
 
 from . import __version__
-from .ensemble import DENSE_EIG_CUTOFF, RNG_ALGORITHM, EigensolverError, parse_distribution
+from .ensemble import DENSE_EIG_CUTOFF, RNG_ALGORITHM, EigensolverError, _check_at_least, parse_distribution
 
 _BLAS_THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 _SPECTRAL_SUBCOMMANDS = ("trace-mc", "spectrum", "edge-exceed", "concentration")
@@ -242,9 +242,8 @@ def _cmd_verify_gluing(args):
 def _cmd_bounds_table(args):
     from . import gluing, paths
 
-    for name in ("max_odd_pairs", "max_merges"):  # a negative count would drop a family silently
-        if getattr(args, name) < 0:
-            raise ValueError(f"{name} must be at least 0, got {getattr(args, name)}")
+    # a negative count would drop a family silently
+    _check_at_least(0, max_odd_pairs=args.max_odd_pairs, max_merges=args.max_merges)
     s, n = args.s, args.n
     sigma, bound_k = args.sigma, args.entry_bound
     rows: list[list] = []
@@ -286,13 +285,12 @@ def _cmd_dyck_stats(args):
     from . import paths
 
     header = ["s", "functional", "mode", "order", "trials", "seed", "parameter", "value"]
+    if args.functional in ("tensor", "beta"):  # tensor order 1 would be E[K], the windows row
+        _check_at_least(2 if args.functional == "tensor" else 1, tensor_order=args.tensor_order)
     if args.functional == "beta":  # a pure lgamma sum: the beta row loads no numpy
-        if args.s < 0:  # the sum never reads s, but the row writes it
-            raise ValueError(f"s must be at least 0, got {args.s}")
+        _check_at_least(0, s=args.s)  # the sum never reads s, but the row writes it
         value = paths.beta_sum(args.tensor_order)
         return header, [[args.s, "beta", "exact", args.tensor_order, "", "", "", value]], 0
-    if args.functional == "tensor" and args.tensor_order < 2:  # order 1 is E[K], the windows row
-        raise ValueError(f"tensor order must be at least 2, got {args.tensor_order}")
     from . import dyck
 
     rows = []
@@ -419,8 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     blas_threads = _pin_blas_threads(args)
     started = _now()
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy seeds only from integers >= 0
-            raise ValueError(f"--seed must be at least 0, got {args.seed}")
+        _check_at_least(0, seed=getattr(args, "seed", 0))  # numpy seeds only from integers >= 0
         header, rows, code = args.func(args)
         stem = _output_stem(args)
         outputs = _write_table(stem, args.format, header, rows)

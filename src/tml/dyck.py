@@ -102,8 +102,7 @@ def _dyck_steps(s: int) -> np.ndarray:
     Breadth first: each prefix, in order, is extended by +1 while it can
     still return to 0 and then by -1 while its level is above 0.
     """
-    if s < 0:
-        raise ValueError(f"s must be at least 0, got {s}")
+    ensemble._check_at_least(0, s=s)
     if s > ENUMERATION_LIMIT:
         raise DyckSizeError(f"enumeration and exact totals support s <= {ENUMERATION_LIMIT}")
     steps = np.zeros((1, 0), dtype=np.int8)
@@ -128,8 +127,7 @@ def enumerate_dyck(s: int):
 def _check_sample_size(s: int) -> None:
     """Refuse, before anything is allocated, a negative s (s = 0 samples the
     empty path) and an s whose one sampled path would not fit in physical memory."""
-    if s < 0:
-        raise ValueError(f"s must be at least 0, got {s}")
+    ensemble._check_at_least(0, s=s)
     if s > _MAX_SAMPLED_S:
         raise DyckSizeError(f"sampling supports s <= {_MAX_SAMPLED_S}")
     need = _INSTANT_BYTES * (2 * s + 1)
@@ -201,8 +199,7 @@ def _level_chunks(s: int, mode: str = "exact", trials: int = 0, seed: int = 0):
         return (_levels(steps[i : i + rows]) for i in range(0, len(steps), rows)), len(steps)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    ensemble._check_at_least(1, trials=trials)
     _check_sample_size(s)
     rows = _chunk_rows(s)
     streams = ensemble._trial_streams(seed, trials)
@@ -289,8 +286,7 @@ def k_functional_tensor(x: DyckPath, I: int) -> int:
     counts, computed by the usual one-pass recurrence with exact integers.
     Returns 0 when I exceeds the number of interior instants.
     """
-    if I < 1:
-        raise ValueError("I must be at least 1")
+    ensemble._check_at_least(1, I=I)
     return _elementary_symmetric(_window_counts(x.levels())[1:-1], I)
 
 
@@ -354,8 +350,7 @@ def expected_k_functional(
     mode "exact" enumerates every path (s <= 12); mode "mc" averages over
     ``trials`` sampled paths with derived seeds seed + t.
     """
-    if I < 1:
-        raise ValueError("I must be at least 1")
+    ensemble._check_at_least(1, I=I)
     return _mean(functools.partial(_batch_k_total, I=I), s, mode, trials, seed)
 
 
@@ -390,12 +385,10 @@ def max_level_tail(s: int, trials: int, seed: int, mode: str = "mc") -> MaxLevel
 
     Rows cover every k in [1, s]; ``trials`` in the table is the number of
     paths counted.  The fit runs over rows with at least 10 paths; it is
-    diagnostic only.  s = 0, which would leave no row, is refused before
-    any path is built, in both modes; a negative s is refused where the
-    paths are drawn.
+    diagnostic only.  s < 1, which would leave no row, is refused before
+    any path is built, in both modes.
     """
-    if s == 0:
-        raise ValueError("s must be at least 1")
+    ensemble._check_at_least(1, s=s)
     chunks, trials = _level_chunks(s, mode, trials, seed)
     counts = sum(np.bincount(levels.max(axis=1), minlength=s + 1) for levels in chunks)
     rows = tuple((k, counts[k] / trials) for k in range(1, s + 1))

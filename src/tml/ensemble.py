@@ -50,6 +50,29 @@ class EigensolverError(RuntimeError):
     loading numpy."""
 
 
+def _check_at_least(least, **values) -> None:
+    """Refuse, by name, a value below ``least``: the one wording of every argument floor."""
+    for name, value in values.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_positive(**scales: float) -> None:
+    """Reject a scale argument whose log a bound would take, by name, unless
+    it is positive and finite."""
+    for name, x in scales.items():
+        if not x > 0.0:
+            raise ValueError(f"{name} must be positive, got {x!r}")
+    _check_finite(**scales)
+
+
+def _check_finite(**values: float) -> None:
+    """Reject a NaN or infinite argument a bound would carry into its log, by name."""
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 class EntryDistribution(NamedTuple):
     """A centered finite discrete law; ``moment`` computes its moments.
 
@@ -136,8 +159,7 @@ def moment(dist: EntryDistribution, k: int) -> float:
 
     Raises DistributionError when a power x^k leaves the float range.
     """
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
+    _check_at_least(0, k=k)
     try:
         return sum(p * x**k for p, x in zip(dist.probabilities, dist.support))
     except OverflowError:
@@ -289,8 +311,7 @@ def sample_symmetric_matrix(dist: EntryDistribution, n: int, seed: int) -> Matri
     triangle mirrors it.  This is the oracle the trial kernels are tested
     against.
     """
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
+    _check_at_least(1, n=n)
     import numpy as np
 
     vals = np.random.default_rng(seed).random(n * (n + 1) // 2)

@@ -31,12 +31,11 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .ensemble import _trial_streams
+from .ensemble import _check_at_least, _check_finite, _check_positive, _trial_streams
 from .paths import (
     ClosedPath,
     _canonical_sequences,
     _check_class_count,
-    _check_walk_shape,
     _edge_counts,
     _from_log,
     _log_catalan,
@@ -226,7 +225,7 @@ def _glue_traced(p: ClosedPath) -> tuple[GluedDecomposition, OddStructure | None
     walks = tuple(ClosedPath(vertices=tuple(verts), n=p.n) for verts in grouped.values())
     if len(walks) == 1:
         outcome = "single-even"
-    elif all(w.length % 2 == 0 and is_even_path(w) for w in walks):
+    elif all(is_even_path(w) for w in walks):
         outcome = "multi-even"
     else:
         outcome = "mixed-parity"
@@ -539,29 +538,13 @@ def _logsumexp(values: list[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def _check_positive(**scales: float) -> None:
-    """Reject a scale argument whose log a bound would take, by name, unless
-    it is positive and finite."""
-    for name, x in scales.items():
-        if not x > 0.0:
-            raise ValueError(f"{name} must be positive, got {x!r}")
-    _check_finite(**scales)
-
-
-def _check_finite(**values: float) -> None:
-    """Reject a NaN or infinite argument a bound would carry into its log, by name."""
-    for name, x in values.items():
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
-
-
 # Deepest s the contribution ceilings accept (the edge scale N^(6/11) is 1874
 # at N = 10^6).  The multi-walk sum has O(s^2) terms; README gives timings.
 BOUND_S_LIMIT = 2000
 
 
 def _check_depth(s: int, n: int) -> None:
-    _check_walk_shape(n, s)
+    _check_at_least(1, s=s, n=n)
     if s > BOUND_S_LIMIT:
         raise ValueError(f"s={s} exceeds the counting-bound limit {BOUND_S_LIMIT}")
 
@@ -759,10 +742,12 @@ def typed_vertex_contribution_log(
     """
     _check_finite(growth_exponent=growth_exponent, large_type_weight=large_type_weight)
     _check_positive(sigma=sigma)
+    _check_at_least(
+        0, nonclosed_count=nonclosed_count, small_type_count=small_type_count,
+        large_type_weight=large_type_weight,
+    )
     eta = growth_exponent
     r, k1, k2 = nonclosed_count, small_type_count, large_type_weight
-    if min(r, k1) < 0 or k2 < 0:
-        raise ValueError("counts must be nonnegative")
     l = odd_pairs
     # n^(2*eta), also for an int n past the float range; inf, the vacuous
     # ceiling, once it leaves the float range
@@ -783,8 +768,7 @@ def distance_two_tail_log(s: int, complexity: int, total_nearby: float) -> float
     """Natural log of the product bound (s/kappa)^(4*kappa) * exp(-M)
     controlling walks whose some vertex sees M vertices within distance two,
     with kappa the complexity budget."""
-    if complexity < 1:
-        raise ValueError("complexity must be at least 1")
+    _check_at_least(1, complexity=complexity)
     _check_finite(total_nearby=total_nearby)
     return 4 * complexity * (math.log(s) - math.log(complexity)) - total_nearby
 
@@ -948,7 +932,8 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
         and all(merged.get(e, 0) == m - (e in odd_edges) for e, m in mult.items())
     ):
         bad("edge-conservation")
-    if any(m % 2 for m in merged.values()):
+    union_even = not any(m % 2 for m in merged.values())
+    if not union_even:
         bad("union-parity")
     if decomp.outcome in ("single-even", "multi-even"):
         if not all(is_even_path(w) for w in decomp.walks):
@@ -963,7 +948,7 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
     if not all(v in marked_vertices for v in extra):
         bad("origin-marking")
 
-    if decomp.outcome == "mixed-parity":
+    if decomp.outcome == "mixed-parity" and union_even:  # merge_odd_walks' precondition
         evened, merge_count = merge_odd_walks(list(decomp.walks))
         if not all(is_even_path(w) for w in evened):
             bad("merge-parity")
@@ -971,15 +956,16 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
             bad("merge-length")
 
     if decomp.outcome == "single-even" and l > 0 and all(mult[e] >= 3 for e in odd_edges):
-        # every odd edge stays in the glued walk W.  W marks len(W)/2 >= edges
+        # every odd edge stays in the glued walk W.  An even W marks len(W)/2
         # steps, and each vertex but its origin is first reached by one, so
-        # sum_v (events(v) - 1) >= edges - vertices + 1, the cycle rank of W's
-        # graph.  The cycles are edge-disjoint closed trails in that graph, so
-        # at most its rank.  One vertex can carry two of them (an odd loop at a
-        # triangle's corner): the count of vertices with 2 events is no floor
-        stats = path_statistics(decomp.walks[0])
-        excess = sum((k - 1) * c for k, c in stats.intersection_histogram.items())
-        if excess < cyc.cycle_count:
+        # sum_v (events(v) - 1) = len(W)/2 + 1 - vertices, at least edges -
+        # vertices + 1, the cycle rank of W's graph.  The cycles are
+        # edge-disjoint closed trails in that graph, so at most its rank.  One
+        # vertex can carry two of them (an odd loop at a triangle's corner):
+        # the count of vertices with 2 events is no floor.  The closed form
+        # also reads an odd W, which even-outcome-parity has already reported
+        w = decomp.walks[0]
+        if w.length // 2 + 1 - len(set(w.vertices)) < cyc.cycle_count:
             bad("self-intersection-floor")
 
     return (l, run_count, decomp.walk_count, cyc.cycle_count, decomp.outcome)
@@ -1013,9 +999,8 @@ def run_invariant_suite(
     if exhaustive:
         _check_class_count(n, s)
     else:
-        _check_walk_shape(n, s)
-    if random_walks < 0:
-        raise ValueError(f"random_walks must be at least 0, got {random_walks}")
+        _check_at_least(1, s=s, n=n)
+    _check_at_least(0, random_walks=random_walks)
     if not exhaustive and not random_walks:
         raise ValueError("nothing to check: the exhaustive sweep is skipped and random_walks is 0")
     found: list[tuple[str, tuple[int, ...]]] = []

@@ -30,7 +30,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .ensemble import EntryDistribution, moment
+from .ensemble import EntryDistribution, _check_at_least, moment
 
 ENUMERATION_GUARD = 10**8
 
@@ -58,8 +58,7 @@ class ClosedPath(_ClosedPathFields):
             raise ValueError("a closed path needs at least its origin")
         if vertices[0] != vertices[-1]:
             raise ValueError("path is not closed")
-        if n < 1:
-            raise ValueError("vertex count must be positive")
+        _check_at_least(1, n=n)
         for v in vertices:
             if not (1 <= v <= n):
                 raise ValueError(f"vertex {v} outside [1..{n}]")
@@ -86,8 +85,7 @@ class ClosedPath(_ClosedPathFields):
 
 def catalan(s: int) -> int:
     """(2s)! / (s! (s+1)!) as an exact integer."""
-    if s < 0:
-        raise ValueError("negative order")
+    _check_at_least(0, s=s)
     return math.comb(2 * s, s) // (s + 1)
 
 
@@ -115,8 +113,7 @@ def beta_sum(I: int) -> float:
     The k-th term is the Beta function of the two half-integer arguments;
     beta_sum(1) = pi and beta_sum(2) = 8/3.
     """
-    if I < 1:
-        raise ValueError("I must be at least 1")
+    _check_at_least(1, I=I)
     total = 0.0
     for k in range(I):
         a = 1.5 * k + 0.5
@@ -331,15 +328,8 @@ def _weigh(dist: EntryDistribution, n: int, s: int, walks) -> tuple[float, float
     return total, even
 
 
-def _check_walk_shape(n: int, s: int) -> None:
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-
-
 def _check_enumeration_size(n: int, s: int) -> None:
-    _check_walk_shape(n, s)
+    _check_at_least(1, s=s, n=n)
     # n = 1 has one walk, 2s steps long: count it as 2**(2s).  For m >= 2, m**(2s)
     # exceeds the guard once 2s reaches its bit length, so no huge power is built
     m = max(n, 2)
@@ -357,7 +347,7 @@ def _check_class_count(n: int, s: int) -> int:
     the guard's bit length is refused at once, and the Stirling recurrence
     runs over at most 27 rows.
     """
-    _check_walk_shape(n, s)
+    _check_at_least(1, s=s, n=n)
     length = 2 * s
     m = min(max(n, 2), length)
     if length - 1 < ENUMERATION_GUARD.bit_length():

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ensemble
-from .ensemble import DENSE_EIG_CUTOFF, EigensolverError, EntryDistribution
+from .ensemble import DENSE_EIG_CUTOFF, EigensolverError, EntryDistribution, _check_at_least, _check_finite
 from .paths import _from_log, _log_catalan, _log_main_term, catalan
 
 DEFAULT_TOLERANCE = 1e-10
@@ -196,8 +196,7 @@ def trace_power(a: np.ndarray, s: int) -> float:
     """Tr a^(2s) for symmetric a, by repeated squaring.  It reads no
     eigenvalue, so it is the trial kernel's independent per-matrix oracle
     for the trace; the two agree to rounding."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
+    _check_at_least(1, s=s)
     return float(np.trace(np.linalg.matrix_power(_check_symmetric(a), 2 * s)))
 
 
@@ -273,12 +272,9 @@ def trial_values(
     """
     if statistic not in ("lambda_max", "trace", "spectrum"):
         raise ValueError(f"unknown trial statistic {statistic!r}")
-    if statistic == "trace" and s < 1:
-        raise ValueError("s must be at least 1")
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if statistic == "trace":
+        _check_at_least(1, s=s)
+    _check_at_least(1, n=n, trials=trials)
     chunk = max(1, BATCH_BYTES // (8 * n * n))
     check_matrix_memory(n, min(chunk, trials), statistic)
     support = np.asarray(dist.support) / np.sqrt(n)
@@ -413,8 +409,7 @@ def edge_exceedance_experiment(
     """Sample matrices and count how often the top eigenvalue of the
     normalized matrix exceeds the threshold 2*sigma + n^(-6/11 + epsilon),
     inf past the float range.  A non-finite epsilon is refused before sampling."""
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_finite(epsilon=epsilon)
     values = trial_values(dist, n, trials, seed, "lambda_max").tolist()
     try:
         threshold = 2.0 * dist.sigma + float(n) ** (EDGE_EXPONENT + epsilon)
@@ -444,10 +439,8 @@ class ConcentrationRow(NamedTuple):
 
 def concentration_bound(t: float) -> float:
     """The ceiling min(1, 4*exp(-t^2/32)) for deviations K*t/sqrt(n)."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_finite(t=t)
+    _check_at_least(0, t=t)
     return min(1.0, 4.0 * math.exp(-t * t / 32.0))
 
 
@@ -466,8 +459,7 @@ def concentration_experiment(
     trial counts used here.  An empty t list, or a negative or non-finite
     t, is refused before sampling.
     """
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    _check_at_least(2, trials=trials)
     ts = [float(t) for t in t_values]
     if not ts:
         raise ValueError("need at least one t value")

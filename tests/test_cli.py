@@ -429,8 +429,8 @@ def test_verify_gluing_skip_exhaustive_skips_the_guard(tmp_path, capsys):
 
 def test_verify_gluing_rejects_bad_shapes_in_one_line(tmp_path, capsys):
     for argv, message in [
-        (("--n", "3", "--s", "0", "--skip-exhaustive", "--random", "5"), "s must be at least 1"),
-        (("--n", "0", "--s", "2", "--skip-exhaustive", "--random", "5"), "n must be at least 1"),
+        (("--n", "3", "--s", "0", "--skip-exhaustive", "--random", "5"), "s must be at least 1, got 0"),
+        (("--n", "0", "--s", "2", "--skip-exhaustive", "--random", "5"), "n must be at least 1, got 0"),
         (("--n", "3", "--s", "2", "--random", "-4"), "random_walks must be at least 0, got -4"),
     ]:
         code, rows, _ = run(tmp_path, "verify-gluing", *argv)
@@ -459,6 +459,48 @@ def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(gluing, "run_invariant_suite", broken)
     code, _, _ = run(tmp_path, "verify-gluing", "--n", "2", "--s", "1")
     assert code == 2
+
+
+def _uncut_single_walk(decomp, p):
+    # the glue forgets its cut: the single walk keeps p's odd edges
+    if decomp.outcome == "single-even" and decomp.odd_pairs:
+        return decomp._replace(walks=(p,))
+    return decomp
+
+
+def _lost_odd_walk(decomp, p):
+    # the glue loses one odd walk, so the walks left have an odd union
+    if decomp.outcome != "mixed-parity":
+        return decomp
+    drop = next(i for i, w in enumerate(decomp.walks) if not paths.is_even_path(w))
+    return decomp._replace(walks=decomp.walks[:drop] + decomp.walks[drop + 1 :])
+
+
+@pytest.mark.parametrize(
+    "breach,tag", [(_uncut_single_walk, "even-outcome-parity"), (_lost_odd_walk, "union-parity")]
+)
+def test_verify_gluing_reports_a_broken_glue_with_exit_2(tmp_path, capsys, monkeypatch, breach, tag):
+    # the self-intersection floor and the merge step each raised on a glue
+    # that broke their precondition, so the sweep exited 1 and named no walk
+    real = gluing._glue_traced
+
+    def broken(p):
+        decomp, structure, partner = real(p)
+        return breach(decomp, p), structure, partner
+
+    monkeypatch.setattr(gluing, "_glue_traced", broken)
+    code, rows, _ = run(tmp_path, "verify-gluing", "--n", "3", "--s", "4")
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"checked 6561 walks, [1-9]\d* violations\n", out)
+    listed = [re.fullmatch(r"violation ([a-z-]+): (\(.*\))", line) for line in err.splitlines()]
+    assert listed and all(listed)
+    assert tag in {m[1] for m in listed}
+    for m in listed:  # every listed walk is one the breach changed
+        p = paths.ClosedPath(tuple(int(v) for v in re.findall(r"\d+", m[2])), 3)
+        assert breach(real(p)[0], p) != real(p)[0]
+    # every class still adds its histogram key, weighted by its labelings
+    assert sum(int(r["count"]) for r in rows) == 3**8
 
 
 def test_dyck_stats_exact_values(tmp_path):
@@ -526,13 +568,14 @@ def test_dyck_stats_maxlevel_modes(tmp_path, capsys):
     "functional", [["windows"], ["stay"], ["tensor", "--tensor-order", "3"], ["maxlevel"], ["beta"]]
 )
 def test_dyck_stats_exact_negative_s_names_s(tmp_path, capsys, functional):
+    least = 1 if functional == ["maxlevel"] else 0  # maxlevel has no row at s = 0
     for mode in ("exact", "mc"):
         code = cli.main([
             "dyck-stats", "--functional", *functional, "--s", "-2", "--mode", mode,
             "--output-dir", str(tmp_path),
         ])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 0, got -2"]
+        assert capsys.readouterr().err.splitlines() == [f"tml dyck-stats: s must be at least {least}, got -2"]
         assert not list(tmp_path.iterdir())
 
 
@@ -554,7 +597,7 @@ def test_dyck_stats_exact_s0(tmp_path, capsys):
             "--output-dir", str(out),
         ])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 1"]
+        assert capsys.readouterr().err.splitlines() == ["tml dyck-stats: s must be at least 1, got 0"]
         assert not out.exists()
 
 
@@ -596,7 +639,7 @@ def test_dyck_stats_tensor_order_below_2_is_refused(tmp_path, capsys, mode):
         ])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"tml dyck-stats: tensor order must be at least 2, got {order}"
+            f"tml dyck-stats: tensor_order must be at least 2, got {order}"
         ]
         assert not list(tmp_path.iterdir())
 
@@ -657,7 +700,7 @@ def test_bounds_table_refuses_n_and_s_below_1(tmp_path, capsys, s, n, message):
     # the rule trace-exact and verify-gluing apply
     code, rows, _ = run(tmp_path, "bounds-table", "--s", s, "--n", n)
     assert code == 1 and rows is None
-    assert capsys.readouterr().err.splitlines() == [f"tml bounds-table: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"tml bounds-table: {message}, got 0"]
 
 
 def test_bounds_table_refuses_a_prefactor_below_1(tmp_path, capsys):
@@ -1280,3 +1323,57 @@ def test_matrix_size_guard_uses_physical_memory(tmp_path, monkeypatch, capsys):
     code, _, _ = run(tmp_path, "spectrum", "--dist", "rademacher", "--n", "12")
     assert code == 1
     assert "needs 1575360 bytes" in capsys.readouterr().err
+
+
+_SKEW_N3 = ("--dist", "skew12", "--n", "3")
+_FLOORS = [
+    *[(argv, "n", 1, 0) for argv in (
+        ["trace-mc", "--dist", "skew12", "--n", "0", "--s", "2", "--trials", "2"],
+        ["trace-exact", "--dist", "skew12", "--n", "0", "--s", "2"],
+        ["spectrum", "--dist", "skew12", "--n", "0"],
+        ["edge-exceed", "--dist", "skew12", "--n", "0", "--trials", "2", "--epsilon", "0.05"],
+        ["concentration", "--dist", "skew12", "--n", "0", "--trials", "2"],
+        ["verify-gluing", "--n", "0", "--s", "2"],
+        ["bounds-table", "--n", "0", "--s", "8"],
+    )],
+    *[(argv, "s", 1, 0) for argv in (
+        ["trace-mc", *_SKEW_N3, "--s", "0", "--trials", "2"],
+        ["trace-exact", *_SKEW_N3, "--s", "0"],
+        ["verify-gluing", "--n", "3", "--s", "0"],
+        ["bounds-table", "--n", "100", "--s", "0"],
+    )],
+    *[(argv, "trials", 1, 0) for argv in (
+        ["trace-mc", *_SKEW_N3, "--s", "2", "--trials", "0"],
+        ["spectrum", *_SKEW_N3, "--trials", "0"],
+        ["edge-exceed", *_SKEW_N3, "--trials", "0", "--epsilon", "0.05"],
+        ["dyck-stats", "--s", "3", "--mode", "mc", "--trials", "0"],
+    )],
+    (["concentration", *_SKEW_N3, "--trials", "1"], "trials", 2, 1),
+    (["verify-gluing", "--n", "3", "--s", "2", "--random", "-1"], "random_walks", 0, -1),
+    (["bounds-table", "--n", "100", "--s", "8", "--max-odd-pairs", "-1"], "max_odd_pairs", 0, -1),
+    (["bounds-table", "--n", "100", "--s", "8", "--max-merges", "-1"], "max_merges", 0, -1),
+    *[
+        (["dyck-stats", "--functional", functional, "--mode", mode, "--s", "-1"], "s", 0, -1)
+        for functional in ("windows", "stay", "tensor")
+        for mode in ("exact", "mc")
+    ],
+    *[
+        (["dyck-stats", "--functional", "maxlevel", "--mode", mode, "--s", s], "s", 1, int(s))
+        for s in ("0", "-2")
+        for mode in ("exact", "mc")
+    ],
+    (["dyck-stats", "--s", "3", "--functional", "tensor", "--tensor-order", "1"], "tensor_order", 2, 1),
+    (["dyck-stats", "--s", "3", "--functional", "beta", "--tensor-order", "0"], "tensor_order", 1, 0),
+    (["trace-mc", *_SKEW_N3, "--s", "2", "--trials", "2", "--seed", "-1"], "seed", 0, -1),
+]
+
+
+@pytest.mark.parametrize("argv,name,least,value", _FLOORS, ids=[" ".join(c[0]) for c in _FLOORS])
+def test_every_argument_floor_is_refused_in_one_form(tmp_path, capsys, argv, name, least, value):
+    # one rule for every floor: exit 1, one line naming the argument, the
+    # floor and the value, and no file written
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"tml {argv[0]}: {name} must be at least {least}, got {value}"
+    ]
+    assert not list(tmp_path.iterdir())

@@ -294,5 +294,5 @@ def test_negative_seed_is_refused_before_any_draw():
 ])
 def test_negative_seed_exits_1_in_one_line(tmp_path, capsys, argv):
     assert cli.main([*argv, "--seed", "-2", "--output-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"tml {argv[0]}: --seed must be at least 0, got -2"]
+    assert capsys.readouterr().err.splitlines() == [f"tml {argv[0]}: seed must be at least 0, got -2"]
     assert list(tmp_path.iterdir()) == []

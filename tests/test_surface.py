@@ -114,3 +114,28 @@ def _default_rng_callers() -> set[tuple[str, str]]:
 def test_only_the_oracles_seed_their_own_generator():
     # every other random draw takes trial j from seed + j through ensemble._trial_streams
     assert _default_rng_callers() == {("dyck", "sample_dyck"), ("ensemble", "sample_symmetric_matrix")}
+
+
+def _floor_wordings() -> list[tuple[str, ast.Constant]]:
+    """(module, node) for every string constant in the package that words
+    an argument floor."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        module = os.path.basename(path)[:-3]
+        found += [
+            (module, node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be at least" in node.value
+        ]
+    return found
+
+
+def test_one_helper_words_every_argument_floor():
+    # every floor is refused through ensemble._check_at_least, in its one form
+    with open(os.path.join(SRC_DIR, "ensemble.py")) as fh:
+        tree = ast.parse(fh.read())
+    helper = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_check_at_least")
+    [(module, node)] = _floor_wordings()
+    assert module == "ensemble" and helper.lineno <= node.lineno <= helper.end_lineno
