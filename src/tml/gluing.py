@@ -16,7 +16,7 @@ of the union is then even.  Three outcomes are distinguished:
   every walk is even.
 
 The reassembly also pairs up the runs of removed odd edges into closed
-cycles; the cycle count and size histogram feed the refined counting bounds.
+cycles; the cycle count feeds the refined counting bounds.
 The reverse direction, re-inserting odd edges into an even walk, is only
 ever counted, never sampled: ``enumerate_insertions`` provides a brute-force
 fiber oracle at toy sizes and the ``*_bound`` and ``*_log`` functions
@@ -73,10 +73,6 @@ class OddRun(NamedTuple):
     last_instant: int
     depart_vertex: int
     arrive_vertex: int
-
-    @property
-    def size(self) -> int:
-        return self.last_instant - self.first_instant + 1
 
     def instants(self) -> range:
         return range(self.first_instant, self.last_instant + 1)
@@ -303,25 +299,14 @@ def _pairing_count_by_search(p: ClosedPath) -> int:
 
 
 class CycleDecomposition(NamedTuple):
-    """The removed odd edges organized into closed cycles.
-
-    cycles holds, per cycle, the odd-edge keys in traversal order; sizes,
-    computed on demand, maps a cycle edge-count to the number of cycles
-    with that many edges.  The repr lists both.
-    """
+    """The removed odd edges organized into closed cycles: cycles holds, per
+    cycle, the odd-edge keys in traversal order."""
 
     cycles: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def cycle_count(self) -> int:
         return len(self.cycles)
-
-    @property
-    def sizes(self) -> dict[int, int]:
-        return dict(sorted(Counter(len(c) for c in self.cycles).items()))
-
-    def __repr__(self) -> str:
-        return f"CycleDecomposition(cycles={self.cycles!r}, sizes={self.sizes!r})"
 
 
 def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
@@ -422,91 +407,6 @@ def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[l
     return [ClosedPath(vertices=tuple(s), n=n) for s in seqs], merges
 
 
-# ---------- complexity statistics of an even walk ----------
-
-
-class WalkStatistics(NamedTuple):
-    """Self-intersection bookkeeping for an even closed walk.
-
-    events(v) counts marked arrivals at v, plus one for the walk origin;
-    intersection_histogram maps k >= 2 to the number of vertices with
-    exactly k events.  nonclosed_count counts vertices with 2 events whose
-    marked arrivals cannot each be matched to a distinct later unmarked
-    departure along the same edge.  complexity adds k * (count of k-event
-    vertices) over k > 2 to that.  edge_degrees maps each vertex to its
-    number of distinct incident edges (a loop counts once) and
-    nearby_counts(v) sums the degrees of the neighbors of v (v itself
-    included when a loop sits at v).
-    """
-
-    complexity: int
-    nonclosed_count: int
-    intersection_histogram: dict[int, int]
-    max_edge_degree: int
-    edge_degrees: dict[int, int]
-    nearby_counts: dict[int, int]
-    events: dict[int, int]
-
-
-def _vertex_closed(p: ClosedPath, v: int, marked: set[int]) -> bool:
-    """Every marked arrival at v is matched, injectively and in order, to a
-    later unmarked departure from v along the same edge."""
-    arrivals = [t for t in sorted(marked) if p.vertices[t] == v]
-    used: set[int] = set()
-    for t in arrivals:
-        e = edge_key(p.vertices[t - 1], p.vertices[t])
-        found = None
-        for t2 in range(t + 1, p.length + 1):
-            if t2 in used or t2 in marked:
-                continue
-            if p.vertices[t2 - 1] == v and edge_key(p.vertices[t2 - 1], p.vertices[t2]) == e:
-                found = t2
-                break
-        if found is None:
-            return False
-        used.add(found)
-    return True
-
-
-def path_statistics(p: ClosedPath) -> WalkStatistics:
-    """Statistics used by the insertion-counting bounds; even walks only."""
-    if not is_even_path(p):
-        raise GluingError("statistics are defined for even walks")
-    marked = marked_instants(p)
-    events = {p.origin: 1}
-    for t in marked:
-        events[p.vertices[t]] = events.get(p.vertices[t], 0) + 1
-    hist: dict[int, int] = {}
-    for k in events.values():
-        if k >= 2:
-            hist[k] = hist.get(k, 0) + 1
-
-    r = 0
-    for v, k in events.items():
-        if k == 2 and not _vertex_closed(p, v, marked):
-            r += 1
-    complexity = r + sum(k * c for k, c in hist.items() if k > 2)
-
-    degrees: dict[int, set[tuple[int, int]]] = {}  # vertex -> its edges
-    for u, v in edge_multiplicities(p):
-        degrees.setdefault(u, set()).add((u, v))
-        degrees.setdefault(v, set()).add((u, v))
-    edge_degrees = {v: len(c) for v, c in degrees.items()}
-    nearby = {}
-    for v, c in degrees.items():
-        neighbors = {u2 if u1 == v else u1 for (u1, u2) in c}
-        nearby[v] = sum(edge_degrees[w] for w in neighbors)
-    return WalkStatistics(
-        complexity=complexity,
-        nonclosed_count=r,
-        intersection_histogram=dict(sorted(hist.items())),
-        max_edge_degree=max(edge_degrees.values(), default=0),
-        edge_degrees=edge_degrees,
-        nearby_counts=nearby,
-        events=dict(sorted(events.items())),
-    )
-
-
 # ---------- counting bounds ----------
 
 
@@ -604,8 +504,7 @@ def multi_walk_contribution_bound(
     """
     _check_depth(s, n)
     _check_positive(sigma=sigma, entry_bound=entry_bound, prefactor=prefactor)
-    if prefactor < 1.0:
-        raise ValueError("prefactor must be >= 1")
+    _check_at_least(1, prefactor=prefactor)
     log_4p = math.log(4) + math.log(prefactor)
     log_kc = math.log(entry_bound) + math.log(CONVOLUTION_CONST)
     log_fact = [math.lgamma(i + 1) for i in range(2 * s + 1)]  # log i!

@@ -704,10 +704,10 @@ def test_bounds_table_refuses_n_and_s_below_1(tmp_path, capsys, s, n, message):
 
 
 def test_bounds_table_refuses_a_prefactor_below_1(tmp_path, capsys):
-    # both families take the one prefactor, and the multi-walk bound needs it >= 1
+    # both families take the one prefactor, and the multi-walk bound needs it at least 1
     code, rows, _ = run(tmp_path, "bounds-table", "--s", "8", "--n", "1000", "--prefactor", "0.5")
     assert code == 1 and rows is None
-    assert capsys.readouterr().err.splitlines() == ["tml bounds-table: prefactor must be >= 1"]
+    assert capsys.readouterr().err.splitlines() == ["tml bounds-table: prefactor must be at least 1, got 0.5"]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from tml.gluing import (
     mixed_parity_reduction_bound,
     multi_walk_contribution_bound,
     odd_interval_decomposition,
-    path_statistics,
     power_sum_ratio,
     run_invariant_suite,
     single_walk_contribution_bound,
@@ -77,7 +76,7 @@ def test_odd_interval_decomposition_fixture():
     assert (r0.depart_vertex, r0.arrive_vertex) == (1, 1)
     assert (r1.first_instant, r1.last_instant) == (3, 3)
     assert (r1.depart_vertex, r1.arrive_vertex) == (2, 2)
-    assert r0.size == 1 and list(r1.instants()) == [3]
+    assert len(r0.instants()) == 1 and list(r1.instants()) == [3]
 
 
 def test_odd_interval_decomposition_consecutive_run():
@@ -233,14 +232,14 @@ def test_count_gluings_matches_search_exhaustively():
 def test_cycle_decomposition_two_loops():
     c = cycle_decomposition(cp(1, 1, 2, 2, 1))
     assert c.cycle_count == 2
-    assert c.sizes == {1: 2}
+    assert Counter(len(cy) for cy in c.cycles) == {1: 2}
     assert sorted(c.cycles) == [(((1, 1)),), (((2, 2)),)]
 
 
 def test_cycle_decomposition_single_run():
     c = cycle_decomposition(cp(1, 2, 2, 3, 4, 2, 1))
     assert c.cycle_count == 1
-    assert c.sizes == {4: 1}
+    assert Counter(len(cy) for cy in c.cycles) == {4: 1}
     assert Counter(c.cycles[0]) == Counter(
         [(2, 2), (2, 3), (3, 4), (2, 4)]
     )
@@ -249,12 +248,12 @@ def test_cycle_decomposition_single_run():
 def test_cycle_decomposition_multi_even():
     c = cycle_decomposition(cp(1, 2, 3, 2, 3, 3, 1))
     assert c.cycle_count == 1
-    assert c.sizes == {4: 1}
+    assert Counter(len(cy) for cy in c.cycles) == {4: 1}
 
 
 def test_cycle_decomposition_even_walk():
     c = cycle_decomposition(cp(1, 2, 1))
-    assert c.cycle_count == 0 and c.sizes == {}
+    assert c.cycle_count == 0 and Counter(len(cy) for cy in c.cycles) == {}
 
 
 @given(even_length_walks)
@@ -326,14 +325,18 @@ def test_surgery_record_frozen_at_n3():
     # closed walk with n = 3 and s = 1..4 in odometer order.  The digest was
     # computed by this loop on the reassembly that still kept its endpoint
     # pairing as (fragment, side) tuples, so it pins walk order, origins and
-    # cycle edge order across the move to integer slots.
+    # cycle edge order across the move to integer slots.  The cycle line
+    # keeps the form the digest was taken in: the cycles, then the histogram
+    # of their sizes.
     digest = hashlib.sha256()
     walks = 0
     for s in range(1, 5):
         for head in itertools.product(range(1, 4), repeat=2 * s):
             p = ClosedPath(vertices=head + (head[0],), n=3)
             d = glue(p)
-            digest.update(f"{d!r}\n{cycle_decomposition(p)!r}\n".encode())
+            cycles = cycle_decomposition(p).cycles
+            sizes = dict(sorted(Counter(len(c) for c in cycles).items()))
+            digest.update(f"{d!r}\nCycleDecomposition(cycles={cycles!r}, sizes={sizes!r})\n".encode())
             if d.outcome == "mixed-parity":
                 digest.update(f"{merge_odd_walks(d.walks)!r}\n".encode())
             walks += 1
@@ -341,36 +344,31 @@ def test_surgery_record_frozen_at_n3():
     assert digest.hexdigest() == "1ef0473492411010ffb3910eface28268ad6de54db78598de85a9febc1d3ce10"
 
 
-# ---------- walk statistics ----------
+# ---------- the self-intersection floor ----------
 
 
-def test_path_statistics_star():
-    stats = path_statistics(cp(1, 2, 1, 3, 1, 2, 1, 3, 1))
-    assert stats.events == {1: 1, 2: 2, 3: 2}
-    assert stats.intersection_histogram == {2: 2}
-    assert stats.nonclosed_count == 0
-    assert stats.complexity == 0
-    assert stats.edge_degrees == {1: 2, 2: 1, 3: 1}
-    assert stats.max_edge_degree == 2
-    assert stats.nearby_counts == {1: 2, 2: 2, 3: 2}
+def _events(w):
+    """events(v): the marked arrivals at v, plus one at the walk's origin."""
+    return Counter([w.origin] + [w.vertices[t] for t in marked_instants(w)])
 
 
-def test_path_statistics_loop():
-    stats = path_statistics(cp(1, 1, 1))
-    assert stats.events == {1: 2}
-    assert stats.intersection_histogram == {2: 1}
-    assert stats.nonclosed_count == 0
-    # the loop makes vertex 1 its own neighbor
-    assert stats.nearby_counts == {1: 1}
-
-
-def test_path_statistics_glued_double_loop():
-    d = glue(cp(1, 1, 1, 1, 2, 2, 2, 2, 1))
-    stats = path_statistics(d.walks[0])
-    assert stats.events == {1: 2, 2: 2}
-    assert stats.intersection_histogram == {2: 2}
-    crossings = sum(stats.intersection_histogram.values())
-    assert crossings >= cycle_decomposition(cp(1, 1, 1, 1, 2, 2, 2, 2, 1)).cycle_count
+def test_self_intersection_floor_closed_form():
+    # the suite's floor reads the excess events of the glued walk W as
+    # len(W)/2 + 1 - vertices: every single-even class at n = 3, s <= 5 agrees
+    floor_classes = Counter()
+    for s in range(1, 6):
+        for verts, _, counts in _canonical_sequences(3, 2 * s):
+            d = glue(ClosedPath(vertices=verts, n=3))
+            if d.outcome != "single-even":
+                continue
+            w = d.walks[0]
+            excess = sum(k - 1 for k in _events(w).values())
+            assert w.length // 2 + 1 - len(set(w.vertices)) == excess, verts
+            odd = [m for m in counts.values() if m % 2]
+            if odd and min(odd) >= 3:
+                floor_classes[s] += 1
+    # the classes the floor reads: every odd edge traversed 3 times or more
+    assert floor_classes == {4: 4, 5: 95}
 
 
 # the s = 6 classes on which a glued walk carries two cycles at one vertex:
@@ -391,42 +389,12 @@ def test_self_intersection_floor_counts_events_with_multiplicity():
     assert d.walks == (cp(1, 2, 1, 3, 2, 2, 2, 3, 1, n=3),)
     assert cycle_decomposition(p).cycles == (((1, 2), (2, 3), (1, 3)), ((2, 2),))
     # one vertex with 2 events or more, but two excess events at it
-    assert path_statistics(d.walks[0]).events == {1: 1, 2: 3, 3: 1}
+    assert _events(d.walks[0]) == {1: 1, 2: 3, 3: 1}
     for verts in TWO_CYCLES_AT_ONE_VERTEX:
         found = []
         key = gluing._check_one(ClosedPath(vertices=tuple(map(int, verts)), n=3), found)
         assert key[-1] == "single-even" and key[3] == 2
         assert not found, verts
-
-
-def test_path_statistics_rejects_odd_walks():
-    with pytest.raises(GluingError):
-        path_statistics(cp(1, 2, 3, 1))
-
-
-def test_path_statistics_nonclosed_vertex():
-    # doubled triangle: the marked arrival at the origin along {1,3} has no
-    # later unmarked departure on that edge, so vertex 1 stays non-closed
-    p = cp(1, 2, 3, 1, 2, 3, 1)
-    stats = path_statistics(p)
-    assert stats.events == {1: 2, 2: 1, 3: 1}
-    assert stats.nonclosed_count == 1
-    assert stats.complexity == 1
-
-
-@given(even_length_walks)
-def test_path_statistics_invariants(p):
-    d = glue(p)
-    if d.outcome != "single-even":
-        return
-    stats = path_statistics(d.walks[0])
-    w = d.walks[0]
-    assert sum(stats.events.values()) == len(marked_instants(w)) + 1
-    assert stats.complexity >= stats.nonclosed_count >= 0
-    assert all(k >= 2 for k in stats.intersection_histogram)
-    for v, deg in stats.edge_degrees.items():
-        assert 1 <= deg <= stats.max_edge_degree
-        assert stats.nearby_counts[v] >= 1
 
 
 # ---------- insertion-counting bounds ----------
