@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 RNG_ALGORITHM = "numpy-PCG64"
 DENSE_EIG_CUTOFF = 64  # spectral solves go dense below this n, Lanczos from it up; the CLI reads it too
@@ -73,25 +73,21 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {x!r}")
 
 
-class EntryDistribution(NamedTuple):
+class EntryDistribution(
+    namedtuple("EntryDistribution", "support probabilities sigma bound_K name", defaults=("custom",))
+):
     """A centered finite discrete law; ``moment`` computes its moments.
 
     ``bound_K`` is max |x| over the support, so |E[x^k]| <= bound_K**k.
     """
 
-    support: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    sigma: float
-    bound_K: float
-    name: str = "custom"
+    __slots__ = ()
 
 
-class MatrixSample(NamedTuple):
+class MatrixSample(namedtuple("MatrixSample", "n entries seed")):
     """One sampled symmetric matrix with its generating seed."""
 
-    n: int
-    entries: np.ndarray
-    seed: int
+    __slots__ = ()
 
     @property
     def normalized_view(self) -> np.ndarray:

@@ -16,7 +16,9 @@ of the union is then even.  Three outcomes are distinguished:
   every walk is even.
 
 The reassembly also pairs up the runs of removed odd edges into closed
-cycles; the cycle count feeds the refined counting bounds.
+cycles; the cycle count feeds the refined counting bounds.  One pass,
+``_surgery``, finds all of it from a vertex tuple and its edge counts; the
+public functions are views of it, and the invariant suite reads its record.
 The reverse direction, re-inserting odd edges into an even walk, is only
 ever counted, never sampled: ``enumerate_insertions`` provides a brute-force
 fiber oracle at toy sizes and the ``*_bound`` and ``*_log`` functions
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from typing import NamedTuple
+import sys
+import time
+from collections import Counter, namedtuple
 
 from .ensemble import _check_at_least, _check_finite, _check_positive, _trial_streams
 from .paths import (
@@ -44,8 +47,6 @@ from .paths import (
     edge_key,
     edge_multiplicities,
     is_even_path,
-    marked_instants,
-    nonreturned_edges,
     random_closed_path,
 )
 
@@ -58,10 +59,10 @@ class EvenWalkError(GluingError):
     """Raised when an operation requiring odd edges receives an even walk."""
 
 
-# ---------- odd-run structure ----------
+# ---------- the surgery records ----------
 
 
-class OddRun(NamedTuple):
+class OddRun(namedtuple("OddRun", "first_instant last_instant depart_vertex arrive_vertex")):
     """One maximal run of consecutive non-returned instants.
 
     Instants are 1-based; instant j is the step vertices[j-1] -> vertices[j].
@@ -69,84 +70,31 @@ class OddRun(NamedTuple):
     rejoins it.
     """
 
-    first_instant: int
-    last_instant: int
-    depart_vertex: int
-    arrive_vertex: int
+    __slots__ = ()
 
     def instants(self) -> range:
         return range(self.first_instant, self.last_instant + 1)
 
 
-class OddStructure(NamedTuple):
-    runs: tuple[OddRun, ...]
-    odd_pairs: int  # half the number of non-returned instants
+class OddStructure(namedtuple("OddStructure", "runs odd_pairs")):
+    """The runs of a walk; odd_pairs is half the number of non-returned instants."""
+
+    __slots__ = ()
 
     @property
     def run_count(self) -> int:
         return len(self.runs)
 
 
-def odd_interval_decomposition(p: ClosedPath) -> OddStructure:
-    """Split the non-returned instants of an even-length closed walk into
-    maximal runs of consecutive instants.
-
-    Raises EvenWalkError when the walk has no odd edges.
-    """
-    if p.length % 2 != 0:
-        raise GluingError("walk length must be even")
-    instants = nonreturned_edges(p)
-    if not instants:
-        raise EvenWalkError("walk has no odd edges")
-    runs = []
-    start = prev = instants[0]
-    for j in instants[1:] + [None]:
-        if j is not None and j == prev + 1:
-            prev = j
-            continue
-        runs.append(
-            OddRun(
-                first_instant=start,
-                last_instant=prev,
-                depart_vertex=p.vertices[start - 1],
-                arrive_vertex=p.vertices[prev],
-            )
-        )
-        if j is not None:
-            start = prev = j
-    return OddStructure(runs=tuple(runs), odd_pairs=len(instants) // 2)
-
-
-def _fragments(p: ClosedPath, runs: tuple[OddRun, ...]) -> list[tuple[int, ...]]:
-    """The J+1 vertex fragments left when the runs are cut out.
-
-    Fragment 0 starts at the walk origin and ends where run 1 departs;
-    fragment i starts where run i arrives and ends where run i+1 departs;
-    the last fragment ends back at the origin.  Interior fragments always
-    carry at least one step because runs are maximal.
-    """
-    verts = p.vertices
-    out = [tuple(verts[: runs[0].first_instant])]
-    for i in range(len(runs) - 1):
-        out.append(tuple(verts[runs[i].last_instant : runs[i + 1].first_instant]))
-    out.append(tuple(verts[runs[-1].last_instant :]))
-    return out
-
-
-# ---------- the reassembly ----------
-
-
-class GluedDecomposition(NamedTuple):
+class GluedDecomposition(namedtuple("GluedDecomposition", "walks origins odd_pairs outcome")):
     """Closed walks produced by the reassembly, grouped by chain origin.
 
     origins[0] is the input walk's origin; later origins are arrival
     vertices of marked instants of the input walk, pairwise distinct.
+    outcome is "single-even", "multi-even" or "mixed-parity".
     """
 
-    walks: tuple[ClosedPath, ...]
-    origins: tuple[int, ...]
-    odd_pairs: int
-    outcome: str  # "single-even" | "multi-even" | "mixed-parity"
+    __slots__ = ()
 
     @property
     def walk_count(self) -> int:
@@ -157,81 +105,191 @@ class GluedDecomposition(NamedTuple):
         return sum(w.length for w in self.walks)
 
 
-def _glue_traced(p: ClosedPath) -> tuple[GluedDecomposition, OddStructure | None, list[int]]:
-    """The reassembly behind ``glue``, with its odd-run structure and its
-    endpoint pairing (None and [] for an even walk).
+class CycleDecomposition(namedtuple("CycleDecomposition", "cycles")):
+    """The removed odd edges organized into closed cycles: cycles holds, per
+    cycle, the odd-edge keys in traversal order."""
 
-    Fragment k owns two slots: slot 2k is its first vertex in the original
-    walk and slot 2k + 1 its last.  Chain building pairs the slots two at a
-    time, and partner[x] is the slot that x was paired with.  A fragment read
-    forward is entered at its even slot and left at its odd one; read
-    backwards, the other way round.
-    """
-    try:
-        structure = odd_interval_decomposition(p)
-    except EvenWalkError:
-        decomp = GluedDecomposition(
-            walks=(p,), origins=(p.origin,), odd_pairs=0, outcome="single-even"
-        )
-        return decomp, None, []
+    __slots__ = ()
 
-    frags = _fragments(p, structure.runs)
-    origin = p.origin
-    unglued = set(range(1, len(frags)))
+    @property
+    def cycle_count(self) -> int:
+        return len(self.cycles)
+
+
+# One walk's surgery: odd edges; (first, last instant, depart, arrive) per run;
+# (vertices, edge counts) per glued walk, in origins' order; the slot pairing;
+# the odd edges per cycle; the pairing count and histogram (None if even); the
+# marked instants' arrival vertices, found only for a second origin (else None)
+_Cut = namedtuple("_Cut", "odd odd_pairs runs walks origins outcome partner cycles pairings marked")
+
+
+# ---------- the surgery pass ----------
+
+
+def _surgery(verts: tuple[int, ...], mult) -> _Cut:
+    """The whole surgery of the closed walk ``verts``, with edge counts
+    ``mult`` (read, never mutated), in one pass.  The J runs cut the walk
+    into J+1 fragments; fragment k owns slot 2k, its first vertex, and slot
+    2k + 1, its last, and is entered at its even slot when read forward.
+    partner[x] is the slot x was paired with (``glue`` gives the tie rules).
+    The arc from slot x goes to x + 1 if x is odd, to x - 1 if even, mod
+    2(J + 1), and carries run (its odd end) // 2; run J is the virtual arc
+    closing the walk at its origin.  Pairings and arcs alternate around
+    loops, found from the lowest unseen slot; those carrying a run are the
+    cycles."""
+    length = len(verts) - 1
+    if length % 2:
+        raise GluingError("walk length must be even")
+    odd = [e for e, m in mult.items() if m % 2]
+    origin = verts[0]
+    if not odd:
+        return _Cut(odd, 0, [], [(verts, mult)], (origin,), "single-even", [], [], None, None)
+
+    left = set(odd)
+    instants, edges = [], []  # the non-returned instants, last first, and their edges
+    j = length
+    while left:  # backwards from the end: the first sighting is the last occurrence
+        u, v = verts[j - 1], verts[j]
+        e = (u, v) if u <= v else (v, u)
+        if e in left:
+            left.remove(e)
+            instants.append(j)
+            edges.append(e)
+        j -= 1
+    instants = instants[::-1] + [0]  # a sentinel ends the last run
+    edges.reverse()
+
+    runs, run_edges, frags = [], [], []
+    heads, tails = [origin], []  # the first and last vertex of each fragment
+    ends: dict[int, int] = {}  # vertex -> runs ending there
+    a = last = 0
+    for k in range(1, len(instants)):
+        if instants[k] != instants[k - 1] + 1:
+            first = instants[a]
+            frags.append(verts[last:first])
+            last = instants[k - 1]
+            u, v = verts[first - 1], verts[last]
+            runs.append((first, last, u, v))
+            run_edges.append(edges[a:k])
+            tails.append(u)
+            heads.append(v)
+            ends[u] = ends.get(u, 0) + 1
+            ends[v] = ends.get(v, 0) + 1
+            a = k
+    frags.append(verts[last:])
+    tails.append(origin)
+
+    unglued = list(range(1, len(frags)))
     partner = [0] * (2 * len(frags))
     grouped: dict[int, list[int]] = {}  # chain origin -> glued walk, first closing first
-
-    def pair(x: int, y: int) -> None:
-        partner[x] = y
-        partner[y] = x
-
-    def pick(candidates: list[int], at: int) -> int:
-        # lowest original index; forward reading preferred when both ends match
-        j = min(candidates)
-        return 2 * j + (frags[j][0] != at)
-
-    def oriented(entry: int) -> tuple[int, ...]:
-        frag = frags[entry // 2]
-        return frag if entry % 2 == 0 else frag[::-1]
-
     cur = list(frags[0])
     entry, exit_ = 0, 1
     while True:
-        if cur[-1] == cur[0]:
-            pair(exit_, entry)
-            grouped.setdefault(cur[0], [cur[0]]).extend(cur[1:])
+        end = cur[-1]
+        closed = end == cur[0]
+        if closed:
+            partner[exit_], partner[entry] = entry, exit_
+            walk = grouped.setdefault(end, cur)
+            if walk is not cur:  # a second chain closing there joins its walk
+                walk.extend(cur[1:])
             if not unglued:
                 break
-            at_origin = [j for j in unglued if origin in (frags[j][0], frags[j][-1])]
-            entry = pick(at_origin, origin) if at_origin else 2 * min(unglued)
-            unglued.remove(entry // 2)
-            cur = list(oriented(entry))
-            exit_ = entry ^ 1
-            continue
-        end = cur[-1]
-        candidates = [j for j in unglued if end in (frags[j][0], frags[j][-1])]
-        if not candidates:
-            raise GluingError(f"no fragment endpoint at vertex {end}; walk malformed")
-        slot = pick(candidates, end)
-        unglued.remove(slot // 2)
-        pair(exit_, slot)
-        cur.extend(oriented(slot)[1:])
+            end = origin
+        for k in unglued:
+            if heads[k] == end:
+                slot = 2 * k
+                break
+            if tails[k] == end:
+                slot = 2 * k + 1
+                break
+        else:
+            if not closed:
+                raise GluingError(f"no fragment endpoint at vertex {end}; walk malformed")
+            slot = 2 * unglued[0]
+        k = slot // 2
+        unglued.remove(k)
+        if closed:
+            entry = slot
+            cur = list(frags[k][::-1] if slot % 2 else frags[k])
+        else:
+            partner[exit_], partner[slot] = slot, exit_
+            cur.extend(frags[k][-2::-1] if slot % 2 else frags[k][1:])
         exit_ = slot ^ 1
 
-    walks = tuple(ClosedPath(vertices=tuple(verts), n=p.n) for verts in grouped.values())
+    walks = []
+    for w in grouped.values():
+        counts: dict[tuple[int, int], int] = {}
+        for u, v in zip(w, w[1:]):
+            e = (u, v) if u <= v else (v, u)
+            counts[e] = counts.get(e, 0) + 1
+        walks.append((tuple(w), counts))
     if len(walks) == 1:
         outcome = "single-even"
-    elif all(is_even_path(w) for w in walks):
+    elif not any(k % 2 for _, counts in walks for k in counts.values()):
         outcome = "multi-even"
     else:
         outcome = "mixed-parity"
-    decomp = GluedDecomposition(
-        walks=walks,
-        origins=tuple(grouped),
-        odd_pairs=structure.odd_pairs,
-        outcome=outcome,
+
+    slots = len(partner)
+    seen = [False] * slots
+    cycles = []
+    for start in range(slots):
+        if seen[start]:
+            continue
+        slot, cycle = start, []
+        while not seen[slot]:
+            nxt = (slot + 1 if slot % 2 else slot - 1) % slots
+            seen[slot] = seen[nxt] = True
+            r = (slot if slot % 2 else nxt) // 2
+            if r < len(runs):
+                cycle.extend(run_edges[r])
+            slot = partner[nxt]
+        if cycle:  # else the virtual arc's own loop
+            cycles.append(tuple(cycle))
+
+    hist: dict[int, int] = {}
+    count = 1
+    for v, c in ends.items():
+        if c % 2:
+            raise GluingError(f"odd endpoint incidence at vertex {v}")
+        hist[c // 2] = hist.get(c // 2, 0) + 1
+        if c > 2:
+            count *= math.prod(range(1, c, 2))  # (c-1)!! over even c
+
+    marked = None
+    if len(grouped) > 1:
+        marked, running = set(), set()  # running: edges seen an odd number of times so far
+        for u, v in zip(verts, verts[1:]):
+            e = (u, v) if u <= v else (v, u)
+            if e in running:
+                running.remove(e)
+            else:
+                running.add(e)
+                marked.add(v)
+    pairings = count, dict(sorted(hist.items())) if len(hist) > 1 else hist
+    return _Cut(
+        odd, len(edges) // 2, runs, walks, tuple(grouped), outcome, partner, cycles, pairings, marked
     )
-    return decomp, structure, partner
+
+
+# ---------- views of the pass ----------
+
+
+def _odd_cut(p: ClosedPath) -> _Cut:
+    cut = _surgery(p.vertices, p._multiplicities)
+    if not cut.odd_pairs:
+        raise EvenWalkError("walk has no odd edges")
+    return cut
+
+
+def odd_interval_decomposition(p: ClosedPath) -> OddStructure:
+    """Split the non-returned instants of an even-length closed walk into
+    maximal runs of consecutive instants.
+
+    Raises EvenWalkError when the walk has no odd edges.
+    """
+    cut = _odd_cut(p)
+    return OddStructure(runs=tuple(OddRun._make(r) for r in cut.runs), odd_pairs=cut.odd_pairs)
 
 
 def glue(p: ClosedPath) -> GluedDecomposition:
@@ -244,7 +302,9 @@ def glue(p: ClosedPath) -> GluedDecomposition:
     origin when a fragment endpoint is available there, else at the first
     unglued fragment.
     """
-    return _glue_traced(p)[0]
+    cut = _surgery(p.vertices, p._multiplicities)
+    walks = tuple(ClosedPath(vertices=w, n=p.n) for w, _ in cut.walks)
+    return GluedDecomposition(walks, cut.origins, cut.odd_pairs, cut.outcome)
 
 
 def count_gluings(p: ClosedPath) -> tuple[int, dict[int, int]]:
@@ -255,32 +315,13 @@ def count_gluings(p: ClosedPath) -> tuple[int, dict[int, int]]:
     pairing the ends at one vertex can be done (2A-1)!! ways and vertices are
     independent.  Returns (count, {i: number of vertices with A = i}).
     """
-    return _pairing_count(odd_interval_decomposition(p))
-
-
-def _pairing_count(structure: OddStructure) -> tuple[int, dict[int, int]]:
-    ends: dict[int, int] = {}
-    for run in structure.runs:
-        ends[run.depart_vertex] = ends.get(run.depart_vertex, 0) + 1
-        ends[run.arrive_vertex] = ends.get(run.arrive_vertex, 0) + 1
-    hist: dict[int, int] = {}
-    count = 1
-    for v, c in ends.items():
-        if c % 2 != 0:
-            raise GluingError(f"odd endpoint incidence at vertex {v}")
-        hist[c // 2] = hist.get(c // 2, 0) + 1
-        count *= math.prod(range(1, c, 2))  # (c-1)!! over even c
-    return count, dict(sorted(hist.items()))
+    return _odd_cut(p).pairings
 
 
 def _pairing_count_by_search(p: ClosedPath) -> int:
     """Exhaustively count admissible endpoint pairings.  Test oracle for
     count_gluings; exponential, keep the run count small."""
-    structure = odd_interval_decomposition(p)
-    slots: list[int] = []
-    for run in structure.runs:
-        slots.append(run.depart_vertex)
-        slots.append(run.arrive_vertex)
+    slots = [v for run in odd_interval_decomposition(p).runs for v in (run.depart_vertex, run.arrive_vertex)]
 
     def rec(free: tuple[int, ...]) -> int:
         if not free:
@@ -295,20 +336,6 @@ def _pairing_count_by_search(p: ClosedPath) -> int:
     return rec(tuple(range(len(slots))))
 
 
-# ---------- cycle structure of the removed odd edges ----------
-
-
-class CycleDecomposition(NamedTuple):
-    """The removed odd edges organized into closed cycles: cycles holds, per
-    cycle, the odd-edge keys in traversal order."""
-
-    cycles: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
-
-
 def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
     """Follow the deterministic reassembly's endpoint pairings to organize
     the runs of removed odd edges into closed cycles.
@@ -317,36 +344,7 @@ def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
     arc; pairings and arcs alternate around disjoint loops, and the loops
     containing at least one run are the cycles.  Even walks give no cycles.
     """
-    return _cycles(p, *_glue_traced(p)[1:])
-
-
-def _cycles(p: ClosedPath, structure: OddStructure | None, partner: list[int]) -> CycleDecomposition:
-    """Cycles of the slot pairing of ``_glue_traced``.
-
-    With J runs there are 2(J + 1) slots.  The arc from slot x goes to x + 1
-    if x is odd and to x - 1 if x is even, mod 2(J + 1), and carries run
-    (its odd end) // 2; index J is the virtual arc that closes the walk at
-    its origin.  Loops start at the lowest unseen slot.
-    """
-    if structure is None:
-        return CycleDecomposition(cycles=())
-    runs = structure.runs
-    slots = len(partner)
-    seen = [False] * slots
-    cycles = []
-    for start in range(slots):
-        slot = start
-        edges: list[tuple[int, int]] = []
-        while not seen[slot]:
-            nxt = (slot + 1 if slot % 2 else slot - 1) % slots
-            seen[slot] = seen[nxt] = True
-            r = (slot if slot % 2 else nxt) // 2
-            if r < len(runs):
-                edges.extend(edge_key(*p.step(j)) for j in runs[r].instants())
-            slot = partner[nxt]
-        if edges:  # else an already seen start, or the virtual arc's own loop
-            cycles.append(tuple(edges))
-    return CycleDecomposition(cycles=tuple(cycles))
+    return CycleDecomposition(cycles=tuple(_surgery(p.vertices, p._multiplicities).cycles))
 
 
 # ---------- merge procedure for mixed-parity outcomes ----------
@@ -368,24 +366,21 @@ def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[l
     n = walks[0].n
     union = Counter()
     for w in walks:
-        union.update(edge_multiplicities(w))
+        union.update(w._multiplicities)
     if any(m % 2 for m in union.values()):
         raise GluingError("union of walks has odd edges; merge contract breached")
 
     seqs = [list(w.vertices) for w in walks]
     merges = 0
     while True:
-        target = None
         for i, a in enumerate(seqs):
             mults = _edge_counts(a)
-            odd_instants = [t for t in range(1, len(a)) if mults[edge_key(a[t - 1], a[t])] % 2]
-            if odd_instants:
-                target = (i, odd_instants[0], edge_key(a[odd_instants[0] - 1], a[odd_instants[0]]))
+            t = next((t for t in range(1, len(a)) if mults[edge_key(a[t - 1], a[t])] % 2), 0)
+            if t:  # the first instant carrying an odd edge
                 break
-        if target is None:
+        else:
             break
-        i, t, e = target
-        a = seqs[i]
+        e = edge_key(a[t - 1], a[t])
         partner = None
         for j in range(i + 1, len(seqs)):
             b = seqs[j]
@@ -449,14 +444,10 @@ def _check_depth(s: int, n: int) -> None:
         raise ValueError(f"s={s} exceeds the counting-bound limit {BOUND_S_LIMIT}")
 
 
-class BoundBreakdown(NamedTuple):
-    """A positive bound kept in log space, with per-term diagnostics.
+BoundBreakdown = namedtuple("BoundBreakdown", "log_total log_terms")
+BoundBreakdown.__doc__ = """A positive bound kept in log space, with per-term diagnostics.
 
-    log_terms[i] is the natural log of the term for odd-pair count i+1.
-    """
-
-    log_total: float
-    log_terms: tuple[float, ...]
+log_terms[i] is the natural log of the term for odd-pair count i+1."""
 
 
 def single_walk_contribution_bound(
@@ -527,15 +518,12 @@ def log_trace_excess_ratio(bound: BoundBreakdown, s: int, n: int, sigma: float) 
     return bound.log_total - _log_main_term(s, n, sigma)
 
 
-class MixedParityBound(NamedTuple):
-    """Natural logs of the preimage ceilings for reconstructing walk
-    collections that needed merge_count extra merges, and of their ratios to
-    the choice budget C(2s, merge_count)."""
-
-    log_trivial: float
-    log_refined: float
-    log_trivial_ratio: float
-    log_refined_ratio: float
+MixedParityBound = namedtuple(
+    "MixedParityBound", "log_trivial log_refined log_trivial_ratio log_refined_ratio"
+)
+MixedParityBound.__doc__ = """Natural logs of the preimage ceilings for reconstructing walk
+collections that needed merge_count extra merges, and of their ratios to the
+choice budget C(2s, merge_count)."""
 
 
 def mixed_parity_reduction_bound(
@@ -772,89 +760,88 @@ def enumerate_insertions(base: ClosedPath, max_odd_pairs: int) -> list[ClosedPat
 # ---------- the invariant suite ----------
 
 
-class InvariantReport(NamedTuple):
+class InvariantReport(namedtuple("InvariantReport", "walks_checked violations histogram")):
     """Outcome of running every structural check over a family of walks."""
 
-    walks_checked: int
-    violations: tuple[tuple[str, tuple[int, ...]], ...]
-    histogram: dict[tuple[int, int, int, int, str], int]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple[int, int, int, int, str]:
-    """Run every invariant on one walk; returns its histogram key
+def _check_one(verts: tuple[int, ...], mult, n: int, found: list) -> tuple[int, int, int, int, str]:
+    """Run every invariant on the surgery of the closed walk ``verts`` on n
+    vertices, with edge counts ``mult``; returns its histogram key
     (odd_pairs, run_count, walk_count, cycle_count, outcome)."""
 
     def bad(tag: str) -> None:
-        found.append((tag, p.vertices))
+        found.append((tag, verts))
 
-    mult = p._multiplicities  # the walk's cached counts: read, never mutated
-    odd_edges = {e for e, m in mult.items() if m % 2}
-    degrees: dict[int, int] = {}
-    for u, v in odd_edges:  # a loop adds 2 to its vertex
-        degrees[u] = degrees.get(u, 0) + 1
-        degrees[v] = degrees.get(v, 0) + 1
-    if any(d % 2 for d in degrees.values()):
+    odd, l, runs, walks, origins, outcome, _, cycles, pairings, marked = _surgery(verts, mult)
+    odd_degree = set()  # a loop adds 2 to its vertex
+    for u, v in odd:
+        if u != v:
+            odd_degree ^= {u, v}
+    if odd_degree:
         bad("odd-graph-degree")
 
-    decomp, structure, partner = _glue_traced(p)
-    l = decomp.odd_pairs
-    run_count = 0
-    cyc = _cycles(p, structure, partner)
+    run_count = len(runs)
     if l > 0:
-        run_count = structure.run_count
         if not (1 <= run_count <= 2 * l):
             bad("run-count-range")
-        if not (1 <= cyc.cycle_count <= run_count):
+        if not (1 <= len(cycles) <= run_count):
             bad("cycle-count-range")
-        if sum(len(c) for c in cyc.cycles) != 2 * l:
+        cycle_edges = sorted(sum(cycles, ()))
+        if len(cycle_edges) != 2 * l:
             bad("cycle-partition")
-        if sorted(e for c in cyc.cycles for e in c) != sorted(odd_edges):
+        if cycle_edges != sorted(odd):
             bad("cycle-partition")
-        count, hist = _pairing_count(structure)
-        floor = math.prod(math.factorial(i) ** k for i, k in hist.items())
+        count, hist = pairings
+        floor = 1
+        for i, k in hist.items():
+            if i > 1:
+                floor *= math.factorial(i) ** k
         if count < floor:
             bad("pairing-count-floor")
 
-    if decomp.total_length != p.length - 2 * l:
+    total, merged = len(walks[0][0]) - 1, walks[0][1]
+    if len(walks) > 1:
+        total, merged = sum(len(w) - 1 for w, _ in walks), {}
+        for _, counts in walks:
+            for e, k in counts.items():
+                merged[e] = merged.get(e, 0) + k
+    if total != len(verts) - 1 - 2 * l:
         bad("length-bookkeeping")
-    merged: dict[tuple[int, int], int] = {}
-    for w in decomp.walks:
-        for e, k in w._multiplicities.items():
-            merged[e] = merged.get(e, 0) + k
-    # the walks keep every traversal but one per odd edge
-    if not (
-        merged.keys() <= mult.keys()
-        and all(merged.get(e, 0) == m - (e in odd_edges) for e, m in mult.items())
-    ):
+    # the walks keep every traversal but one per odd edge; dict equality,
+    # as a Counter's own would count a missing edge as 0
+    conserved = dict.__eq__(merged, {e: m - m % 2 for e, m in mult.items() if m > 1})
+    if not conserved:
         bad("edge-conservation")
-    union_even = not any(m % 2 for m in merged.values())
+    union_even = conserved or not any(m % 2 for m in merged.values())
     if not union_even:
         bad("union-parity")
-    if decomp.outcome in ("single-even", "multi-even"):
-        if not all(is_even_path(w) for w in decomp.walks):
+    if outcome in ("single-even", "multi-even"):
+        # one walk is even exactly when the union is
+        if not (union_even if len(walks) == 1 else not any(k % 2 for _, c in walks for k in c.values())):
             bad("even-outcome-parity")
-    if decomp.outcome == "single-even" and decomp.walk_count != 1:
+    if outcome == "single-even" and len(walks) != 1:
         bad("single-walk-count")
 
-    marked_vertices = {p.vertices[t] for t in marked_instants(p)}
-    extra = decomp.origins[1:]
-    if len(set(extra)) != len(extra) or decomp.origins[0] != p.origin:
+    extra = origins[1:]
+    if len(set(extra)) != len(extra) or origins[0] != verts[0]:
         bad("origin-distinctness")
-    if not all(v in marked_vertices for v in extra):
+    if extra and not marked.issuperset(extra):
         bad("origin-marking")
 
-    if decomp.outcome == "mixed-parity" and union_even:  # merge_odd_walks' precondition
-        evened, merge_count = merge_odd_walks(list(decomp.walks))
+    if outcome == "mixed-parity" and union_even:  # merge_odd_walks' precondition
+        evened, merge_count = merge_odd_walks([ClosedPath(vertices=w, n=n) for w, _ in walks])
         if not all(is_even_path(w) for w in evened):
             bad("merge-parity")
-        if sum(w.length for w in evened) != p.length - 2 * l - 2 * merge_count:
+        if sum(w.length for w in evened) != len(verts) - 1 - 2 * l - 2 * merge_count:
             bad("merge-length")
 
-    if decomp.outcome == "single-even" and l > 0 and all(mult[e] >= 3 for e in odd_edges):
+    if outcome == "single-even" and l > 0 and min(map(mult.__getitem__, odd)) >= 3:
         # every odd edge stays in the glued walk W.  An even W marks len(W)/2
         # steps, and each vertex but its origin is first reached by one, so
         # sum_v (events(v) - 1) = len(W)/2 + 1 - vertices, at least edges -
@@ -863,11 +850,14 @@ def _check_one(p: ClosedPath, found: list[tuple[str, tuple[int, ...]]]) -> tuple
         # vertex can carry two of them (an odd loop at a triangle's corner):
         # the count of vertices with 2 events is no floor.  The closed form
         # also reads an odd W, which even-outcome-parity has already reported
-        w = decomp.walks[0]
-        if w.length // 2 + 1 - len(set(w.vertices)) < cyc.cycle_count:
+        w = walks[0][0]
+        if (len(w) - 1) // 2 + 1 - len(set(w)) < len(cycles):
             bad("self-intersection-floor")
 
-    return (l, run_count, decomp.walk_count, cyc.cycle_count, decomp.outcome)
+    return (l, run_count, len(walks), len(cycles), outcome)
+
+
+PROGRESS_SECONDS = 10  # an exhaustive sweep writes at most one progress line this often
 
 
 def run_invariant_suite(
@@ -891,12 +881,15 @@ def run_invariant_suite(
     ``walks_checked`` still counts all n^(2s) of them.  A violating class is
     reported once, by its representative.  A walk visits at most 2s labels,
     so every n >= 2s has the classes of n = 2s.  The guard counts classes,
-    as the trace sweep's does (``_check_class_count``).  Random walks are
-    checked one by one, with their own labels: walk j is drawn from the
-    stream of seed + j, which ``ensemble._trial_streams`` gives it as it
-    gives every Monte Carlo trial."""
+    as the trace sweep's does (``_check_class_count``).  It builds no
+    ``ClosedPath`` but the inputs of ``merge_odd_walks``, and writes
+    ``progress: <done> of <total> relabeling classes checked`` to stderr at
+    most every PROGRESS_SECONDS, reading the clock once per 1024 classes.
+    Random walks are checked one by one, with their own labels: walk j is
+    drawn from the stream of seed + j, which ``ensemble._trial_streams``
+    gives it as it gives every Monte Carlo trial."""
     if exhaustive:
-        _check_class_count(n, s)
+        total = _check_class_count(n, s)
     else:
         _check_at_least(1, s=s, n=n)
     _check_at_least(0, random_walks=random_walks)
@@ -910,13 +903,20 @@ def run_invariant_suite(
         streams = _trial_streams(seed, random_walks)
         walks = itertools.chain([next(streams)], streams)
     if exhaustive:
-        for verts, v, counts in _canonical_sequences(n, 2 * s):
-            p = ClosedPath(vertices=verts, n=n)
-            p.__dict__["_multiplicities"] = Counter(counts)  # a copy: the sweep's counts are live
-            histogram[_check_one(p, found)] += math.perm(n, v)
+        labelings = [math.perm(n, v) for v in range(2 * s + 1)]
+        report_at = time.monotonic() + PROGRESS_SECONDS
+        for done, (verts, v, counts) in enumerate(_canonical_sequences(n, 2 * s), 1):
+            histogram[_check_one(verts, counts, n, found)] += labelings[v]
+            if not done % 1024:
+                now = time.monotonic()
+                if now >= report_at:
+                    line = f"progress: {done} of {total} relabeling classes checked"
+                    print(line, file=sys.stderr, flush=True)
+                    report_at = now + PROGRESS_SECONDS
         checked = n ** (2 * s)
     for rng in walks:
-        histogram[_check_one(random_closed_path(n, s, rng), found)] += 1
+        p = random_closed_path(n, s, rng)
+        histogram[_check_one(p.vertices, p._multiplicities, n, found)] += 1
     checked += random_walks
     return InvariantReport(
         walks_checked=checked,

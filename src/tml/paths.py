@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .ensemble import EntryDistribution, _check_at_least, moment
 
@@ -39,12 +38,7 @@ class PathSizeError(ValueError):
     """Raised when an exact enumeration would exceed its size guard."""
 
 
-class _ClosedPathFields(NamedTuple):
-    vertices: tuple[int, ...]
-    n: int
-
-
-class ClosedPath(_ClosedPathFields):
+class ClosedPath(namedtuple("ClosedPath", "vertices n")):
     """A closed walk on vertices 1..n, stored as the full vertex sequence.
 
     ``vertices`` has length+1 entries, with the first equal to the last.
@@ -134,8 +128,9 @@ def edge_multiplicities(p: ClosedPath) -> Counter:
 
 def _edge_counts(vs: tuple[int, ...]) -> Counter:
     c: Counter = Counter()
-    for j in range(1, len(vs)):
-        c[edge_key(vs[j - 1], vs[j])] += 1
+    for u, v in zip(vs, vs[1:]):
+        e = (u, v) if u <= v else (v, u)  # edge_key, inline
+        c[e] = c.get(e, 0) + 1
     return c
 
 

@@ -461,19 +461,19 @@ def test_verify_gluing_failure_exits_2(tmp_path, monkeypatch):
     assert code == 2
 
 
-def _uncut_single_walk(decomp, p):
-    # the glue forgets its cut: the single walk keeps p's odd edges
-    if decomp.outcome == "single-even" and decomp.odd_pairs:
-        return decomp._replace(walks=(p,))
-    return decomp
+def _uncut_single_walk(cut, verts, mult):
+    # the glue forgets its cut: the single walk keeps the input's odd edges
+    if cut.outcome == "single-even" and cut.odd_pairs:
+        return cut._replace(walks=[(verts, mult)])
+    return cut
 
 
-def _lost_odd_walk(decomp, p):
+def _lost_odd_walk(cut, verts, mult):
     # the glue loses one odd walk, so the walks left have an odd union
-    if decomp.outcome != "mixed-parity":
-        return decomp
-    drop = next(i for i, w in enumerate(decomp.walks) if not paths.is_even_path(w))
-    return decomp._replace(walks=decomp.walks[:drop] + decomp.walks[drop + 1 :])
+    if cut.outcome != "mixed-parity":
+        return cut
+    drop = next(i for i, (_, counts) in enumerate(cut.walks) if any(k % 2 for k in counts.values()))
+    return cut._replace(walks=cut.walks[:drop] + cut.walks[drop + 1 :])
 
 
 @pytest.mark.parametrize(
@@ -482,13 +482,12 @@ def _lost_odd_walk(decomp, p):
 def test_verify_gluing_reports_a_broken_glue_with_exit_2(tmp_path, capsys, monkeypatch, breach, tag):
     # the self-intersection floor and the merge step each raised on a glue
     # that broke their precondition, so the sweep exited 1 and named no walk
-    real = gluing._glue_traced
+    real = gluing._surgery
 
-    def broken(p):
-        decomp, structure, partner = real(p)
-        return breach(decomp, p), structure, partner
+    def broken(verts, mult):
+        return breach(real(verts, mult), verts, mult)
 
-    monkeypatch.setattr(gluing, "_glue_traced", broken)
+    monkeypatch.setattr(gluing, "_surgery", broken)
     code, rows, _ = run(tmp_path, "verify-gluing", "--n", "3", "--s", "4")
     assert code == 2
     out, err = capsys.readouterr()
@@ -497,8 +496,9 @@ def test_verify_gluing_reports_a_broken_glue_with_exit_2(tmp_path, capsys, monke
     assert listed and all(listed)
     assert tag in {m[1] for m in listed}
     for m in listed:  # every listed walk is one the breach changed
-        p = paths.ClosedPath(tuple(int(v) for v in re.findall(r"\d+", m[2])), 3)
-        assert breach(real(p)[0], p) != real(p)[0]
+        verts = tuple(int(v) for v in re.findall(r"\d+", m[2]))
+        mult = paths._edge_counts(verts)
+        assert breach(real(verts, mult), verts, mult) != real(verts, mult)
     # every class still adds its histogram key, weighted by its labelings
     assert sum(int(r["count"]) for r in rows) == 3**8
 

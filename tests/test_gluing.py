@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import re
 import time
+import types
 from collections import Counter
 
 import numpy as np
@@ -14,8 +16,12 @@ import tml.gluing as gluing
 from tml.gluing import (
     BoundBreakdown,
     CONVOLUTION_CONST,
+    CycleDecomposition,
     EvenWalkError,
+    GluedDecomposition,
     GluingError,
+    OddRun,
+    OddStructure,
     _pairing_count_by_search,
     catalan_convolution_ratio,
     count_gluings,
@@ -41,17 +47,26 @@ from tml.paths import (
     ClosedPath,
     PathSizeError,
     _canonical_sequences,
+    _check_class_count,
     _closed_sequences,
+    _edge_counts,
     catalan,
+    edge_key,
     edge_multiplicities,
     is_even_path,
     marked_instants,
+    nonreturned_edges,
     random_closed_path,
 )
 
 
 def cp(*verts, n=None):
     return ClosedPath(vertices=tuple(verts), n=n or max(verts))
+
+
+def check(p, found):
+    """The suite's checks on one walk, fed as the sweep feeds them."""
+    return gluing._check_one(p.vertices, p._multiplicities, p.n, found)
 
 
 even_length_walks = st.integers(min_value=1, max_value=5).flatmap(
@@ -392,7 +407,7 @@ def test_self_intersection_floor_counts_events_with_multiplicity():
     assert _events(d.walks[0]) == {1: 1, 2: 3, 3: 1}
     for verts in TWO_CYCLES_AT_ONE_VERTEX:
         found = []
-        key = gluing._check_one(ClosedPath(vertices=tuple(map(int, verts)), n=3), found)
+        key = check(ClosedPath(vertices=tuple(map(int, verts)), n=3), found)
         assert key[-1] == "single-even" and key[3] == 2
         assert not found, verts
 
@@ -808,18 +823,44 @@ def test_invariant_suite_reassembles_each_walk_once(monkeypatch):
     def counted(name):
         original = getattr(gluing, name)
 
-        def wrapper(p):
+        def wrapper(*args):
             calls[name] += 1
-            return original(p)
+            return original(*args)
 
         monkeypatch.setattr(gluing, name, wrapper)
 
-    counted("_glue_traced")
+    counted("_surgery")
     counted("odd_interval_decomposition")
     report = run_invariant_suite(2, 3)
     assert report.walks_checked == 64
-    # one call per relabeling class: S(6, 1) + S(6, 2) = 1 + 31
-    assert calls == {"_glue_traced": 32, "odd_interval_decomposition": 32}
+    # one pass per relabeling class, S(6, 1) + S(6, 2) = 1 + 31, and no
+    # public view: the checks read the pass's record
+    assert calls == {"_surgery": 32}
+
+
+def test_exhaustive_sweep_builds_closed_paths_only_for_the_merge(monkeypatch):
+    built, handed, merging = [], [], []
+    real_new, real_merge = ClosedPath.__new__, gluing.merge_odd_walks
+
+    def counted_new(cls, vertices, n):
+        if not merging:  # merge_odd_walks' own output walks are not counted
+            built.append(vertices)
+        return real_new(cls, vertices, n)
+
+    def counted_merge(walks):
+        handed.extend(walks)
+        merging.append(True)
+        try:
+            return real_merge(walks)
+        finally:
+            merging.pop()
+
+    monkeypatch.setattr(ClosedPath, "__new__", counted_new)
+    monkeypatch.setattr(gluing, "merge_odd_walks", counted_merge)
+    report = run_invariant_suite(3, 4)
+    assert report.ok and report.walks_checked == 3**8
+    assert handed  # 23 of the 1094 classes are mixed-parity
+    assert len(built) <= len(handed)
 
 
 def test_invariant_suite_histogram_frozen():
@@ -851,7 +892,7 @@ def _labeled_suite(n, s):
     found = []
     histogram = Counter()
     for verts in _closed_sequences(n, 2 * s):
-        histogram[gluing._check_one(ClosedPath(vertices=verts, n=n), found)] += 1
+        histogram[check(ClosedPath(vertices=verts, n=n), found)] += 1
     return dict(sorted(histogram.items())), sum(histogram.values()), found
 
 
@@ -859,7 +900,7 @@ def _labeled_suite(n, s):
 def test_invariant_checks_ignore_vertex_labels(n, s):
     def checked(verts):
         found = []
-        key = gluing._check_one(ClosedPath(vertices=verts, n=n), found)
+        key = check(ClosedPath(vertices=verts, n=n), found)
         return key, [tag for tag, _ in found]
 
     by_class = {verts: checked(verts) for verts, _, _ in _canonical_sequences(n, 2 * s)}
@@ -891,39 +932,36 @@ def test_class_sweep_equals_the_labeled_sweep(n, s):
 )
 def test_surgery_checks_flag_a_broken_reassembly(monkeypatch, extra_walks, cycles, tags):
     p = ClosedPath(vertices=(1, 1, 2, 2, 1), n=3)  # odd edges {1,1} and {2,2}
-    glue_traced, find_cycles = gluing._glue_traced, gluing._cycles
+    surgery = gluing._surgery
 
-    def broken_glue(q):
-        decomp, structure, partner = glue_traced(q)
+    def broken(verts, mult):
+        cut = surgery(verts, mult)
         walks = {
-            "input": (q,),
-            "fresh-edge": (*decomp.walks, ClosedPath(vertices=(3, 3, 3), n=3)),
-            None: decomp.walks,
+            "input": [(verts, mult)],
+            "fresh-edge": [*cut.walks, ((3, 3, 3), {(3, 3): 2})],
+            None: cut.walks,
         }[extra_walks]
-        return decomp._replace(walks=walks), structure, partner
-
-    def broken_cycles(q, structure, partner):
-        cyc = find_cycles(q, structure, partner)
-        return cyc if cycles is None else cyc._replace(cycles=cycles)
+        return cut._replace(walks=walks, cycles=cut.cycles if cycles is None else list(cycles))
 
     found = []
-    assert gluing._check_one(p, found)[-1] == "single-even" and not found
-    monkeypatch.setattr(gluing, "_glue_traced", broken_glue)
-    monkeypatch.setattr(gluing, "_cycles", broken_cycles)
-    gluing._check_one(p, found)
+    assert check(p, found)[-1] == "single-even" and not found
+    monkeypatch.setattr(gluing, "_surgery", broken)
+    check(p, found)
     flagged = {tag for tag, _ in found}
     surgery_tags = {"edge-conservation", "union-parity", "even-outcome-parity", "cycle-partition"}
     assert flagged & surgery_tags == tags
 
 
 def test_class_sweep_flags_the_classes_the_labeled_sweep_flags(monkeypatch, tmp_path):
-    original = gluing._pairing_count
+    surgery = gluing._surgery
 
-    def broken(structure):
-        count, hist = original(structure)
-        return (0 if structure.odd_pairs >= 2 else count), hist
+    def broken(verts, mult):
+        cut = surgery(verts, mult)
+        if cut.odd_pairs < 2:
+            return cut
+        return cut._replace(pairings=(0, cut.pairings[1]))
 
-    monkeypatch.setattr(gluing, "_pairing_count", broken)
+    monkeypatch.setattr(gluing, "_surgery", broken)
     _, _, found = _labeled_suite(3, 3)
     expected = {(tag, _first_occurrence(verts)) for tag, verts in found}
     assert {tag for tag, _ in expected} == {"pairing-count-floor"}
@@ -933,3 +971,209 @@ def test_class_sweep_flags_the_classes_the_labeled_sweep_flags(monkeypatch, tmp_
     assert set(report.violations) == expected
     code = cli.main(["verify-gluing", "--n", "3", "--s", "3", "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+# ---------- the pass against the helper-by-helper surgery ----------
+#
+# The route the one-pass ``_surgery`` replaced: runs from
+# ``paths.nonreturned_edges``, fragments, chain building, slot loops and
+# endpoint counts, each its own read of the walk.  It stays here as the
+# oracle of the pass and of its public views.
+
+
+def _runs_oracle(p):
+    instants = nonreturned_edges(p)
+    if not instants:
+        return None
+    runs = []
+    start = prev = instants[0]
+    for j in instants[1:] + [None]:
+        if j is not None and j == prev + 1:
+            prev = j
+            continue
+        runs.append(OddRun(start, prev, p.vertices[start - 1], p.vertices[prev]))
+        if j is not None:
+            start = prev = j
+    return OddStructure(runs=tuple(runs), odd_pairs=len(instants) // 2)
+
+
+def _fragments_oracle(p, runs):
+    verts = p.vertices
+    out = [tuple(verts[: runs[0].first_instant])]
+    for i in range(len(runs) - 1):
+        out.append(tuple(verts[runs[i].last_instant : runs[i + 1].first_instant]))
+    out.append(tuple(verts[runs[-1].last_instant :]))
+    return out
+
+
+def _glue_oracle(p):
+    """(glued decomposition, odd-run structure, endpoint pairing)."""
+    structure = _runs_oracle(p)
+    if structure is None:
+        return GluedDecomposition((p,), (p.origin,), 0, "single-even"), None, []
+    frags = _fragments_oracle(p, structure.runs)
+    origin = p.origin
+    unglued = set(range(1, len(frags)))
+    partner = [0] * (2 * len(frags))
+    grouped = {}
+
+    def pair(x, y):
+        partner[x] = y
+        partner[y] = x
+
+    def pick(candidates, at):
+        j = min(candidates)
+        return 2 * j + (frags[j][0] != at)
+
+    def oriented(entry):
+        frag = frags[entry // 2]
+        return frag if entry % 2 == 0 else frag[::-1]
+
+    cur = list(frags[0])
+    entry, exit_ = 0, 1
+    while True:
+        if cur[-1] == cur[0]:
+            pair(exit_, entry)
+            grouped.setdefault(cur[0], [cur[0]]).extend(cur[1:])
+            if not unglued:
+                break
+            at_origin = [j for j in unglued if origin in (frags[j][0], frags[j][-1])]
+            entry = pick(at_origin, origin) if at_origin else 2 * min(unglued)
+            unglued.remove(entry // 2)
+            cur = list(oriented(entry))
+            exit_ = entry ^ 1
+            continue
+        end = cur[-1]
+        slot = pick([j for j in unglued if end in (frags[j][0], frags[j][-1])], end)
+        unglued.remove(slot // 2)
+        pair(exit_, slot)
+        cur.extend(oriented(slot)[1:])
+        exit_ = slot ^ 1
+
+    walks = tuple(ClosedPath(vertices=tuple(verts), n=p.n) for verts in grouped.values())
+    if len(walks) == 1:
+        outcome = "single-even"
+    elif all(is_even_path(w) for w in walks):
+        outcome = "multi-even"
+    else:
+        outcome = "mixed-parity"
+    return GluedDecomposition(walks, tuple(grouped), structure.odd_pairs, outcome), structure, partner
+
+
+def _cycles_oracle(p, structure, partner):
+    if structure is None:
+        return CycleDecomposition(cycles=())
+    runs = structure.runs
+    slots = len(partner)
+    seen = [False] * slots
+    cycles = []
+    for start in range(slots):
+        slot = start
+        edges = []
+        while not seen[slot]:
+            nxt = (slot + 1 if slot % 2 else slot - 1) % slots
+            seen[slot] = seen[nxt] = True
+            r = (slot if slot % 2 else nxt) // 2
+            if r < len(runs):
+                edges.extend(edge_key(*p.step(j)) for j in runs[r].instants())
+            slot = partner[nxt]
+        if edges:
+            cycles.append(tuple(edges))
+    return CycleDecomposition(cycles=tuple(cycles))
+
+
+def _pairings_oracle(structure):
+    ends = Counter()
+    for run in structure.runs:
+        ends[run.depart_vertex] += 1
+        ends[run.arrive_vertex] += 1
+    assert all(c % 2 == 0 for c in ends.values())
+    count = math.prod(math.prod(range(1, c, 2)) for c in ends.values())
+    return count, dict(sorted(Counter(c // 2 for c in ends.values()).items()))
+
+
+def _assert_pass_is_the_oracle(p):
+    cut = gluing._surgery(p.vertices, p._multiplicities)
+    decomp, structure, partner = _glue_oracle(p)
+    assert glue(p) == decomp
+    assert cut.partner == partner
+    assert cycle_decomposition(p) == _cycles_oracle(p, structure, partner)
+    assert sorted(cut.odd) == sorted(e for e, m in edge_multiplicities(p).items() if m % 2)
+    if structure is None:
+        assert cut.odd_pairs == 0 and not cut.runs and cut.pairings is None
+        for view in (odd_interval_decomposition, count_gluings):
+            with pytest.raises(EvenWalkError):
+                view(p)
+    else:
+        assert odd_interval_decomposition(p) == structure
+        assert count_gluings(p) == cut.pairings == _pairings_oracle(structure)
+    # each glued walk comes with its own edge counts
+    assert [dict(counts) for _, counts in cut.walks] == [dict(_edge_counts(w)) for w, _ in cut.walks]
+    if len(cut.origins) > 1:
+        assert cut.marked == {p.vertices[t] for t in marked_instants(p)}
+    else:
+        assert cut.marked is None
+
+
+def test_pass_equals_the_oracle_on_every_class_at_n3():
+    classes = 0
+    for s in range(1, 6):
+        for verts, _, _ in _canonical_sequences(3, 2 * s):
+            _assert_pass_is_the_oracle(ClosedPath(vertices=verts, n=3))
+            classes += 1
+    assert classes == sum(_check_class_count(3, s) for s in range(1, 6))
+
+
+@pytest.mark.parametrize("n,s", [(6, 6), (10, 8)])
+def test_pass_equals_the_oracle_on_random_walks(n, s):
+    rng = np.random.default_rng(1000 * n + s)
+    outcomes = Counter()
+    for _ in range(2000):
+        p = random_closed_path(n, s, rng)
+        _assert_pass_is_the_oracle(p)
+        outcomes[glue(p).outcome] += 1
+    assert set(outcomes) == {"single-even", "multi-even", "mixed-parity"}
+
+
+# ---------- progress of long sweeps ----------
+
+
+def _ticking_clock(step):
+    """A stand-in for ``time`` whose monotonic clock moves ``step`` seconds per read."""
+    ticks = itertools.count(0, step)
+    return types.SimpleNamespace(monotonic=lambda: next(ticks))
+
+
+def test_exhaustive_sweep_reports_progress_on_stderr(monkeypatch, capsys):
+    quiet = run_invariant_suite(3, 5)
+    assert capsys.readouterr() == ("", "")
+    monkeypatch.setattr(gluing, "time", _ticking_clock(6))
+    assert run_invariant_suite(3, 5) == quiet
+    out, err = capsys.readouterr()
+    assert out == ""
+    # one read at the start and one per 1024 classes, 6 s apart: a line at
+    # the first read 10 s past the last line, or past the start
+    total = _check_class_count(3, 5)
+    assert total == 9842
+    assert err.splitlines() == [
+        f"progress: {done} of {total} relabeling classes checked" for done in (2048, 4096, 6144, 8192)
+    ]
+
+
+def test_progress_waits_for_the_clock(monkeypatch, capsys):
+    monkeypatch.setattr(gluing, "time", _ticking_clock(0))
+    run_invariant_suite(3, 5)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_progress_leaves_stdout_and_the_table_alone(monkeypatch, capsys, tmp_path):
+    def verify(out_dir):
+        code = cli.main(["verify-gluing", "--n", "3", "--s", "5", "--output-dir", str(out_dir)])
+        return code, capsys.readouterr(), (out_dir / "verify-gluing.csv").read_bytes()
+
+    code, (out, err), table = verify(tmp_path / "quiet")
+    monkeypatch.setattr(gluing, "time", _ticking_clock(6))
+    code_p, (out_p, err_p), table_p = verify(tmp_path / "progress")
+    assert (code_p, out_p, table_p) == (code, out, table) == (0, "checked 59049 walks, 0 violations\n", table)
+    assert err == "" and len(err_p.splitlines()) == 4
+    assert all(re.fullmatch(r"progress: \d+ of 9842 relabeling classes checked", line) for line in err_p.splitlines())

@@ -1,6 +1,7 @@
 """The package's public surface: what the benchmark tracer wraps, what the
-top-level package exports, that every module uses each name it imports and
-that every definition has a reader.
+top-level package exports, that every module uses each name it imports,
+that every definition has a reader and that the numpy-free modules leave
+``typing`` unloaded.
 
 The tracer reports a name it cannot find as absent and runs on, so a rename
 or a trim would silently blank a benchmark layer; these tests make it fail.
@@ -11,6 +12,8 @@ import glob
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -103,11 +106,13 @@ def _trees() -> dict[str, ast.Module]:
 
 
 # Definitions no package code reads, kept because tests check production code
-# against them; markov_tail_bound waits on ROADMAP item 6
+# against them (marked_instants and nonreturned_edges check gluing's one
+# surgery pass); markov_tail_bound waits on ROADMAP item 6
 ORACLES = {
     "_pairing_count_by_search", "_stay_above_count", "cycle_refined_insertion_log",
     "descent_window", "enumerate_dyck", "enumerate_insertions", "k_functional_tensor",
-    "markov_tail_bound", "path_weight", "single_walk_insertion_bound", "spectral_norm",
+    "marked_instants", "markov_tail_bound", "nonreturned_edges", "path_weight",
+    "single_walk_insertion_bound", "spectral_norm",
 }
 
 
@@ -172,3 +177,12 @@ def test_one_helper_words_every_argument_floor():
     helper = next(f for f in ast.walk(_trees()["ensemble"]) if isinstance(f, ast.FunctionDef) and f.name == "_check_at_least")
     [(module, node)] = _floor_wordings()
     assert module == "ensemble" and helper.lineno <= node.lineno <= helper.end_lineno
+
+
+def test_numpy_free_imports_leave_typing_unloaded():
+    # the records of the numpy-free modules are collections.namedtuple
+    # subclasses: typing.NamedTuple would load typing, about 3 ms
+    code = "import sys, tml.cli, tml.paths, tml.gluing; sys.exit('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC_DIR)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "typing was loaded"
