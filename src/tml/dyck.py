@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -65,11 +65,7 @@ class DyckSizeError(ValueError):
     """Raised when an exhaustive or sampled Dyck computation is too large."""
 
 
-class _DyckPathFields(NamedTuple):
-    steps: tuple[int, ...]
-
-
-class DyckPath(_DyckPathFields):
+class DyckPath(namedtuple("DyckPath", "steps")):
     """A balanced nonnegative step sequence; steps are +1 or -1."""
 
     __slots__ = ()
@@ -368,15 +364,11 @@ def stay_above_full_window_expectation(
     return _mean(_batch_stay_above_total, s, mode, trials, seed)
 
 
-class MaxLevelTable(NamedTuple):
+class MaxLevelTable(namedtuple("MaxLevelTable", "s trials rows fit_c1 fit_c2")):
     """Empirical distribution of the maximum level, with a diagnostic
     Gaussian-decay fit P(max = k) ~ c1 * exp(-c2 * k^2 / s)."""
 
-    s: int
-    trials: int
-    rows: tuple[tuple[int, float], ...]
-    fit_c1: float | None
-    fit_c2: float | None
+    __slots__ = ()
 
 
 def max_level_tail(s: int, trials: int, seed: int, mode: str = "mc") -> MaxLevelTable:

@@ -44,7 +44,6 @@ from .paths import (
     _log_catalan,
     _log_main_term,
     catalan,
-    edge_key,
     edge_multiplicities,
     is_even_path,
     random_closed_path,
@@ -72,18 +71,11 @@ class OddRun(namedtuple("OddRun", "first_instant last_instant depart_vertex arri
 
     __slots__ = ()
 
-    def instants(self) -> range:
-        return range(self.first_instant, self.last_instant + 1)
-
 
 class OddStructure(namedtuple("OddStructure", "runs odd_pairs")):
     """The runs of a walk; odd_pairs is half the number of non-returned instants."""
 
     __slots__ = ()
-
-    @property
-    def run_count(self) -> int:
-        return len(self.runs)
 
 
 class GluedDecomposition(namedtuple("GluedDecomposition", "walks origins odd_pairs outcome")):
@@ -96,24 +88,12 @@ class GluedDecomposition(namedtuple("GluedDecomposition", "walks origins odd_pai
 
     __slots__ = ()
 
-    @property
-    def walk_count(self) -> int:
-        return len(self.walks)
-
-    @property
-    def total_length(self) -> int:
-        return sum(w.length for w in self.walks)
-
 
 class CycleDecomposition(namedtuple("CycleDecomposition", "cycles")):
     """The removed odd edges organized into closed cycles: cycles holds, per
     cycle, the odd-edge keys in traversal order."""
 
     __slots__ = ()
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
 
 
 # One walk's surgery: odd edges; (first, last instant, depart, arrive) per run;
@@ -350,6 +330,43 @@ def cycle_decomposition(p: ClosedPath) -> CycleDecomposition:
 # ---------- merge procedure for mixed-parity outcomes ----------
 
 
+def _merge(walks: list) -> tuple[list[tuple[int, ...]], int]:
+    """The merge of ``merge_odd_walks`` on (vertex tuple, edge counts) pairs
+    whose union is even, as ``_Cut.walks`` holds them: returns (vertex
+    tuples, merge count).  The counts are read, never mutated; a merged
+    walk's are its two walks' summed, less 2 on the shared edge.  Walks
+    before the current one are even, so each round starts there."""
+    walks = list(walks)
+    merges = i = 0
+    while i < len(walks):
+        a, ca = walks[i]
+        odd = {e for e, k in ca.items() if k % 2}
+        if not odd:
+            i += 1
+            continue
+        for t in range(1, len(a)):  # the first instant carrying an odd edge
+            u, v = a[t - 1], a[t]
+            e = (u, v) if u <= v else (v, u)
+            if e in odd:
+                break
+        j = next((j for j in range(i + 1, len(walks)) if walks[j][1].get(e, 0) % 2), None)
+        if j is None:
+            raise GluingError(f"edge {e} odd in walk {i} but matched nowhere")
+        b, cb = walks.pop(j)
+        t2 = next(t2 for t2 in range(1, len(b)) if (b[t2 - 1], b[t2]) in ((v, u), (u, v)))
+        if (b[t2 - 1], b[t2]) != (v, u):
+            # same direction: read the partner walk backwards
+            b = b[::-1]
+            t2 = len(b) - t2
+        counts = dict(ca)
+        for f, k in cb.items():
+            counts[f] = counts.get(f, 0) + k
+        counts[e] -= 2  # 0 once the merge erases e
+        walks[i] = (a[:t] + b[t2 + 1 :] + b[1:t2] + a[t + 1 :], counts)
+        merges += 1
+    return [w for w, _ in walks], merges
+
+
 def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[list[ClosedPath], int]:
     """Splice walks pairwise along shared odd edges until every walk is even.
 
@@ -363,43 +380,13 @@ def merge_odd_walks(walks: list[ClosedPath] | tuple[ClosedPath, ...]) -> tuple[l
     """
     if not walks:
         raise GluingError("no walks to merge")
-    n = walks[0].n
     union = Counter()
     for w in walks:
         union.update(w._multiplicities)
     if any(m % 2 for m in union.values()):
         raise GluingError("union of walks has odd edges; merge contract breached")
-
-    seqs = [list(w.vertices) for w in walks]
-    merges = 0
-    while True:
-        for i, a in enumerate(seqs):
-            mults = _edge_counts(a)
-            t = next((t for t in range(1, len(a)) if mults[edge_key(a[t - 1], a[t])] % 2), 0)
-            if t:  # the first instant carrying an odd edge
-                break
-        else:
-            break
-        e = edge_key(a[t - 1], a[t])
-        partner = None
-        for j in range(i + 1, len(seqs)):
-            b = seqs[j]
-            occ = [t2 for t2 in range(1, len(b)) if edge_key(b[t2 - 1], b[t2]) == e]
-            if len(occ) % 2 == 1:
-                partner = (j, occ[0])
-                break
-        if partner is None:
-            raise GluingError(f"edge {e} odd in walk {i} but matched nowhere")
-        j, t2 = partner
-        b = seqs[j]
-        if not (b[t2 - 1] == a[t] and b[t2] == a[t - 1]):
-            # same direction: read the partner walk backwards
-            b = b[::-1]
-            t2 = len(b) - t2
-        seqs[i] = a[:t] + b[t2 + 1 :] + b[1:t2] + a[t + 1 :]
-        del seqs[j]
-        merges += 1
-    return [ClosedPath(vertices=tuple(s), n=n) for s in seqs], merges
+    merged, merges = _merge([(w.vertices, w._multiplicities) for w in walks])
+    return [ClosedPath(vertices=w, n=walks[0].n) for w in merged], merges
 
 
 # ---------- counting bounds ----------
@@ -770,9 +757,9 @@ class InvariantReport(namedtuple("InvariantReport", "walks_checked violations hi
         return not self.violations
 
 
-def _check_one(verts: tuple[int, ...], mult, n: int, found: list) -> tuple[int, int, int, int, str]:
-    """Run every invariant on the surgery of the closed walk ``verts`` on n
-    vertices, with edge counts ``mult``; returns its histogram key
+def _check_one(verts: tuple[int, ...], mult, found: list) -> tuple[int, int, int, int, str]:
+    """Run every invariant on the surgery of the closed walk ``verts``, with
+    edge counts ``mult``; returns its histogram key
     (odd_pairs, run_count, walk_count, cycle_count, outcome)."""
 
     def bad(tag: str) -> None:
@@ -834,11 +821,11 @@ def _check_one(verts: tuple[int, ...], mult, n: int, found: list) -> tuple[int, 
     if extra and not marked.issuperset(extra):
         bad("origin-marking")
 
-    if outcome == "mixed-parity" and union_even:  # merge_odd_walks' precondition
-        evened, merge_count = merge_odd_walks([ClosedPath(vertices=w, n=n) for w, _ in walks])
-        if not all(is_even_path(w) for w in evened):
+    if outcome == "mixed-parity" and union_even:  # _merge's precondition
+        evened, merge_count = _merge(walks)
+        if any(k % 2 for w in evened for k in _edge_counts(w).values()):  # recounted, not _merge's
             bad("merge-parity")
-        if sum(w.length for w in evened) != len(verts) - 1 - 2 * l - 2 * merge_count:
+        if sum(len(w) - 1 for w in evened) != len(verts) - 1 - 2 * l - 2 * merge_count:
             bad("merge-length")
 
     if outcome == "single-even" and l > 0 and min(map(mult.__getitem__, odd)) >= 3:
@@ -882,7 +869,7 @@ def run_invariant_suite(
     reported once, by its representative.  A walk visits at most 2s labels,
     so every n >= 2s has the classes of n = 2s.  The guard counts classes,
     as the trace sweep's does (``_check_class_count``).  It builds no
-    ``ClosedPath`` but the inputs of ``merge_odd_walks``, and writes
+    ``ClosedPath``, and writes
     ``progress: <done> of <total> relabeling classes checked`` to stderr at
     most every PROGRESS_SECONDS, reading the clock once per 1024 classes.
     Random walks are checked one by one, with their own labels: walk j is
@@ -906,7 +893,7 @@ def run_invariant_suite(
         labelings = [math.perm(n, v) for v in range(2 * s + 1)]
         report_at = time.monotonic() + PROGRESS_SECONDS
         for done, (verts, v, counts) in enumerate(_canonical_sequences(n, 2 * s), 1):
-            histogram[_check_one(verts, counts, n, found)] += labelings[v]
+            histogram[_check_one(verts, counts, found)] += labelings[v]
             if not done % 1024:
                 now = time.monotonic()
                 if now >= report_at:
@@ -916,7 +903,7 @@ def run_invariant_suite(
         checked = n ** (2 * s)
     for rng in walks:
         p = random_closed_path(n, s, rng)
-        histogram[_check_one(p.vertices, p._multiplicities, n, found)] += 1
+        histogram[_check_one(p.vertices, p._multiplicities, found)] += 1
     checked += random_walks
     return InvariantReport(
         walks_checked=checked,

@@ -66,10 +66,6 @@ class ClosedPath(namedtuple("ClosedPath", "vertices n")):
     def origin(self) -> int:
         return self.vertices[0]
 
-    def step(self, j: int) -> tuple[int, int]:
-        """The directed step at instant j, 1-based."""
-        return self.vertices[j - 1], self.vertices[j]
-
     @functools.cached_property
     def _multiplicities(self) -> Counter:
         # counted once per walk and shared by the readers in this module and

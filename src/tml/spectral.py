@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -303,14 +303,10 @@ def trial_values(
     return np.concatenate([chunk_values(min(chunk, trials - first)) for first in firsts])
 
 
-class TraceEstimate(NamedTuple):
+class TraceEstimate(namedtuple("TraceEstimate", "mean stderr trials n s")):
     """Monte Carlo estimate of E[Tr A^(2s)] with its standard error."""
 
-    mean: float
-    stderr: float
-    trials: int
-    n: int
-    s: int
+    __slots__ = ()
 
 
 def mc_expected_trace(
@@ -386,17 +382,15 @@ def markov_tail_bound(expected_trace: float, threshold: float, s: int) -> float:
 EDGE_EXPONENT = -6.0 / 11.0
 
 
-class EdgeExceedanceResult(NamedTuple):
+class EdgeExceedanceResult(
+    namedtuple(
+        "EdgeExceedanceResult", "n trials epsilon threshold exceed_count exceed_fraction lambda_max_values"
+    )
+):
     """Fraction of samples whose top normalized eigenvalue clears
     2*sigma + n^(-6/11 + epsilon)."""
 
-    n: int
-    trials: int
-    epsilon: float
-    threshold: float
-    exceed_count: int
-    exceed_fraction: float
-    lambda_max_values: tuple[float, ...]
+    __slots__ = ()
 
 
 def edge_exceedance_experiment(
@@ -427,14 +421,11 @@ def edge_exceedance_experiment(
     )
 
 
-class ConcentrationRow(NamedTuple):
+class ConcentrationRow(namedtuple("ConcentrationRow", "t deviation empirical_fraction bound")):
     """Empirical tail of |lambda_max - center| at deviation K*t/sqrt(n),
     next to the proved ceiling min(1, 4*exp(-t^2/32))."""
 
-    t: float
-    deviation: float
-    empirical_fraction: float
-    bound: float
+    __slots__ = ()
 
 
 def concentration_bound(t: float) -> float:

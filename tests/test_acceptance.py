@@ -133,7 +133,7 @@ def test_04_insertion_bound_dominates_fiber(capsys):
             fiber: dict[tuple[int, int, int], int] = {}
             for p in enumerate_insertions(base, max_odd_pairs=max_pairs[length]):
                 struct = odd_interval_decomposition(p)
-                key = (p.length // 2, struct.odd_pairs, struct.run_count)
+                key = (p.length // 2, struct.odd_pairs, len(struct.runs))
                 fiber[key] = fiber.get(key, 0) + 1
             for (m, l, j), count in fiber.items():
                 groups += 1

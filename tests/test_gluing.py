@@ -66,7 +66,7 @@ def cp(*verts, n=None):
 
 def check(p, found):
     """The suite's checks on one walk, fed as the sweep feeds them."""
-    return gluing._check_one(p.vertices, p._multiplicities, p.n, found)
+    return gluing._check_one(p.vertices, p._multiplicities, found)
 
 
 even_length_walks = st.integers(min_value=1, max_value=5).flatmap(
@@ -85,21 +85,20 @@ def test_odd_interval_decomposition_fixture():
     p = cp(1, 1, 2, 2, 1)
     st_ = odd_interval_decomposition(p)
     assert st_.odd_pairs == 1
-    assert st_.run_count == 2
+    assert len(st_.runs) == 2
     r0, r1 = st_.runs
     assert (r0.first_instant, r0.last_instant) == (1, 1)
     assert (r0.depart_vertex, r0.arrive_vertex) == (1, 1)
     assert (r1.first_instant, r1.last_instant) == (3, 3)
     assert (r1.depart_vertex, r1.arrive_vertex) == (2, 2)
-    assert len(r0.instants()) == 1 and list(r1.instants()) == [3]
 
 
 def test_odd_interval_decomposition_consecutive_run():
     p = cp(1, 2, 3, 1, 1)  # four odd edges in one consecutive block
     st_ = odd_interval_decomposition(p)
     assert st_.odd_pairs == 2
-    assert st_.run_count == 1
-    assert st_.runs[0].instants() == range(1, 5)
+    assert len(st_.runs) == 1
+    assert (st_.runs[0].first_instant, st_.runs[0].last_instant) == (1, 4)
     assert st_.runs[0].depart_vertex == 1
     assert st_.runs[0].arrive_vertex == 1
 
@@ -128,17 +127,17 @@ def test_glue_two_loops():
     assert d.outcome == "single-even"
     assert d.odd_pairs == 1
     assert d.walks == (cp(1, 2, 1),)
-    assert d.total_length == 2
+    assert sum(w.length for w in d.walks) == 2
 
 
 def test_glue_multi_even():
     d = glue(cp(1, 2, 3, 2, 3, 3, 1))
     assert d.outcome == "multi-even"
     assert d.odd_pairs == 2
-    assert d.walk_count == 2
+    assert len(d.walks) == 2
     assert d.walks == (ClosedPath(vertices=(1,), n=3), cp(2, 3, 2, n=3))
     assert d.origins == (1, 2)
-    assert d.total_length == 2
+    assert sum(w.length for w in d.walks) == 2
 
 
 def test_glue_single_run_collapse():
@@ -186,7 +185,7 @@ def test_glue_rejects_odd_length():
 def test_glue_conservation_properties(p):
     d = glue(p)
     # length bookkeeping
-    assert d.total_length == p.length - 2 * d.odd_pairs
+    assert sum(w.length for w in d.walks) == p.length - 2 * d.odd_pairs
     # edge conservation: one copy of each odd edge removed
     expected = edge_multiplicities(p)
     for e, m in list(expected.items()):
@@ -204,9 +203,9 @@ def test_glue_conservation_properties(p):
     arrival_vertices = {p.vertices[t] for t in marked_instants(p)}
     assert all(v in arrival_vertices for v in d.origins[1:])
     if d.outcome == "single-even":
-        assert d.walk_count == 1 and is_even_path(d.walks[0])
+        assert len(d.walks) == 1 and is_even_path(d.walks[0])
     if d.outcome == "multi-even":
-        assert d.walk_count >= 2 and all(is_even_path(w) for w in d.walks)
+        assert len(d.walks) >= 2 and all(is_even_path(w) for w in d.walks)
 
 
 # ---------- counting the admissible reassemblies ----------
@@ -246,14 +245,14 @@ def test_count_gluings_matches_search_exhaustively():
 
 def test_cycle_decomposition_two_loops():
     c = cycle_decomposition(cp(1, 1, 2, 2, 1))
-    assert c.cycle_count == 2
+    assert len(c.cycles) == 2
     assert Counter(len(cy) for cy in c.cycles) == {1: 2}
     assert sorted(c.cycles) == [(((1, 1)),), (((2, 2)),)]
 
 
 def test_cycle_decomposition_single_run():
     c = cycle_decomposition(cp(1, 2, 2, 3, 4, 2, 1))
-    assert c.cycle_count == 1
+    assert len(c.cycles) == 1
     assert Counter(len(cy) for cy in c.cycles) == {4: 1}
     assert Counter(c.cycles[0]) == Counter(
         [(2, 2), (2, 3), (3, 4), (2, 4)]
@@ -262,13 +261,13 @@ def test_cycle_decomposition_single_run():
 
 def test_cycle_decomposition_multi_even():
     c = cycle_decomposition(cp(1, 2, 3, 2, 3, 3, 1))
-    assert c.cycle_count == 1
+    assert len(c.cycles) == 1
     assert Counter(len(cy) for cy in c.cycles) == {4: 1}
 
 
 def test_cycle_decomposition_even_walk():
     c = cycle_decomposition(cp(1, 2, 1))
-    assert c.cycle_count == 0 and Counter(len(cy) for cy in c.cycles) == {}
+    assert len(c.cycles) == 0 and Counter(len(cy) for cy in c.cycles) == {}
 
 
 @given(even_length_walks)
@@ -280,7 +279,7 @@ def test_cycle_partition_properties(p):
     assert Counter(e for cy in c.cycles for e in cy) == Counter(odd_edges)
     if d.odd_pairs:
         st_ = odd_interval_decomposition(p)
-        assert 1 <= c.cycle_count <= st_.run_count <= 2 * d.odd_pairs
+        assert 1 <= len(c.cycles) <= len(st_.runs) <= 2 * d.odd_pairs
 
 
 # ---------- merging mixed-parity walks ----------
@@ -357,6 +356,22 @@ def test_surgery_record_frozen_at_n3():
             walks += 1
     assert walks == 7380
     assert digest.hexdigest() == "1ef0473492411010ffb3910eface28268ad6de54db78598de85a9febc1d3ce10"
+
+
+def test_multi_round_merges_frozen_at_n3_s6():
+    # sha256 over one repr line of merge_odd_walks per mixed-parity class at
+    # n = 3, s = 6, its walks read from the pass; at s <= 4 every mixed-parity
+    # walk needs one merge, here 89 classes need two
+    digest = hashlib.sha256()
+    rounds = Counter()
+    for verts, _, counts in _canonical_sequences(3, 12):
+        cut = gluing._surgery(verts, counts)
+        if cut.outcome == "mixed-parity":
+            merged, merges = merge_odd_walks([ClosedPath(vertices=w, n=3) for w, _ in cut.walks])
+            digest.update(f"{(merged, merges)!r}\n".encode())
+            rounds[merges] += 1
+    assert rounds == {1: 6559, 2: 89}
+    assert digest.hexdigest() == "879ae30cdd1acd03e2a994fdb996ba9398254cb37835adc228739fbdf0ab2a4a"
 
 
 # ---------- the self-intersection floor ----------
@@ -470,7 +485,7 @@ def test_enumerate_insertions_fiber_within_bound():
             if p.length == base.length:
                 continue
             st_ = odd_interval_decomposition(p)
-            groups[(st_.odd_pairs, st_.run_count)] += 1
+            groups[(st_.odd_pairs, len(st_.runs))] += 1
         for (l, j), count in groups.items():
             assert count <= single_walk_insertion_bound(m, l, j)
 
@@ -838,29 +853,41 @@ def test_invariant_suite_reassembles_each_walk_once(monkeypatch):
     assert calls == {"_surgery": 32}
 
 
-def test_exhaustive_sweep_builds_closed_paths_only_for_the_merge(monkeypatch):
-    built, handed, merging = [], [], []
-    real_new, real_merge = ClosedPath.__new__, gluing.merge_odd_walks
+def test_exhaustive_sweep_builds_no_closed_path(monkeypatch):
+    built = []
+    real_new = ClosedPath.__new__
 
     def counted_new(cls, vertices, n):
-        if not merging:  # merge_odd_walks' own output walks are not counted
-            built.append(vertices)
+        built.append(vertices)
         return real_new(cls, vertices, n)
 
-    def counted_merge(walks):
-        handed.extend(walks)
-        merging.append(True)
-        try:
-            return real_merge(walks)
-        finally:
-            merging.pop()
-
     monkeypatch.setattr(ClosedPath, "__new__", counted_new)
-    monkeypatch.setattr(gluing, "merge_odd_walks", counted_merge)
     report = run_invariant_suite(3, 4)
     assert report.ok and report.walks_checked == 3**8
-    assert handed  # 23 of the 1094 classes are mixed-parity
-    assert len(built) <= len(handed)
+    assert built == []  # the merge of the 23 mixed-parity classes reads the pass's pairs
+
+
+def _unmerged(walks):
+    # a merge that merges nothing and claims one merge
+    return [w for w, _ in walks], 1
+
+
+def test_merge_checks_flag_a_broken_merge(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gluing, "_merge", _unmerged)
+    report = run_invariant_suite(3, 4)
+    flagged = Counter(tag for tag, _ in report.violations)
+    assert set(flagged) == {"merge-parity", "merge-length"}
+    assert flagged["merge-parity"] == flagged["merge-length"] == 23  # one per mixed-parity class
+    code = cli.main(["verify-gluing", "--n", "3", "--s", "4", "--output-dir", str(tmp_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "checked 6561 walks, 46 violations\n"
+    pattern = r"violation (merge-parity|merge-length): (\(.*\))"
+    listed = [re.fullmatch(pattern, line) for line in err.splitlines()]
+    assert len(listed) == 10 and all(listed)  # the CLI lists the first 10
+    for m in listed:
+        verts = tuple(int(v) for v in re.findall(r"\d+", m[2]))
+        assert gluing._surgery(verts, _edge_counts(verts)).outcome == "mixed-parity"
 
 
 def test_invariant_suite_histogram_frozen():
@@ -1075,7 +1102,9 @@ def _cycles_oracle(p, structure, partner):
             seen[slot] = seen[nxt] = True
             r = (slot if slot % 2 else nxt) // 2
             if r < len(runs):
-                edges.extend(edge_key(*p.step(j)) for j in runs[r].instants())
+                run = runs[r]
+                vs = p.vertices[run.first_instant - 1 : run.last_instant + 1]
+                edges.extend(edge_key(u, v) for u, v in zip(vs, vs[1:]))
             slot = partner[nxt]
         if edges:
             cycles.append(tuple(edges))

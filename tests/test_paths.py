@@ -54,8 +54,7 @@ def test_closed_path_validation():
     p = cp(1, 2, 1)
     assert p.length == 2
     assert p.origin == 1
-    assert p.step(1) == (1, 2)
-    assert p.step(2) == (2, 1)
+    assert p.vertices == (1, 2, 1)
     # odd-length closed walks are allowed
     assert cp(1, 2, 2, 1).length == 3
 

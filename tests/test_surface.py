@@ -107,33 +107,59 @@ def _trees() -> dict[str, ast.Module]:
 
 # Definitions no package code reads, kept because tests check production code
 # against them (marked_instants and nonreturned_edges check gluing's one
-# surgery pass); markov_tail_bound waits on ROADMAP item 6
+# surgery pass); merge_odd_walks is the public view of gluing._merge, which
+# the invariant suite calls itself; markov_tail_bound waits on ROADMAP item 6
 ORACLES = {
     "_pairing_count_by_search", "_stay_above_count", "cycle_refined_insertion_log",
     "descent_window", "enumerate_dyck", "enumerate_insertions", "k_functional_tensor",
-    "marked_instants", "markov_tail_bound", "nonreturned_edges", "path_weight",
-    "single_walk_insertion_bound", "spectral_norm",
+    "marked_instants", "markov_tail_bound", "merge_odd_walks", "nonreturned_edges",
+    "path_weight", "single_walk_insertion_bound", "spectral_norm",
 }
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(def, whether it is a class member) for every top-level def and class,
+    and every def in a top-level class body (methods and properties) but the
+    dunders and the overrides of an inherited name, which the base class
+    reads (``cli._Parser.error``)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for d in tree.body:
+        if isinstance(d, (*defs, ast.ClassDef)):
+            yield d, False
+        if isinstance(d, ast.ClassDef):
+            bases = getattr(importlib.import_module(f"tml.{module}"), d.name).__mro__[1:]
+            for m in d.body:
+                if not isinstance(m, defs) or m.name.startswith("__"):
+                    continue
+                if not any(hasattr(b, m.name) for b in bases):
+                    yield m, True
 
 
 def test_every_definition_has_a_reader():
     # a top-level def or class is loaded somewhere in the package outside its
-    # own body, or the benchmark tracer wraps it, or it is a test oracle
+    # own body, a method or property is read there as an attribute (a local
+    # of the same name is no reader), or the benchmark tracer wraps it, or it
+    # is a test oracle
     trees = _trees()
-    reads: dict[str, list[tuple[str, int]]] = {}  # name -> (module, line) of each load
+    # (name, read as an attribute) -> (module, line) of each load
+    reads: dict[tuple[str, bool], list[tuple[str, int]]] = {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                reads.setdefault(name, []).append((module, node.lineno))
+                attribute = isinstance(node, ast.Attribute)
+                name = node.attr if attribute else node.id
+                reads.setdefault((name, attribute), []).append((module, node.lineno))
     traced = {part for dotted in _traced_names() for part in dotted.split(".")}
     unread = {
         d.name
         for module, tree in trees.items()
-        for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and d.name not in traced
-        and all(m == module and d.lineno <= line <= d.end_lineno for m, line in reads.get(d.name, ()))
+        for d, member in _definitions(module, tree)
+        if d.name not in traced
+        and all(
+            m == module and d.lineno <= line <= d.end_lineno
+            for as_attribute in ((True,) if member else (True, False))
+            for m, line in reads.get((d.name, as_attribute), ())
+        )
     }
     assert unread == ORACLES
 
